@@ -5,8 +5,9 @@ nonsymmetric matrix) and second-order central finite differences
 (symmetric tridiagonal, used as the cross-checking oracle).
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,29 +39,32 @@ class Interval:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential q(t) = ell^2 * exp(2 t) + extra(t).
+    """Potential q(t) = coupling * exp(2 t), coupling = (ell pi / width)^2.
 
-    ``ell`` indexes the transverse modes of the separated width-pi strip
-    problem, whose transverse eigenvalues are ell^2.  ``extra`` is an
-    optional scalar callable evaluated pointwise; it carries any additive
-    term that is not of the ell^2 exp(2t) form.
+    ``ell`` indexes the transverse modes of the separated strip problem of
+    the given ``width``, whose transverse eigenvalues are the couplings;
+    width pi gives exactly ell^2.
     """
 
     ell: int = 0
-    extra: Optional[Callable[[float], float]] = field(default=None)
+    width: float = math.pi
 
     def __post_init__(self):
         if self.ell != int(self.ell) or self.ell < 0:
             raise ValueError(
                 f"mode index must be a nonnegative integer, got {self.ell!r}"
             )
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise ValueError(
+                f"strip width must be positive and finite, got {self.width!r}"
+            )
+
+    @property
+    def coupling(self):
+        return float(self.ell) ** 2 * (math.pi / self.width) ** 2
 
     def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        q = float(self.ell) ** 2 * np.exp(2.0 * t)
-        if self.extra is not None:
-            flat = np.atleast_1d(t)
-            q = q + np.array([float(self.extra(ti)) for ti in flat]).reshape(t.shape)
+        q = self.coupling * np.exp(2.0 * np.asarray(t, dtype=float))
         if not np.all(np.isfinite(q)):
             raise ValueError("potential evaluates to a non-finite value on the grid")
         return q

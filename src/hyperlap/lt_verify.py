@@ -15,7 +15,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.legendre import leggauss
 
 from .constants import EXCESS, kinetic_constant, lt_best_known
-from .discretize import Interval
+from .discretize import Interval, PotentialSpec
 from .errors import IncompleteTableError, QuadratureError
 from . import sl_family
 
@@ -43,7 +43,7 @@ class ProductDomain:
         """Transverse Dirichlet eigenvalue (ell pi / x_length)^2."""
         if ell != int(ell) or ell < 1:
             raise ValueError(f"transverse index must be a positive integer: {ell!r}")
-        return (ell * math.pi / self.x_length) ** 2
+        return PotentialSpec(ell, width=self.x_length).coupling
 
 
 def hyperbolic_volume(domain):
@@ -71,23 +71,13 @@ def potential_integral(pot, gamma, dim=2):
     return pot.height ** (gamma + dim / 2.0) * hyperbolic_volume(pot.domain)
 
 
-def family_table(domain, cutoff, tol=1e-10, n=400, margin=0.05, threads=None):
+def family_table(domain, cutoff, tol=1e-10, n=400, margin=0.05):
     """Certified eigenvalue table for the domain's separated family.
 
-    For x_length = pi this is the plain integer-mode sweep; other widths
-    go through the transverse eigenvalues (ell pi / x_length)^2.
+    Mode ell couples through the transverse eigenvalue (ell pi / x_length)^2.
     """
-    kappa_fn = None
-    if not math.isclose(domain.x_length, math.pi, rel_tol=1e-15):
-        kappa_fn = domain.transverse
     return sl_family.sweep(
-        domain.interval,
-        cutoff,
-        tol=tol,
-        n=n,
-        margin=margin,
-        threads=threads,
-        kappa_fn=kappa_fn,
+        domain.interval, cutoff, tol=tol, n=n, margin=margin, width=domain.x_length
     )
 
 

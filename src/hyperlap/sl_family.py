@@ -1,17 +1,17 @@
 """The separated eigenvalue family and its certified sweep.
 
-Separating variables on a strip of width pi (x direction) times an
+Separating variables on a strip of width w (x direction) times an
 interval in t = log y turns the hyperbolic Dirichlet problem into the
-family -psi'' + ell^2 exp(2t) psi = nu psi with Dirichlet ends, one
-problem per transverse mode ell >= 1.  The sweep solves every family
-whose ground state clears the cutoff, certifies each retained eigenvalue
+family -psi'' + kappa exp(2t) psi = nu psi with Dirichlet ends, one
+problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
+The modes differ only in that scalar, so the sweep assembles the
+mode-independent operator once per resolution, solves every family whose
+ground state clears the cutoff, certifies each retained eigenvalue
 against a doubled resolution, and cross-checks the count against the
 finite-difference Sturm oracle.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +69,30 @@ def _gap_point(w, k_star):
     return 0.5 * (lower + upper)
 
 
-def _certified(problem, cutoff, tol, n, oracle_m):
+def _base(interval, n):
+    """Mode-independent collocation matrix at resolution n and its exp(2t) weight.
+
+    Mode ell's matrix is ``_with_coupling(base, coupling)``, bitwise the
+    matrix assemble_cheb builds for that mode's PotentialSpec.
+    """
+    op = assemble_cheb(interval, PotentialSpec(0), n)
+    return op.matrix, np.exp(2.0 * op.nodes)
+
+
+def _with_coupling(base, coupling):
+    a0, w = base
+    return a0 + np.diag(coupling * w)
+
+
+def _ground_state(base, pot):
+    return float(dense_eigenvalues(_with_coupling(base, pot.coupling)).values[0])
+
+
+def _certified(problem, bases, cutoff, tol, oracle_m):
     """Certified eigenvalues <= cutoff: (values, first_above, max_imag).
 
-    Certification: resolutions n and 2n agree entrywise to ``tol``
+    ``bases`` are the ``_base`` pairs of the interval at resolutions n and
+    2n.  Certification: the two resolutions agree entrywise to ``tol``
     (relative), agree on the count below a gap midpoint, and the
     finite-difference Sturm count at that midpoint matches too.
     """
@@ -81,8 +101,10 @@ def _certified(problem, cutoff, tol, n, oracle_m):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     if tol < 1e-13:
         raise ValueError(f"tol below certifiable floor 1e-13: {tol!r}")
-    s1 = dense_eigenvalues(assemble_cheb(problem.interval, problem.pot, n).matrix)
-    s2 = dense_eigenvalues(assemble_cheb(problem.interval, problem.pot, 2 * n).matrix)
+    n = bases[0][1].size + 1  # n intervals leave n - 1 interior nodes
+    s1, s2 = (
+        dense_eigenvalues(_with_coupling(base, problem.pot.coupling)) for base in bases
+    )
     w, w2 = s1.values, s2.values
     k_star = int(np.searchsorted(w, cutoff, side="right"))
     if k_star == w.size:
@@ -122,56 +144,47 @@ def _certified(problem, cutoff, tol, n, oracle_m):
 
 def solve_certified(problem, cutoff, tol=1e-10, n=400, oracle_m=4000):
     """Eigenvalues <= cutoff with two-resolution and count certification."""
-    values, _first_above, max_imag = _certified(problem, cutoff, tol, n, oracle_m)
+    bases = [_base(problem.interval, m) for m in (n, 2 * n)]
+    values, _first_above, max_imag = _certified(problem, bases, cutoff, tol, oracle_m)
     return Spectrum(values=values, max_imag=max_imag, iterations=0)
 
 
-def _pot_for(ell, kappa_fn):
-    if kappa_fn is None:
-        return PotentialSpec(ell=ell)
-    kappa = float(kappa_fn(ell))
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise ValueError(f"kappa_fn({ell}) = {kappa!r} is not a valid coupling")
-    return PotentialSpec(ell=0, extra=lambda t, k=kappa: k * math.exp(2.0 * t))
-
-
-def _ground_state(interval, ell, n, kappa_fn):
-    prob = SLProblem(interval=interval, pot=_pot_for(ell, kappa_fn))
-    return float(solve_problem(prob, n=n).values[0])
-
-
-def find_ell_max(interval, cutoff, n=400, kappa_fn=None):
+def find_ell_max(interval, cutoff, n=400, width=math.pi):
     """First mode ell whose ground state exceeds ``cutoff``.
 
-    Doubling until the ground state clears the cutoff, then bisection.
-    The ground state is increasing in ell because the potential is.
+    The ground state increases with the coupling kappa, so it equals the
+    cutoff c at one critical coupling kappa*: the largest eigenvalue of
+    (c I - A0) x = kappa W x, with A0 the mode-independent operator and W
+    the exp(2t) weight.  The first mode past kappa* is then confirmed by
+    the ground states on both sides of it, stepping while they disagree.
+    Up to mode 2^22 neighbouring couplings differ by far more than the
+    rounding of the eigensolver, so at most a few steps are needed; past it
+    the cutoff cannot be resolved and the search is refused.
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    cache = {}
+    kappa1 = PotentialSpec(1, width=width).coupling
+    base = _base(interval, n)
+    a0, w = base
+    kappa = dense_eigenvalues((cutoff * np.eye(w.size) - a0) / w[:, None]).values[-1]
+    ell = 1
+    if kappa >= kappa1:
+        ell = math.floor(width / math.pi * math.sqrt(kappa)) + 1
+    if ell > 1 << 22:
+        raise ValueError(f"no mode below {1 << 22} clears cutoff {cutoff}")
 
-    def nu1(ell):
-        if ell not in cache:
-            cache[ell] = _ground_state(interval, ell, n, kappa_fn)
-        return cache[ell]
+    def clears(ell):
+        return _ground_state(base, PotentialSpec(ell, width=width)) > cutoff
 
-    if nu1(1) > cutoff:
-        return 1
-    lo = 1
-    hi = 2
-    while nu1(hi) <= cutoff:
-        lo = hi
-        hi *= 2
-        if hi > 1 << 22:
-            raise ValueError(f"no mode below {hi} clears cutoff {cutoff}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if nu1(mid) > cutoff:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if clears(ell):
+        while ell > 1 and clears(ell - 1):
+            ell -= 1
+    else:
+        ell += 1
+        while not clears(ell):
+            ell += 1
+    return ell
 
 
 @dataclass(frozen=True)
@@ -225,12 +238,15 @@ class EigenTable:
         return np.array([nu for e, _, nu in self.entries if e == ell])
 
     def nus(self, through=None):
-        """All eigenvalues sorted ascending, optionally truncated at ``through``."""
+        """All eigenvalues sorted ascending, optionally truncated at ``through``.
+
+        ``through`` may not exceed the cutoff: the rows above it are padding.
+        """
         vals = np.sort(np.array([nu for _, _, nu in self.entries]))
         if through is None:
             return vals
         through = float(through)
-        if through > self.cutoff * (1.0 + self.margin):
+        if through > self.cutoff:
             raise IncompleteTableError(
                 f"table complete only through {self.cutoff}, asked for {through}"
             )
@@ -255,20 +271,6 @@ def table_rows_from_csv(text):
     return out
 
 
-def _thread_count(threads):
-    if threads is None:
-        raw = os.environ.get("HYPERLAP_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"HYPERLAP_THREADS must be an integer, got {raw!r}")
-    if threads < 0:
-        raise ValueError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
 def sweep(
     interval,
     cutoff,
@@ -276,58 +278,44 @@ def sweep(
     n=400,
     margin=0.05,
     ell_max=None,
-    threads=None,
     oracle_m=4000,
-    kappa_fn=None,
+    width=math.pi,
 ):
     """Certified eigenvalue table of every family with ground state <= cutoff.
 
     ``ell_max``, when given, skips the adaptive search but is still verified
     (its ground state must clear the cutoff, else the table would be
-    incomplete).  ``kappa_fn`` overrides the default coupling ell^2; it must
-    be increasing.  Families run on a thread pool sized by ``threads``
-    (None: the HYPERLAP_THREADS environment variable, 0 or unset meaning
-    one worker per cpu); results are merged in mode order, so the table is
-    deterministic regardless of scheduling.
+    incomplete).  ``width`` is the strip width: mode ell has the coupling
+    (ell pi / width)^2, so the default pi gives ell^2.
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     if margin < 0.0:
         raise ValueError(f"margin must be >= 0, got {margin}")
+    bases = [_base(interval, m) for m in (n, 2 * n)]
     if ell_max is None:
-        ell_max = find_ell_max(interval, cutoff, n=n, kappa_fn=kappa_fn)
+        ell_max = find_ell_max(interval, cutoff, n=n, width=width)
     else:
         ell_max = int(ell_max)
         if ell_max < 1:
             raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-        if _ground_state(interval, ell_max, n, kappa_fn) <= cutoff:
+        if _ground_state(bases[0], PotentialSpec(ell_max, width=width)) <= cutoff:
             raise IncompleteTableError(
                 f"mode {ell_max} still has its ground state below {cutoff}; "
                 "table would be incomplete"
             )
     retain = cutoff * (1.0 + margin)
-
-    def solve_mode(ell):
-        prob = SLProblem(interval=interval, pot=_pot_for(ell, kappa_fn))
-        values, first_above, _ = _certified(prob, retain, tol, n, oracle_m)
+    entries = []
+    for ell in range(1, ell_max):
+        prob = SLProblem(interval=interval, pot=PotentialSpec(ell, width=width))
+        values, first_above, _ = _certified(prob, bases, retain, tol, oracle_m)
         if first_above <= cutoff:
             raise CertificationError(
                 f"mode {ell}: first discarded eigenvalue {first_above} "
                 f"does not clear the cutoff {cutoff}",
                 index=len(values),
             )
-        return values
-
-    ells = list(range(1, ell_max))
-    workers = _thread_count(threads)
-    if workers <= 1 or len(ells) <= 1:
-        results = [solve_mode(ell) for ell in ells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_mode, ells))
-    entries = []
-    for ell, values in zip(ells, results):
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))
     return EigenTable(

@@ -218,15 +218,6 @@ def test_artifacts_are_reproducible(tmp_path):
     assert sa.read_bytes() == sb.read_bytes()
 
 
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
-    base = tmp_path / "base.csv"
-    assert main(["sweep", *FAST_SWEEP, "--csv", str(base)]) == 0
-    monkeypatch.setenv("HYPERLAP_THREADS", "2")
-    pooled = tmp_path / "pooled.csv"
-    assert main(["sweep", *FAST_SWEEP, "--csv", str(pooled)]) == 0
-    assert base.read_text() == pooled.read_text()
-
-
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cutoff": 30, "n": 64}))

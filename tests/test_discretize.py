@@ -86,13 +86,17 @@ def test_potential_validation():
     assert np.allclose(q.evaluate(t), 9.0 * np.exp(2.0 * t))
 
 
-def test_potential_extra_term():
-    q = PotentialSpec(ell=2, extra=lambda t: 10.0 * t)
-    t = np.array([0.0, 1.0])
-    assert np.allclose(q.evaluate(t), 4.0 * np.exp(2.0 * t) + 10.0 * t)
-    bad = PotentialSpec(ell=0, extra=lambda t: float("inf"))
-    with pytest.raises(ValueError):
-        bad.evaluate(t)
+def test_potential_width():
+    t = np.array([-1.0, 0.0, 1.0])
+    # coupling (2 pi / (2 pi))^2 = 1, exactly
+    q = PotentialSpec(2, width=2.0 * np.pi)
+    assert np.array_equal(q.evaluate(t), np.exp(2.0 * t))
+    assert PotentialSpec(3).coupling == 9.0
+    for width in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PotentialSpec(1, width=width)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        PotentialSpec(1).evaluate([400.0])
 
 
 def test_cheb_operator_shape_and_nodes():

@@ -18,6 +18,7 @@ from hyperlap import (
     lt_check,
     potential_integral,
     sobolev_check,
+    sweep,
     trial_profile,
 )
 
@@ -89,6 +90,10 @@ def test_family_table_model_domain(model_table):
     assert model_table.cutoff == 40.0
     assert model_table.ell_max >= 2
     assert np.all(model_table.nus() > 0.0)
+
+
+def test_family_table_model_domain_is_the_plain_sweep(model_table):
+    assert model_table.entries == sweep(MODEL.interval, 40.0, n=64).entries
 
 
 def test_family_table_other_width():

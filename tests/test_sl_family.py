@@ -15,6 +15,7 @@ from hyperlap import (
     PotentialSpec,
     SLProblem,
     assemble_fd,
+    dense_eigenvalues,
     find_ell_max,
     lambda_from_nu,
     nu_from_lambda,
@@ -24,6 +25,7 @@ from hyperlap import (
     table_rows_from_csv,
     tridiag_eigenvalues,
 )
+from hyperlap import sl_family
 
 IV = Interval(-1.0, 1.0)
 
@@ -109,11 +111,49 @@ def test_find_ell_max_tiny_cutoff():
     assert find_ell_max(IV, 2.0, n=64) == 1
 
 
+@pytest.mark.parametrize(
+    "interval, cutoff, n, width",
+    [
+        (IV, 1.0, 64, math.pi),
+        (IV, 50.0, 64, math.pi),
+        (IV, 1000.0, 64, math.pi),
+        (IV, 300.0, 128, 2.0 * math.pi),
+        (IV, 1e4, 64, math.pi),
+        (Interval(-3.0, 2.0), 200.0, 64, math.pi),
+        (Interval(-3.0, 2.0), 500.0, 96, 2.0 * math.pi),
+    ],
+)
+def test_find_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
+    ell = 1
+    while True:
+        pot = PotentialSpec(ell, width=width)
+        if solve_problem(SLProblem(interval, pot), n=n).values[0] > cutoff:
+            break
+        ell += 1
+    assert find_ell_max(interval, cutoff, n=n, width=width) == ell
+
+
+def test_find_ell_max_three_solves(monkeypatch):
+    calls = []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return dense_eigenvalues(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(sl_family, "dense_eigenvalues", counted)
+    for cutoff, width in ((1000.0, math.pi), (300.0, 2.0 * math.pi), (2.0, math.pi)):
+        calls.clear()
+        find_ell_max(IV, cutoff, n=64, width=width)
+        assert 1 <= len(calls) <= 3
+
+
 def test_find_ell_max_validation():
     with pytest.raises(ValueError):
         find_ell_max(IV, -1.0)
     with pytest.raises(ValueError):
         find_ell_max(IV, float("nan"))
+    with pytest.raises(ValueError):
+        find_ell_max(IV, 1e30, n=64)  # would need a mode past 2^22
 
 
 def _p1_ritz_ground_state(ell, alpha=-1.0, beta=1.0, m=400):
@@ -206,23 +246,6 @@ def test_sweep_deterministic():
     assert a.ell_max == b.ell_max
 
 
-def test_sweep_thread_pool_matches_serial(monkeypatch):
-    serial = sweep(IV, 40.0, n=64, oracle_m=800, threads=1)
-    pooled = sweep(IV, 40.0, n=64, oracle_m=800, threads=3)
-    assert serial.entries == pooled.entries
-    monkeypatch.setenv("HYPERLAP_THREADS", "2")
-    env = sweep(IV, 40.0, n=64, oracle_m=800)
-    assert env.entries == serial.entries
-
-
-def test_sweep_thread_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        sweep(IV, 40.0, n=64, threads=-1)
-    monkeypatch.setenv("HYPERLAP_THREADS", "abc")
-    with pytest.raises(ValueError):
-        sweep(IV, 40.0, n=64)
-
-
 def test_sweep_explicit_ell_max():
     adaptive = sweep(IV, 40.0, n=64, oracle_m=800)
     pinned = sweep(IV, 40.0, n=64, oracle_m=800, ell_max=adaptive.ell_max)
@@ -243,17 +266,17 @@ def test_sweep_validation():
         sweep(IV, 40.0, n=64, ell_max=0)
 
 
-def test_sweep_kappa_override_matches_default():
+def test_sweep_width_pi_matches_default():
     base = sweep(IV, 40.0, n=64, oracle_m=800)
-    kap = sweep(IV, 40.0, n=64, oracle_m=800, kappa_fn=lambda ell: float(ell**2))
-    assert kap.modes() == base.modes()
-    for ell in base.modes():
-        assert np.allclose(kap.mode_values(ell), base.mode_values(ell), rtol=1e-11)
+    assert sweep(IV, 40.0, n=64, oracle_m=800, width=math.pi).entries == base.entries
 
 
-def test_sweep_kappa_validation():
-    with pytest.raises(ValueError):
-        sweep(IV, 40.0, n=64, kappa_fn=lambda ell: -1.0)
+def test_sweep_width_validation():
+    for width in (0.0, -math.pi, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sweep(IV, 40.0, n=64, width=width)
+        with pytest.raises(ValueError):
+            sweep(IV, 40.0, n=64, width=width, ell_max=5)
 
 
 def test_table_query_semantics():
@@ -262,8 +285,11 @@ def test_table_query_semantics():
     part = table.nus(through=10.0)
     assert np.all(part <= 10.0)
     assert part.size == np.sum(full <= 10.0)
-    with pytest.raises(IncompleteTableError):
-        table.nus(through=40.0 * 1.05 + 1.0)
+    assert table.nus(through=40.0).size == np.sum(full <= 40.0)
+    # rows in (cutoff, cutoff * (1 + margin)] are padding, not complete data
+    for through in (40.0 * 1.001, 40.0 * 1.05, 40.0 * 1.05 + 1.0):
+        with pytest.raises(IncompleteTableError):
+            table.nus(through=through)
 
 
 def test_table_csv_round_trip():
