@@ -88,7 +88,10 @@ def _interval_args(sub):
 
 
 def _solver_args(sub):
-    sub.add_argument("--n", type=int, default=400, help="collocation intervals")
+    sub.add_argument(
+        "--n", type=int, default=400,
+        help="resolution n: Galerkin orders n-1 and 2n-1 are compared",
+    )
     sub.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
 
 
@@ -330,7 +333,7 @@ def build_parser():
     p = subs.add_parser("eig", help="one family member, plain solve")
     p.add_argument("--ell", type=int, default=0)
     _interval_args(p)
-    p.add_argument("--n", type=int, default=400)
+    p.add_argument("--n", type=int, default=400, help="collocation intervals")
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
@@ -369,8 +372,7 @@ def build_parser():
     p.add_argument("--x-length", type=float, default=math.pi)
     p.add_argument("--a", type=float, default=1.0 / math.e)
     p.add_argument("--b", type=float, default=math.e)
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--tol", type=float, default=1e-10)
+    _solver_args(p)
     p.add_argument("--excess", type=float, default=EXCESS)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_ltcheck)

@@ -1,8 +1,10 @@
 """Discretizations of -d^2/dt^2 + q(t) with Dirichlet ends.
 
-Two independent routes: Chebyshev collocation (spectral accuracy, dense
-nonsymmetric matrix) and second-order central finite differences
-(symmetric tridiagonal, used as the cross-checking oracle).
+Three routes: the Shen-Legendre Galerkin family (symmetric matrices built
+once per interval, mode by mode only the coupling changes; the certified
+sweep uses it), Chebyshev collocation (spectral accuracy, dense
+nonsymmetric matrix, for plain solves) and second-order central finite
+differences (symmetric tridiagonal, used as the cross-checking oracle).
 """
 
 import math
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,114 @@ def assemble_cheb(interval, pot, n=400):
     t_int = interval.from_reference(x[1:-1])
     a = -scale * d2[1:-1, 1:-1] + np.diag(pot.evaluate(t_int))
     return ChebOperator(interval=interval, pot=pot, n=n, nodes=t_int, matrix=a)
+
+
+def _legendre_pair(q, x):
+    """L_{q-1}(x) and L_q(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, q):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p0, p1
+
+
+def _gauss_legendre(q):
+    """Gauss-Legendre nodes and weights on [-1, 1], in O(q) memory.
+
+    Golub-Welsch nodes (eigenvalues of the Jacobi matrix) polished by one
+    Newton step on L_q; weights 2 / ((1 - x^2) L_q'(x)^2), with
+    (1 - x^2) L_q' = q (L_{q-1} - x L_q).  Keeping the tiny L_q term makes
+    the weights exact to rounding (about 1e-16 on smooth integrands).
+    """
+    k = np.arange(1.0, q)
+    x = eigvalsh_tridiagonal(np.zeros(q), k / np.sqrt(4.0 * k * k - 1.0))
+    p0, p1 = _legendre_pair(q, x)
+    x = x - p1 * (1.0 - x * x) / (q * (p0 - x * p1))
+    p0, p1 = _legendre_pair(q, x)
+    return x, 2.0 * (1.0 - x * x) / (q * (p0 - x * p1)) ** 2
+
+
+def _shen_values(n, x):
+    """Rows phi_k(x) = L_k(x) - L_{k+2}(x), k = 0 .. n-2."""
+    phi = np.empty((n - 1, x.size))
+    p0, p1 = np.ones_like(x), x
+    for k in range(n - 1):
+        p2 = ((2 * k + 3) * x * p1 - (k + 1) * p0) / (k + 2)
+        phi[k] = p0 - p2
+        p0, p1 = p1, p2
+    return phi
+
+
+@dataclass(frozen=True)
+class GalerkinFamily:
+    """Shen-Legendre Galerkin matrices of -psi'' + kappa exp(2t) psi on an interval.
+
+    The basis is phi_k = L_k - L_{k+2} (k = 0 .. n-2) in the reference
+    variable x of t = alpha + length (x + 1) / 2, so every function vanishes
+    at both ends.  With all integrals taken in x (dt / dx cancels from the
+    eigenproblem), mode kappa is the symmetric pencil (K + kappa M) c = nu B c:
+
+    - ``stiffness``: the diagonal of K, (4 / length^2) (4k + 6);
+    - ``mass_diag``/``mass_off2``: B, nonzero only on the diagonal and at
+      offset 2 (Shen's closed form);
+    - ``weight_mass``: the dense, Fortran-ordered exp(2t) mass matrix M.
+    """
+
+    interval: Interval
+    n: int
+    stiffness: np.ndarray
+    mass_diag: np.ndarray
+    mass_off2: np.ndarray
+    weight_mass: np.ndarray
+
+    @property
+    def order(self):
+        return self.stiffness.size
+
+    def mass(self):
+        """B as a new dense Fortran-ordered matrix."""
+        b = np.zeros((self.order, self.order), order="F")
+        i = np.arange(self.order)
+        b[i, i] = self.mass_diag
+        b[i[:-2], i[2:]] = self.mass_off2
+        b[i[2:], i[:-2]] = self.mass_off2
+        return b
+
+    def operator(self, kappa):
+        """K + kappa M as a new dense Fortran-ordered matrix."""
+        a = kappa * self.weight_mass
+        i = np.arange(self.order)
+        a[i, i] += self.stiffness
+        return a
+
+
+def assemble_galerkin(interval, n=400):
+    """Galerkin family on ``interval`` with the n - 1 functions of degree <= n.
+
+    M is integrated by Gauss-Legendre quadrature with points to spare:
+    q nodes are exact through degree 2q - 1, which covers the degree 2n of
+    phi_j phi_k plus 2 * spare more for exp(length * x), whose Legendre
+    coefficients fall like (length / 2)^d / d!.
+    """
+    if n < 4:
+        raise ValueError(f"need n >= 4 to have interior structure, got {n}")
+    k = np.arange(n - 1, dtype=float)
+    spare = 16 + math.ceil(interval.length)
+    x, w = _gauss_legendre(n + 1 + spare)
+    with np.errstate(over="ignore"):
+        weight = w * np.exp(2.0 * interval.from_reference(x))
+    if not np.all(np.isfinite(weight)):
+        raise ValueError("exp(2t) overflows on the interval")
+    phi = _shen_values(n, x)
+    phi *= np.sqrt(weight)  # M = (phi sqrt(W)) (phi sqrt(W))^T
+    return GalerkinFamily(
+        interval=interval,
+        n=n,
+        stiffness=(4.0 / interval.length ** 2) * (4.0 * k + 6.0),
+        mass_diag=2.0 / (2.0 * k + 1.0) + 2.0 / (2.0 * k + 5.0),
+        mass_off2=-2.0 / (2.0 * k[:-2] + 5.0),
+        # M is symmetric, so the transposed view is its Fortran-ordered form
+        weight_mass=(phi @ phi.T).T,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Eigenvalue backends.
 
-The dense route wraps LAPACK dgeev (balancing, Hessenberg reduction,
-shifted QR) for the nonsymmetric collocation matrices.  The tridiagonal
-route is a self-contained Sturm-sequence bisection, kept free of LAPACK
-on purpose so the two never share a failure mode.
+The pencil route wraps LAPACK's symmetric-definite generalized solver for
+the Galerkin family of the certified sweep.  The dense route wraps LAPACK
+dgeev (balancing, Hessenberg reduction, shifted QR) for the nonsymmetric
+collocation matrices of plain solves.  The tridiagonal route is a
+self-contained Sturm-sequence bisection, kept free of LAPACK on purpose
+so it never shares a failure mode with the other two.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh, lapack
 
 from .errors import ConvergenceError, RealityError
 
@@ -70,11 +72,33 @@ def dense_eigenvalues(matrix, reality_tol=1e-8):
     return Spectrum(values=np.sort(wr), max_imag=max_imag, iterations=0)
 
 
+def pencil_eigenvalues(a, b, largest=None):
+    """Eigenvalues mu of the pencil a x = mu b x, sorted ascending.
+
+    ``a`` is symmetric and ``b`` symmetric positive definite; LAPACK reads
+    their lower triangles and overwrites both, so pass Fortran-ordered
+    matrices the caller no longer needs.  ``largest=k`` computes only the
+    k largest.  A failed factorization of ``b`` or a failed iteration
+    raises ConvergenceError.
+    """
+    order = a.shape[0]
+    subset = None if largest is None else [order - largest, order - 1]
+    try:
+        return eigh(
+            a, b, eigvals_only=True, subset_by_index=subset,
+            overwrite_a=True, overwrite_b=True,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric-definite eigensolve failed: {exc}") from exc
+
+
 def _sturm_counts(diag, off2, lams):
     """Number of eigenvalues strictly below each value in ``lams``.
 
-    Vectorized over ``lams``; the recurrence d_i = (a_i - lam) - b_{i-1}^2/d_{i-1}
-    counts sign changes of the leading-principal-minor ratios.  A vanishing
+    ``diag`` has shape (m,) for one matrix, or (m, k) for k matrices that
+    share ``off2``, one per entry of ``lams``.  Vectorized over ``lams``;
+    the recurrence d_i = (a_i - lam) - b_{i-1}^2/d_{i-1} counts sign
+    changes of the leading-principal-minor ratios.  A vanishing
     pivot is nudged to a tiny positive value so an exact tie is not counted
     as below (the count stays strict); overflow to +-inf in the next step is
     benign (the pivot after that recovers).
@@ -84,7 +108,7 @@ def _sturm_counts(diag, off2, lams):
     d = np.ones_like(lams)
     tiny = 1e-300
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(diag.size):
+        for i in range(diag.shape[0]):
             if i == 0:
                 d = diag[0] - lams
             else:

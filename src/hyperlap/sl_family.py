@@ -4,11 +4,13 @@ Separating variables on a strip of width w (x direction) times an
 interval in t = log y turns the hyperbolic Dirichlet problem into the
 family -psi'' + kappa exp(2t) psi = nu psi with Dirichlet ends, one
 problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
-The modes differ only in that scalar, so the sweep assembles the
-mode-independent operator once per resolution, solves every family whose
-ground state clears the cutoff, certifies each retained eigenvalue
-against a doubled resolution, and cross-checks the count against the
-finite-difference Sturm oracle.
+The modes differ only in that scalar, so the sweep builds the
+Legendre-Galerkin matrices K, B and M once per resolution (orders n - 1
+and 2n - 1), solves the symmetric pencil K + kappa M against B for every
+family whose ground state clears the cutoff, certifies each retained
+eigenvalue against the doubled resolution, and cross-checks every mode's
+count against the finite-difference Sturm oracle in one batched pass.
+Plain solves (solve_problem) use Chebyshev collocation instead.
 """
 
 import math
@@ -16,8 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Interval, PotentialSpec, assemble_cheb, assemble_fd
-from .eigen import Spectrum, dense_eigenvalues, sturm_count
+from .discretize import (
+    Interval,
+    PotentialSpec,
+    assemble_cheb,
+    assemble_fd,
+    assemble_galerkin,
+)
+from .eigen import Spectrum, _sturm_counts, dense_eigenvalues, pencil_eigenvalues
 from .errors import CertificationError, IncompleteTableError
 
 
@@ -69,43 +77,36 @@ def _gap_point(w, k_star):
     return 0.5 * (lower + upper)
 
 
-def _base(interval, n):
-    """Mode-independent collocation matrix at resolution n and its exp(2t) weight.
+def _spectrum(family, coupling, lowest=None):
+    """Galerkin eigenvalues nu of one mode, ascending; all, or the ``lowest``.
 
-    Mode ell's matrix is ``_with_coupling(base, coupling)``, bitwise the
-    matrix assemble_cheb builds for that mode's PotentialSpec.
+    Solved as the inverse pencil B x = mu (K + kappa M) x with nu = 1/mu:
+    factoring the well-conditioned K + kappa M instead of B keeps the
+    large-order solves accurate to rounding.
     """
-    op = assemble_cheb(interval, PotentialSpec(0), n)
-    return op.matrix, np.exp(2.0 * op.nodes)
+    mu = pencil_eigenvalues(family.mass(), family.operator(coupling), largest=lowest)
+    return 1.0 / mu[::-1]
 
 
-def _with_coupling(base, coupling):
-    a0, w = base
-    return a0 + np.diag(coupling * w)
+def _ground_state(family, coupling):
+    return float(_spectrum(family, coupling, lowest=1)[0])
 
 
-def _ground_state(base, pot):
-    return float(dense_eigenvalues(_with_coupling(base, pot.coupling)).values[0])
+def _mode_values(families, coupling, cutoff, tol):
+    """Eigenvalues <= cutoff of one mode: (values, first_above, gap probe).
 
-
-def _certified(problem, bases, cutoff, tol, oracle_m):
-    """Certified eigenvalues <= cutoff: (values, first_above, max_imag).
-
-    ``bases`` are the ``_base`` pairs of the interval at resolutions n and
-    2n.  Certification: the two resolutions agree entrywise to ``tol``
-    (relative), agree on the count below a gap midpoint, and the
-    finite-difference Sturm count at that midpoint matches too.
+    ``families`` are the Galerkin families of the interval at resolutions
+    n and 2n.  They must agree entrywise to ``tol`` (relative) and on the
+    count below the gap probe; the finite-difference count at the probe is
+    the caller's to check (see _check_oracle).
     """
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     if tol < 1e-13:
         raise ValueError(f"tol below certifiable floor 1e-13: {tol!r}")
-    n = bases[0][1].size + 1  # n intervals leave n - 1 interior nodes
-    s1, s2 = (
-        dense_eigenvalues(_with_coupling(base, problem.pot.coupling)) for base in bases
-    )
-    w, w2 = s1.values, s2.values
+    n = families[0].n
+    w, w2 = (_spectrum(family, coupling) for family in families)
     k_star = int(np.searchsorted(w, cutoff, side="right"))
     if k_star == w.size:
         raise CertificationError(
@@ -131,43 +132,57 @@ def _certified(problem, bases, cutoff, tol, oracle_m):
                 f"{w[i]!r} vs {w2[i]!r} (tol {tol})",
                 index=i,
             )
-    fd_op = assemble_fd(problem.interval, problem.pot, oracle_m)
-    fd_count = sturm_count(fd_op, lam_star)
-    if fd_count != k_star:
-        raise CertificationError(
-            f"finite-difference count below {lam_star} is {fd_count}, "
-            f"collocation says {k_star}",
-            index=-1,
-        )
-    return w[:k_star].copy(), float(w[k_star]), s1.max_imag
+    return w[:k_star].copy(), float(w[k_star]), lam_star
+
+
+def _check_oracle(interval, modes, oracle_m):
+    """Finite-difference Sturm counts at every mode's gap probe, in one pass.
+
+    ``modes`` are (ell, coupling, probe, count) tuples; the counts must
+    equal the FD counts strictly below the probes.  The FD diagonal of mode
+    kappa is 2/h^2 + kappa exp(2t), bitwise the one assemble_fd builds.
+    """
+    if not modes:
+        return
+    ells, couplings, probes, counts = zip(*modes)
+    fd = assemble_fd(interval, PotentialSpec(0), oracle_m)
+    diag = fd.diag[:, None] + np.outer(np.exp(2.0 * fd.nodes), couplings)
+    fd_counts = _sturm_counts(diag, fd.offdiag ** 2, probes)
+    for ell, probe, count, fd_count in zip(ells, probes, counts, fd_counts):
+        if fd_count != count:
+            raise CertificationError(
+                f"mode {ell}: finite-difference count below {probe} is "
+                f"{fd_count}, Galerkin says {count}",
+                index=-1,
+            )
 
 
 def solve_certified(problem, cutoff, tol=1e-10, n=400, oracle_m=4000):
     """Eigenvalues <= cutoff with two-resolution and count certification."""
-    bases = [_base(problem.interval, m) for m in (n, 2 * n)]
-    values, _first_above, max_imag = _certified(problem, bases, cutoff, tol, oracle_m)
-    return Spectrum(values=values, max_imag=max_imag, iterations=0)
+    families = [assemble_galerkin(problem.interval, m) for m in (n, 2 * n)]
+    coupling = problem.pot.coupling
+    values, _first_above, probe = _mode_values(families, coupling, cutoff, tol)
+    _check_oracle(
+        problem.interval, [(problem.pot.ell, coupling, probe, values.size)], oracle_m
+    )
+    return Spectrum(values=values, max_imag=0.0, iterations=0)
 
 
-def find_ell_max(interval, cutoff, n=400, width=math.pi):
-    """First mode ell whose ground state exceeds ``cutoff``.
+def _ell_max(family, cutoff, width):
+    """First mode whose ground state on ``family`` exceeds ``cutoff``.
 
     The ground state increases with the coupling kappa, so it equals the
     cutoff c at one critical coupling kappa*: the largest eigenvalue of
-    (c I - A0) x = kappa W x, with A0 the mode-independent operator and W
-    the exp(2t) weight.  The first mode past kappa* is then confirmed by
-    the ground states on both sides of it, stepping while they disagree.
+    (c B - K) x = kappa M x.  The first mode past kappa* is then confirmed
+    by the ground states on both sides of it, stepping while they disagree.
     Up to mode 2^22 neighbouring couplings differ by far more than the
     rounding of the eigensolver, so at most a few steps are needed; past it
     the cutoff cannot be resolved and the search is refused.
     """
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     kappa1 = PotentialSpec(1, width=width).coupling
-    base = _base(interval, n)
-    a0, w = base
-    kappa = dense_eigenvalues((cutoff * np.eye(w.size) - a0) / w[:, None]).values[-1]
+    pencil = cutoff * family.mass()
+    pencil[np.diag_indices(family.order)] -= family.stiffness
+    kappa = pencil_eigenvalues(pencil, family.weight_mass.copy(order="F"), largest=1)[0]
     ell = 1
     if kappa >= kappa1:
         ell = math.floor(width / math.pi * math.sqrt(kappa)) + 1
@@ -175,7 +190,7 @@ def find_ell_max(interval, cutoff, n=400, width=math.pi):
         raise ValueError(f"no mode below {1 << 22} clears cutoff {cutoff}")
 
     def clears(ell):
-        return _ground_state(base, PotentialSpec(ell, width=width)) > cutoff
+        return _ground_state(family, PotentialSpec(ell, width=width).coupling) > cutoff
 
     if clears(ell):
         while ell > 1 and clears(ell - 1):
@@ -185,6 +200,14 @@ def find_ell_max(interval, cutoff, n=400, width=math.pi):
         while not clears(ell):
             ell += 1
     return ell
+
+
+def find_ell_max(interval, cutoff, n=400, width=math.pi):
+    """First mode ell whose ground state exceeds ``cutoff``, at resolution n."""
+    cutoff = float(cutoff)
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
+    return _ell_max(assemble_galerkin(interval, n), cutoff, width)
 
 
 @dataclass(frozen=True)
@@ -293,31 +316,35 @@ def sweep(
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     if margin < 0.0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    bases = [_base(interval, m) for m in (n, 2 * n)]
+    families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
     if ell_max is None:
-        ell_max = find_ell_max(interval, cutoff, n=n, width=width)
+        ell_max = _ell_max(families[0], cutoff, width)
     else:
         ell_max = int(ell_max)
         if ell_max < 1:
             raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-        if _ground_state(bases[0], PotentialSpec(ell_max, width=width)) <= cutoff:
+        coupling = PotentialSpec(ell_max, width=width).coupling
+        if _ground_state(families[0], coupling) <= cutoff:
             raise IncompleteTableError(
                 f"mode {ell_max} still has its ground state below {cutoff}; "
                 "table would be incomplete"
             )
     retain = cutoff * (1.0 + margin)
     entries = []
+    modes = []
     for ell in range(1, ell_max):
-        prob = SLProblem(interval=interval, pot=PotentialSpec(ell, width=width))
-        values, first_above, _ = _certified(prob, bases, retain, tol, oracle_m)
+        coupling = PotentialSpec(ell, width=width).coupling
+        values, first_above, probe = _mode_values(families, coupling, retain, tol)
         if first_above <= cutoff:
             raise CertificationError(
                 f"mode {ell}: first discarded eigenvalue {first_above} "
                 f"does not clear the cutoff {cutoff}",
                 index=len(values),
             )
+        modes.append((ell, coupling, probe, values.size))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))
+    _check_oracle(interval, modes, oracle_m)
     return EigenTable(
         entries=tuple(entries),
         cutoff=cutoff,

@@ -1,4 +1,4 @@
-"""Tests for the Chebyshev and finite-difference discretizations."""
+"""Tests for the Galerkin, Chebyshev and finite-difference discretizations."""
 
 import math
 
@@ -11,9 +11,11 @@ from hyperlap import (
     TridiagOperator,
     assemble_cheb,
     assemble_fd,
+    assemble_galerkin,
     cheb_diff_matrix,
     cheb_nodes,
 )
+from hyperlap.discretize import _gauss_legendre, _shen_values
 
 
 def _cheb_eigs(op):
@@ -145,6 +147,40 @@ def test_cheb_refinement_is_spectral():
 def test_cheb_rejects_tiny_n():
     with pytest.raises(ValueError):
         assemble_cheb(Interval(-1.0, 1.0), PotentialSpec(0), n=3)
+
+
+@pytest.mark.parametrize("q", [20, 400, 900])
+def test_gauss_legendre_rule(q):
+    x, w = _gauss_legendre(q)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    for a in (0.5, 2.0, 5.0):
+        exact = 2.0 * math.sinh(a) / a
+        assert abs(np.sum(w * np.exp(a * x)) - exact) <= 1e-14 * exact
+
+
+def test_galerkin_family_structure():
+    fam = assemble_galerkin(Interval(-3.0, 2.0), 16)
+    assert fam.order == 15
+    b = fam.mass()
+    assert b.flags.f_contiguous and np.array_equal(b, b.T)
+    assert np.count_nonzero(b) == 15 + 2 * 13
+    # Shen's closed-form B is the Gram matrix of the basis
+    x, w = _gauss_legendre(20)
+    phi = _shen_values(16, x)
+    assert np.allclose((phi * w) @ phi.T, b, rtol=0.0, atol=1e-14)
+    m = fam.weight_mass
+    assert m.flags.f_contiguous
+    assert np.allclose(m, m.T, rtol=0.0, atol=1e-13 * np.abs(m).max())
+    assert np.all(np.linalg.eigvalsh(m) > 0.0)
+    a = fam.operator(2.0)
+    assert np.array_equal(a, 2.0 * m + np.diag(fam.stiffness))
+
+
+def test_galerkin_rejects_bad_input():
+    with pytest.raises(ValueError):
+        assemble_galerkin(Interval(-1.0, 1.0), 3)
+    with pytest.raises(ValueError):
+        assemble_galerkin(Interval(0.0, 400.0), 16)  # exp(2t) overflows
 
 
 def test_fd_matrix_entries():

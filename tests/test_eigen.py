@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperlap.eigen import _sturm_counts
 from hyperlap import (
     Interval,
     PotentialSpec,
@@ -122,6 +123,26 @@ def test_sturm_count_random_cross_check():
     w = np.sort(np.linalg.eigvalsh(op.to_dense()))
     for lam in rng.uniform(0.0, float(w[-1]) * 1.1, size=20):
         assert sturm_count(op, float(lam)) == int(np.sum(w < lam))
+
+
+def test_sturm_batched_matches_per_matrix():
+    # columns of the batch share the off-diagonal; the synthetic matrix has
+    # the exact eigenvalue 2, and lam = 1 zeroes its first pivot
+    synthetic = [np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])]
+    cases = [(synthetic[0], 2.0), (synthetic[0], 1.0), (synthetic[1], 2.0),
+             (synthetic[0], 3.0)]
+    diag = np.stack([d for d, _ in cases], axis=1)
+    got = _sturm_counts(diag, np.ones(2), [lam for _, lam in cases])
+    want = [sturm_count(TridiagOperator(diag=d, offdiag=np.ones(2)), lam)
+            for d, lam in cases]
+    assert list(got) == want == [1, 1, 1, 2]
+
+    rng = np.random.default_rng(5)
+    ops = [_fd_op(200, ell) for ell in (0, 1, 5, 5)]
+    lams = rng.uniform(0.0, 2000.0, size=len(ops))
+    diag = np.stack([op.diag for op in ops], axis=1)
+    got = _sturm_counts(diag, ops[0].offdiag ** 2, lams)
+    assert list(got) == [sturm_count(op, lam) for op, lam in zip(ops, lams)]
 
 
 def test_sturm_rejects_nonfinite():

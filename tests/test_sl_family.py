@@ -15,10 +15,11 @@ from hyperlap import (
     PotentialSpec,
     SLProblem,
     assemble_fd,
-    dense_eigenvalues,
+    assemble_galerkin,
     find_ell_max,
     lambda_from_nu,
     nu_from_lambda,
+    pencil_eigenvalues,
     solve_certified,
     solve_problem,
     sweep,
@@ -87,6 +88,18 @@ def test_certified_rejects_unresolvable_request():
         solve_certified(_free_problem(), 500.0, tol=1e-10, n=8)
 
 
+@pytest.mark.parametrize("n", [400, 800])
+def test_galerkin_matches_collocation(n):
+    # n = 800 (order 799) guards the inverse pencil: the direct pencil
+    # (K + kappa M) x = nu B x loses about 1e-7 relative at that order.
+    for ell in (1, 30, 70):
+        coll = solve_problem(_mode_problem(ell), n=400, cutoff=1050.0).values
+        gal = sl_family._spectrum(assemble_galerkin(IV, n), float(ell**2))
+        err = np.abs(gal[: coll.size] - coll) / np.maximum(1.0, coll)
+        assert coll.size > 0 and gal[coll.size] > 1050.0
+        assert np.max(err) <= 1e-11
+
+
 def test_certified_tol_floor():
     with pytest.raises(ValueError):
         solve_certified(_free_problem(), 10.0, tol=1e-14)
@@ -136,15 +149,30 @@ def test_find_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
 def test_find_ell_max_three_solves(monkeypatch):
     calls = []
 
-    def counted(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return dense_eigenvalues(matrix, *args, **kwargs)
+    def counted(a, b, *args, **kwargs):
+        calls.append(a.shape)
+        return pencil_eigenvalues(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(sl_family, "dense_eigenvalues", counted)
+    monkeypatch.setattr(sl_family, "pencil_eigenvalues", counted)
     for cutoff, width in ((1000.0, math.pi), (300.0, 2.0 * math.pi), (2.0, math.pi)):
         calls.clear()
         find_ell_max(IV, cutoff, n=64, width=width)
         assert 1 <= len(calls) <= 3
+
+
+def test_sweep_builds_each_resolution_once(monkeypatch):
+    builds = []
+
+    def counted(interval, n=400):
+        builds.append(n)
+        return assemble_galerkin(interval, n)
+
+    monkeypatch.setattr(sl_family, "assemble_galerkin", counted)
+    sweep(IV, 40.0, n=64, oracle_m=800)
+    assert builds == [64, 128]
+    builds.clear()
+    find_ell_max(IV, 40.0, n=64)
+    assert builds == [64]
 
 
 def test_find_ell_max_validation():
@@ -237,6 +265,23 @@ def test_sweep_matches_richardson_oracle():
         k = vals.size
         extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
         assert np.max(np.abs(vals - extrap) / extrap) <= 1e-8
+
+
+def test_sweep_rejects_unresolvable_request():
+    with pytest.raises(CertificationError):
+        sweep(IV, 200.0, n=8)
+
+
+def test_sweep_oracle_mismatch_names_the_mode(monkeypatch):
+    def off_by_one_at_mode_2(diag, off2, lams):
+        counts = sturm_counts(diag, off2, lams)
+        counts[1] += 1
+        return counts
+
+    sturm_counts = sl_family._sturm_counts
+    monkeypatch.setattr(sl_family, "_sturm_counts", off_by_one_at_mode_2)
+    with pytest.raises(CertificationError, match="mode 2:"):
+        sweep(IV, 40.0, n=64, oracle_m=800)
 
 
 def test_sweep_deterministic():
