@@ -12,11 +12,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from numpy.polynomial.legendre import leggauss
 
 from .constants import EXCESS, kinetic_constant, lt_best_known
-from .discretize import Interval, PotentialSpec
-from .errors import IncompleteTableError, QuadratureError
+from .counting import CountingFunction
+from .discretize import Interval, PotentialSpec, _gauss_legendre
+from .errors import QuadratureError
 from . import sl_family
 
 
@@ -71,14 +71,12 @@ def potential_integral(pot, gamma, dim=2):
     return pot.height ** (gamma + dim / 2.0) * hyperbolic_volume(pot.domain)
 
 
-def family_table(domain, cutoff, tol=1e-10, n=400, margin=0.05):
+def family_table(domain, cutoff, tol=1e-10, n=400):
     """Certified eigenvalue table for the domain's separated family.
 
     Mode ell couples through the transverse eigenvalue (ell pi / x_length)^2.
     """
-    return sl_family.sweep(
-        domain.interval, cutoff, tol=tol, n=n, margin=margin, width=domain.x_length
-    )
+    return sl_family.sweep(domain.interval, cutoff, tol=tol, n=n, width=domain.x_length)
 
 
 @dataclass(frozen=True)
@@ -113,15 +111,14 @@ def lt_check(pot, gamma, table=None, tol=1e-10, n=400, excess=EXCESS):
     gamma = float(gamma)
     if gamma < 0.5:
         raise ValueError(f"trace inequality needs gamma >= 1/2, got {gamma!r}")
-    height = pot.height
+    domain, height = pot.domain, pot.height
     if table is None:
-        table = family_table(pot.domain, height, tol=tol, n=n)
-    elif table.cutoff < height:
-        raise IncompleteTableError(
-            f"table complete through {table.cutoff}, potential height {height}"
-        )
-    nus = table.nus(through=height)
-    lhs = float(np.sum((height - nus[nus < height]) ** gamma))
+        table = family_table(domain, height, tol=tol, n=n)
+    elif (table.interval not in (None, domain.interval)
+          or table.width not in (None, domain.x_length)):
+        raise ValueError(f"table of width {table.width} on {table.interval}, not {domain}")
+    cf = CountingFunction.from_table(table, hyperbolic_volume(domain))
+    lhs = cf.riesz_mean(height, gamma)
     rhs = lt_best_known(gamma, 2, excess) * potential_integral(pot, gamma, dim=2)
     ratio = lhs / rhs
     return LTReport(
@@ -190,12 +187,11 @@ class SobolevReport:
 def _sobolev_sides(trial, domain, n_nodes, excess):
     interval = domain.interval
     alpha, beta = interval.alpha, interval.beta
-    xg, xw = leggauss(n_nodes)
-    xs = 0.5 * domain.x_length * (xg + 1.0)
-    xw = 0.5 * domain.x_length * xw
-    tg, tw = leggauss(n_nodes)
-    ts = interval.from_reference(tg)
-    tw = 0.5 * interval.length * tw
+    nodes, weights = _gauss_legendre(n_nodes)
+    xs = 0.5 * domain.x_length * (nodes + 1.0)
+    xw = 0.5 * domain.x_length * weights
+    ts = interval.from_reference(nodes)
+    tw = 0.5 * interval.length * weights
 
     xv = _eval_vec(trial.x_profile, xs)
     tv = _eval_vec(trial.t_profile, ts)

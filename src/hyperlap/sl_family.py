@@ -28,6 +28,9 @@ from .discretize import (
 from .eigen import Spectrum, _sturm_counts, dense_eigenvalues, pencil_eigenvalues
 from .errors import CertificationError, IncompleteTableError
 
+# relative padding of a table above its cutoff
+_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class SLProblem:
@@ -217,7 +220,7 @@ class EigenTable:
     ``entries`` are (ell, k, nu) triples sorted by (ell, k), complete for
     nu <= cutoff and padded up to cutoff * (1 + margin) so that boundary
     queries at the cutoff itself are interior to the data.  ``ell_max`` is
-    the first excluded mode.
+    the first excluded mode.  The sweep records its ``interval`` and ``width``.
     """
 
     entries: tuple
@@ -225,7 +228,9 @@ class EigenTable:
     ell_max: int
     resolution: int
     tolerance: float
-    margin: float = 0.05
+    margin: float = _MARGIN
+    interval: Interval | None = None
+    width: float | None = None
 
     def __post_init__(self):
         limit = self.cutoff * (1.0 + self.margin)
@@ -299,7 +304,6 @@ def sweep(
     cutoff,
     tol=1e-10,
     n=400,
-    margin=0.05,
     ell_max=None,
     oracle_m=4000,
     width=math.pi,
@@ -314,8 +318,6 @@ def sweep(
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    if margin < 0.0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
     families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
     if ell_max is None:
         ell_max = _ell_max(families[0], cutoff, width)
@@ -329,7 +331,7 @@ def sweep(
                 f"mode {ell_max} still has its ground state below {cutoff}; "
                 "table would be incomplete"
             )
-    retain = cutoff * (1.0 + margin)
+    retain = cutoff * (1.0 + _MARGIN)
     entries = []
     modes = []
     for ell in range(1, ell_max):
@@ -351,5 +353,6 @@ def sweep(
         ell_max=ell_max,
         resolution=n,
         tolerance=tol,
-        margin=margin,
+        interval=interval,
+        width=width,
     )

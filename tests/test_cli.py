@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import hyperlap
 from hyperlap import lt_best_known, lt_classical
 from hyperlap.cli import main
 
@@ -301,11 +303,15 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_installed_entry_point():
+    # the child imports hyperlap from where this test did
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hyperlap.cli", "constants", "--gamma", "1",
          "--dim", "2", "--json", "-"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert sorted(json.loads(proc.stdout)) == ["classical", "theorem"]

@@ -86,6 +86,64 @@ def test_cutoff_guard():
         cf.jumps(7.0)
 
 
+def test_array_queries_match_scalar_queries():
+    rng = np.random.default_rng(5)
+    nus = np.sort(rng.uniform(0.0, 900.0, size=400))
+    cf = CountingFunction(sorted_nus=nus, domain_volume=1.0, cutoff=1000.0)
+    # 600 points cross a Riesz block boundary; include exact jumps and 0
+    lams = np.concatenate([rng.uniform(0.0, 1000.0, 580), nus[:19], [0.0]])
+    lams = rng.permutation(lams)
+    counts = cf.count(lams)
+    through = cf.count_through(lams)
+    assert counts.shape == through.shape == lams.shape
+    assert counts.tolist() == [cf.count(lam) for lam in lams]
+    assert through.tolist() == [cf.count_through(lam) for lam in lams]
+    for gamma in (0.0, 0.5, 1.0, 2.3):
+        means = cf.riesz_mean(lams, gamma)
+        assert means.shape == lams.shape
+        scalar = np.array([cf.riesz_mean(lam, gamma) for lam in lams])
+        assert np.all(np.abs(means - scalar) <= 1e-13 * np.maximum(1.0, scalar))
+    grid = lams.reshape(20, 30)
+    assert np.array_equal(cf.count(grid), counts.reshape(20, 30))
+    assert cf.riesz_mean(grid, 1.0).shape == (20, 30)
+
+
+def test_array_queries_past_cutoff_raise():
+    cf = CountingFunction(np.array([1.0, 2.0]), domain_volume=1.0, cutoff=5.0)
+    lams = np.array([0.5, 4.0, 5.0, 5.1, 3.0])
+    with pytest.raises(IncompleteTableError):
+        cf.count(lams)
+    with pytest.raises(IncompleteTableError):
+        cf.count_through(lams)
+    with pytest.raises(IncompleteTableError):
+        cf.riesz_mean(lams, 1.0)
+    with pytest.raises(ValueError):
+        cf.count(np.array([1.0, np.nan]))
+    assert cf.count(lams[:3]).tolist() == [0, 2, 2]
+
+
+def test_scalar_queries_return_python_scalars():
+    cf = _free_cf()
+    for lam in (10.0, np.float64(10.0), np.asarray(10.0), 10):
+        assert type(cf.count(lam)) is int
+        assert type(cf.count_through(lam)) is int
+        assert type(cf.riesz_mean(lam, 0.0)) is float
+        assert type(cf.riesz_mean(lam, 1.5)) is float
+    assert type(polya_rhs(np.asarray(4.0), 2, 1.0)) is float
+    assert type(product_riesz_rhs(4.0, 1.0, 2, 1.0)) is float
+
+
+def test_rhs_accept_arrays():
+    lams = np.array([0.0, 1.0, 4.0, 9.5])
+    for rhs in (polya_rhs, counting_rhs, product_counting_rhs):
+        assert np.array_equal(rhs(lams, 2, 3.0), [rhs(lam, 2, 3.0) for lam in lams])
+    got = product_riesz_rhs(lams, 1.5, 2, 3.0)
+    assert np.allclose(got, [product_riesz_rhs(lam, 1.5, 2, 3.0) for lam in lams],
+                       rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError):
+        polya_rhs(np.array([1.0, -1.0]), 2, 1.0)
+
+
 def test_constructor_sorts_and_validates():
     cf = CountingFunction(sorted_nus=np.array([3.0, 1.0, 2.0]), domain_volume=2.0)
     assert np.allclose(cf.sorted_nus, [1.0, 2.0, 3.0])

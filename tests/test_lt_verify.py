@@ -144,6 +144,17 @@ def test_lt_check_incomplete_table(model_table):
         lt_check(pot, 1.0, table=model_table)
 
 
+def test_lt_check_rejects_table_of_another_domain(model_table):
+    assert model_table.interval == MODEL.interval
+    assert model_table.width == MODEL.x_length
+    wide = ProductDomain(x_length=2.0 * math.pi)
+    with pytest.raises(ValueError):
+        lt_check(BoxPotential(domain=wide, height=20.0), 1.0, table=model_table)
+    shifted = ProductDomain(a=0.5)
+    with pytest.raises(ValueError):
+        lt_check(BoxPotential(domain=shifted, height=20.0), 1.0, table=model_table)
+
+
 def test_lt_check_gamma_validation(model_table):
     pot = BoxPotential(domain=MODEL, height=10.0)
     with pytest.raises(ValueError):

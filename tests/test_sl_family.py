@@ -306,8 +306,6 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(IV, -5.0)
     with pytest.raises(ValueError):
-        sweep(IV, 40.0, margin=-0.1)
-    with pytest.raises(ValueError):
         sweep(IV, 40.0, n=64, ell_max=0)
 
 
