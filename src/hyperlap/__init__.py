@@ -28,20 +28,15 @@ from .counting import (
     verify_bound,
 )
 from .discretize import (
-    ChebOperator,
     GalerkinFamily,
     Interval,
     PotentialSpec,
     TridiagOperator,
-    assemble_cheb,
     assemble_fd,
     assemble_galerkin,
-    cheb_diff_matrix,
-    cheb_nodes,
 )
 from .eigen import (
     Spectrum,
-    dense_eigenvalues,
     pencil_eigenvalues,
     sturm_count,
     tridiag_eigenvalues,
@@ -51,7 +46,6 @@ from .errors import (
     ConvergenceError,
     IncompleteTableError,
     QuadratureError,
-    RealityError,
 )
 from .lt_verify import (
     BoxPotential,
@@ -86,7 +80,6 @@ __all__ = [
     "BoundReport",
     "BoxPotential",
     "CertificationError",
-    "ChebOperator",
     "ConvergenceError",
     "CountingFunction",
     "EigenTable",
@@ -97,22 +90,17 @@ __all__ = [
     "PotentialSpec",
     "ProductDomain",
     "QuadratureError",
-    "RealityError",
     "SLProblem",
     "SobolevReport",
     "SobolevTrialFunction",
     "Spectrum",
     "TridiagOperator",
     "TRIAL_NAMES",
-    "assemble_cheb",
     "assemble_fd",
     "assemble_galerkin",
-    "cheb_diff_matrix",
-    "cheb_nodes",
     "constant_ratio",
     "counting_constant",
     "counting_rhs",
-    "dense_eigenvalues",
     "family_table",
     "find_ell_max",
     "gamma_fn",

@@ -10,17 +10,14 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .constants import EXCESS, lt_best_known, lt_classical
 from .counting import CountingFunction, polya_rows, ratio_rows, verify_bound
-from .discretize import Interval, PotentialSpec, assemble_cheb
+from .discretize import Interval, PotentialSpec
 from .errors import (
     CertificationError,
     ConvergenceError,
     IncompleteTableError,
     QuadratureError,
-    RealityError,
 )
 from .lt_verify import (
     TRIAL_NAMES,
@@ -158,15 +155,8 @@ def cmd_ratio(args):
 
 
 def cmd_eig(args):
-    interval = Interval(args.alpha, args.beta)
-    pot = PotentialSpec(ell=args.ell)
-    if args.dump_matrix:
-        op = assemble_cheb(interval, pot, args.n)
-        buf = []
-        for row in op.matrix:
-            buf.append(",".join(f"{v:.17g}" for v in row))
-        _emit("\n".join(buf) + "\n", args.dump_matrix)
-    spec = solve_problem(SLProblem(interval, pot), n=args.n, cutoff=args.cutoff)
+    problem = SLProblem(Interval(args.alpha, args.beta), PotentialSpec(ell=args.ell))
+    spec = solve_problem(problem, n=args.n, cutoff=args.cutoff)
     if args.csv:
         rows = [(args.ell, k, float(nu)) for k, nu in enumerate(spec.values, start=1)]
         _emit(_csv_text("ell,k,nu", rows), args.csv)
@@ -179,7 +169,6 @@ def cmd_eig(args):
                 "n": args.n,
                 "cutoff": args.cutoff,
                 "count": int(len(spec)),
-                "max_imag": spec.max_imag,
                 "nu": [float(v) for v in spec.values],
             },
             args.json,
@@ -333,11 +322,12 @@ def build_parser():
     p = subs.add_parser("eig", help="one family member, plain solve")
     p.add_argument("--ell", type=int, default=0)
     _interval_args(p)
-    p.add_argument("--n", type=int, default=400, help="collocation intervals")
+    p.add_argument(
+        "--n", type=int, default=400, help="resolution n: Galerkin order n-1"
+    )
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument("--dump-matrix", metavar="PATH", help="write the collocation matrix")
     p.set_defaults(func=cmd_eig)
 
     p = subs.add_parser("sweep", help="certified eigenvalue table")
@@ -406,7 +396,7 @@ def main(argv=None):
     except (ValueError, IncompleteTableError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, CertificationError, RealityError, QuadratureError) as exc:
+    except (ConvergenceError, CertificationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,9 +1,8 @@
 """Discretizations of -d^2/dt^2 + q(t) with Dirichlet ends.
 
-Three routes: the Shen-Legendre Galerkin family (symmetric matrices built
-once per interval, mode by mode only the coupling changes; the certified
-sweep uses it), Chebyshev collocation (spectral accuracy, dense
-nonsymmetric matrix, for plain solves) and second-order central finite
+Two routes: the Shen-Legendre Galerkin family (symmetric matrices built
+once per interval, mode by mode only the coupling changes; plain solves
+and the certified sweep use it) and second-order central finite
 differences (symmetric tridiagonal, used as the cross-checking oracle).
 """
 
@@ -71,69 +70,6 @@ class PotentialSpec:
         if not np.all(np.isfinite(q)):
             raise ValueError("potential evaluates to a non-finite value on the grid")
         return q
-
-
-def cheb_nodes(n):
-    """Chebyshev extreme points cos(j pi / n), j = 0..n, descending from 1 to -1."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return np.cos(np.pi * np.arange(n + 1) / n)
-
-
-def cheb_diff_matrix(n):
-    """First-derivative collocation matrix on the nodes of ``cheb_nodes``.
-
-    Off-diagonal entries are the standard barycentric ratios; the diagonal
-    uses the negative-sum trick so each row annihilates constants exactly.
-    """
-    x = cheb_nodes(n)
-    c = np.ones(n + 1)
-    c[0] = 2.0
-    c[-1] = 2.0
-    c *= (-1.0) ** np.arange(n + 1)
-    big_x = np.tile(x, (n + 1, 1)).T
-    dx = big_x - big_x.T
-    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
-    d -= np.diag(d.sum(axis=1))
-    return d
-
-
-@dataclass(frozen=True)
-class ChebOperator:
-    """Dense collocation matrix of -d^2/dt^2 + q with Dirichlet rows removed.
-
-    ``nodes`` are the interior collocation points in t, strictly decreasing
-    (the reference orientation 1 -> -1 is kept fixed so row/column meaning
-    never flips between resolutions).
-    """
-
-    interval: Interval
-    pot: PotentialSpec
-    n: int
-    nodes: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def order(self):
-        return self.matrix.shape[0]
-
-
-def assemble_cheb(interval, pot, n=400):
-    """Chebyshev collocation of -d^2/dt^2 + q on ``interval`` with n intervals.
-
-    The second derivative is the square of the first-derivative matrix,
-    scaled by the affine map factor 4/(beta - alpha)^2; Dirichlet conditions
-    delete the two boundary rows and columns.
-    """
-    if n < 4:
-        raise ValueError(f"need n >= 4 to have interior structure, got {n}")
-    x = cheb_nodes(n)
-    d = cheb_diff_matrix(n)
-    d2 = d @ d
-    scale = 4.0 / interval.length ** 2
-    t_int = interval.from_reference(x[1:-1])
-    a = -scale * d2[1:-1, 1:-1] + np.diag(pot.evaluate(t_int))
-    return ChebOperator(interval=interval, pot=pot, n=n, nodes=t_int, matrix=a)
 
 
 def _legendre_pair(q, x):

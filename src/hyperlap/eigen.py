@@ -1,32 +1,28 @@
 """Eigenvalue backends.
 
 The pencil route wraps LAPACK's symmetric-definite generalized solver for
-the Galerkin family of the certified sweep.  The dense route wraps LAPACK
-dgeev (balancing, Hessenberg reduction, shifted QR) for the nonsymmetric
-collocation matrices of plain solves.  The tridiagonal route is a
-self-contained Sturm-sequence bisection, kept free of LAPACK on purpose
-so it never shares a failure mode with the other two.
+the Galerkin family of plain solves and the certified sweep.  The
+tridiagonal route is a self-contained Sturm-sequence bisection, kept free
+of LAPACK on purpose so it never shares a failure mode with the pencil.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, lapack
+from scipy.linalg import eigh
 
-from .errors import ConvergenceError, RealityError
+from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Real eigenvalues sorted ascending, plus backend diagnostics.
 
-    ``max_imag`` is the largest imaginary magnitude seen before projection
-    to the real axis (0 for intrinsically real backends).  ``iterations``
-    is the bisection sweep count; 0 when the backend does not report one.
+    ``iterations`` is the bisection sweep count; 0 when the backend does
+    not report one.
     """
 
     values: np.ndarray
-    max_imag: float = 0.0
     iterations: int = 0
 
     def __post_init__(self):
@@ -34,42 +30,6 @@ class Spectrum:
 
     def __len__(self):
         return self.values.size
-
-
-def dense_eigenvalues(matrix, reality_tol=1e-8):
-    """All eigenvalues of a real square matrix, certified real.
-
-    Raises ConvergenceError when the QR iteration leaves an unconverged
-    block (its size is attached) and RealityError when any eigenvalue has
-    |imag| > reality_tol * (1 + |real|).  Pair artifacts below the
-    tolerance are projected to their real parts.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square 2d matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix must have order >= 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    wr, wi, _vl, _vr, info = lapack.dgeev(
-        a, compute_vl=0, compute_vr=0, overwrite_a=0
-    )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgeev")
-    if info > 0:
-        raise ConvergenceError(
-            f"QR iteration failed to converge; {info} eigenvalue(s) unresolved",
-            block_size=int(info),
-        )
-    max_imag = float(np.max(np.abs(wi))) if wi.size else 0.0
-    bad = np.abs(wi) > reality_tol * (1.0 + np.abs(wr))
-    if np.any(bad):
-        j = int(np.argmax(np.abs(wi)))
-        raise RealityError(
-            f"eigenvalue {wr[j]!r} has imaginary part {wi[j]!r} "
-            f"beyond reality tolerance {reality_tol!r}"
-        )
-    return Spectrum(values=np.sort(wr), max_imag=max_imag, iterations=0)
 
 
 def pencil_eigenvalues(a, b, largest=None):
@@ -131,7 +91,7 @@ def tridiag_eigenvalues(op, lo, hi, tol_scale=1e-12, max_sweeps=200):
     """Eigenvalues of a TridiagOperator in (lo, hi], by Sturm bisection.
 
     Each eigenvalue is bracketed to width tol_scale * max(1, |value|).
-    Deliberately independent of the dense route.
+    Deliberately independent of the pencil route.
     """
     lo = float(lo)
     hi = float(hi)
@@ -148,7 +108,7 @@ def tridiag_eigenvalues(op, lo, hi, tol_scale=1e-12, max_sweeps=200):
     n_hi = int(_sturm_counts(op.diag, off2, np.array([np.nextafter(hi, np.inf)]))[0])
     k = n_hi - n_lo
     if k == 0:
-        return Spectrum(values=np.empty(0), max_imag=0.0, iterations=0)
+        return Spectrum(values=np.empty(0))
 
     lows = np.full(k, max(lo, gmin - 1.0))
     highs = np.full(k, min(hi, gmax + 1.0))
@@ -170,4 +130,4 @@ def tridiag_eigenvalues(op, lo, hi, tol_scale=1e-12, max_sweeps=200):
             f"bisection failed to localize after {max_sweeps} sweeps",
             block_size=k,
         )
-    return Spectrum(values=0.5 * (lows + highs), max_imag=0.0, iterations=sweeps)
+    return Spectrum(values=0.5 * (lows + highs), iterations=sweeps)

@@ -13,10 +13,6 @@ class ConvergenceError(RuntimeError):
         self.block_size = block_size
 
 
-class RealityError(RuntimeError):
-    """A spectrum expected to be real carries imaginary parts above tolerance."""
-
-
 class CertificationError(RuntimeError):
     """Two independent resolutions (or methods) disagree about an eigenvalue.
 

@@ -10,7 +10,7 @@ and 2n - 1), solves the symmetric pencil K + kappa M against B for every
 family whose ground state clears the cutoff, certifies each retained
 eigenvalue against the doubled resolution, and cross-checks every mode's
 count against the finite-difference Sturm oracle in one batched pass.
-Plain solves (solve_problem) use Chebyshev collocation instead.
+Plain solves (solve_problem) take one Galerkin family at resolution n.
 """
 
 import math
@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (
-    Interval,
-    PotentialSpec,
-    assemble_cheb,
-    assemble_fd,
-    assemble_galerkin,
-)
-from .eigen import Spectrum, _sturm_counts, dense_eigenvalues, pencil_eigenvalues
+from .discretize import Interval, PotentialSpec, assemble_fd, assemble_galerkin
+from .eigen import Spectrum, _sturm_counts, pencil_eigenvalues
 from .errors import CertificationError, IncompleteTableError
 
 # relative padding of a table above its cutoff
@@ -50,17 +44,24 @@ def nu_from_lambda(lam, dim=2):
 
 
 def solve_problem(problem, n=400, cutoff=None):
-    """Plain dense solve at resolution n; optionally truncated at ``cutoff``.
+    """Plain Galerkin solve at resolution n (matrix order n - 1).
 
-    No certification: use solve_certified when the values feed a bound.
+    Optionally truncated at ``cutoff``.  No certification: use
+    solve_certified when the values feed a bound.
     """
-    spec = dense_eigenvalues(assemble_cheb(problem.interval, problem.pot, n).matrix)
-    if cutoff is None:
-        return spec
-    keep = np.searchsorted(spec.values, float(cutoff), side="right")
-    return Spectrum(
-        values=spec.values[:keep], max_imag=spec.max_imag, iterations=spec.iterations
-    )
+    if cutoff is not None and not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
+    values = _spectrum(assemble_galerkin(problem.interval, n), problem.pot.coupling)
+    if cutoff is not None:
+        values = values[: np.searchsorted(values, float(cutoff), side="right")]
+    return Spectrum(values=values)
+
+
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 1e-13):
+        raise ValueError(
+            f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
+        )
 
 
 def _gap_point(w, k_star):
@@ -106,8 +107,6 @@ def _mode_values(families, coupling, cutoff, tol):
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    if tol < 1e-13:
-        raise ValueError(f"tol below certifiable floor 1e-13: {tol!r}")
     n = families[0].n
     w, w2 = (_spectrum(family, coupling) for family in families)
     k_star = int(np.searchsorted(w, cutoff, side="right"))
@@ -162,13 +161,14 @@ def _check_oracle(interval, modes, oracle_m):
 
 def solve_certified(problem, cutoff, tol=1e-10, n=400, oracle_m=4000):
     """Eigenvalues <= cutoff with two-resolution and count certification."""
+    _check_tol(tol)
     families = [assemble_galerkin(problem.interval, m) for m in (n, 2 * n)]
     coupling = problem.pot.coupling
     values, _first_above, probe = _mode_values(families, coupling, cutoff, tol)
     _check_oracle(
         problem.interval, [(problem.pot.ell, coupling, probe, values.size)], oracle_m
     )
-    return Spectrum(values=values, max_imag=0.0, iterations=0)
+    return Spectrum(values=values)
 
 
 def _ell_max(family, cutoff, width):
@@ -318,6 +318,7 @@ def sweep(
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
+    _check_tol(tol)
     families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
     if ell_max is None:
         ell_max = _ell_max(families[0], cutoff, width)

@@ -128,16 +128,16 @@ def test_criterion_4_oracle_cross_validation(criterion):
     for ell in range(1, 51):
         pot = PotentialSpec(ell)
         w = solve_problem(SLProblem(IV, pot), n=400).values
-        c_cheb = int(np.sum(w < 1000.0))
+        c_gal = int(np.sum(w < 1000.0))
         c_fd = sturm_count(assemble_fd(IV, pot, m=8000), 1000.0)
-        if c_fd != c_cheb:
-            mismatches.append((ell, c_cheb, c_fd))
+        if c_fd != c_gal:
+            mismatches.append((ell, c_gal, c_fd))
     ok = worst <= 1e-8 and not mismatches
     criterion(
         4,
         "20 smallest eigenvalues for ell in {1,5,10} match the Richardson "
         "FD oracle to 1e-8 relative; Sturm count below 1000 matches the "
-        "collocation count for every ell <= 50",
+        "Galerkin count for every ell <= 50",
         ok,
         f"max rel deviation {worst:.2e}, count mismatches {mismatches or 'none'}",
     )

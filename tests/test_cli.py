@@ -7,7 +7,6 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 import hyperlap
@@ -92,25 +91,34 @@ def test_eig_csv_matches_analytic(tmp_path):
         assert float(nu) == pytest.approx((k * math.pi / 2.0) ** 2, rel=1e-10)
 
 
-def test_eig_json_and_matrix_dump(tmp_path):
+def test_eig_json(tmp_path):
     jpath = tmp_path / "eig.json"
-    mpath = tmp_path / "matrix.csv"
     rc = main(
-        [
-            "eig", "--ell", "1", "--cutoff", "40", "--n", "16",
-            "--json", str(jpath), "--dump-matrix", str(mpath),
-        ]
+        ["eig", "--ell", "1", "--cutoff", "40", "--n", "16", "--json", str(jpath)]
     )
     assert rc == 0
     data = json.loads(jpath.read_text())
+    assert sorted(data) == ["alpha", "beta", "count", "cutoff", "ell", "n", "nu"]
     assert data["ell"] == 1
-    assert data["count"] == len(data["nu"])
+    assert data["count"] == len(data["nu"]) > 0
     assert all(b > a for a, b in zip(data["nu"], data["nu"][1:]))
-    rows = [ln.split(",") for ln in mpath.read_text().strip().split("\n")]
-    assert len(rows) == 15
-    assert all(len(r) == 15 for r in rows)
-    mat = np.array([[float(v) for v in r] for r in rows])
-    assert np.all(np.isfinite(mat))
+    assert data["nu"][-1] <= 40.0
+
+
+@pytest.mark.parametrize("cutoff", ["nan", "inf"])
+def test_eig_nonfinite_cutoff_exits_two(cutoff, capsys):
+    assert main(["eig", "--ell", "1", "--n", "16", "--cutoff", cutoff]) == 2
+    assert "cutoff must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol, code", [("1e-10", 3), ("nan", 2), ("inf", 2)])
+def test_sweep_tol_must_be_finite(tol, code, capsys):
+    # n = 12 cannot certify cutoff 60; a tolerance that every error
+    # comparison passes (nan, inf) would certify the table anyway
+    assert main(["sweep", "--cutoff", "60", "--n", "12", "--tol", tol]) == code
+    if code == 2:
+        assert "tol must be finite" in capsys.readouterr().err
+        assert main(["ltcheck", "--gamma", "1", "--cutoff", "20", "--tol", tol]) == 2
 
 
 def test_sweep_csv_round_trip(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the Galerkin, Chebyshev and finite-difference discretizations."""
+"""Tests for the Galerkin and finite-difference discretizations."""
 
 import math
 
@@ -9,60 +9,11 @@ from hyperlap import (
     Interval,
     PotentialSpec,
     TridiagOperator,
-    assemble_cheb,
     assemble_fd,
     assemble_galerkin,
-    cheb_diff_matrix,
-    cheb_nodes,
+    pencil_eigenvalues,
 )
 from hyperlap.discretize import _gauss_legendre, _shen_values
-
-
-def _cheb_eigs(op):
-    w = np.linalg.eigvals(op.matrix)
-    assert np.max(np.abs(w.imag)) <= 1e-8 * (1.0 + np.max(np.abs(w.real)))
-    return np.sort(w.real)
-
-
-def test_nodes_small_orders():
-    assert np.allclose(cheb_nodes(2), [1.0, 0.0, -1.0], atol=1e-15)
-    s = math.sqrt(2.0) / 2.0
-    assert np.allclose(cheb_nodes(4), [1.0, s, 0.0, -s, -1.0], atol=1e-15)
-
-
-def test_nodes_descending_and_symmetric():
-    x = cheb_nodes(17)
-    assert x[0] == 1.0 and x[-1] == -1.0
-    assert np.all(np.diff(x) < 0.0)
-    assert np.allclose(x, -x[::-1], atol=1e-15)
-
-
-def test_nodes_require_two_intervals():
-    with pytest.raises(ValueError):
-        cheb_nodes(1)
-
-
-def test_diff_matrix_order_two_exact():
-    d = cheb_diff_matrix(2)
-    expected = np.array(
-        [[1.5, -2.0, 0.5], [0.5, 0.0, -0.5], [-0.5, 2.0, -1.5]]
-    )
-    assert np.allclose(d, expected, atol=1e-14)
-
-
-def test_diff_matrix_annihilates_constants():
-    # entries grow like n^2, so judge the cancellation relative to them
-    for n in (2, 8, 33, 64):
-        d = cheb_diff_matrix(n)
-        assert np.max(np.abs(d.sum(axis=1))) <= 1e-14 * np.max(np.abs(d))
-
-
-def test_diff_matrix_exact_on_polynomials():
-    x = cheb_nodes(12)
-    d = cheb_diff_matrix(12)
-    assert np.allclose(d @ x, np.ones_like(x), atol=1e-12)
-    assert np.allclose(d @ x**2, 2.0 * x, atol=1e-12)
-    assert np.allclose(d @ x**5, 5.0 * x**4, atol=1e-11)
 
 
 def test_interval_validation():
@@ -101,54 +52,6 @@ def test_potential_width():
         PotentialSpec(1).evaluate([400.0])
 
 
-def test_cheb_operator_shape_and_nodes():
-    iv = Interval(-1.0, 1.0)
-    op = assemble_cheb(iv, PotentialSpec(0), n=16)
-    assert op.order == 15
-    assert op.matrix.shape == (15, 15)
-    # interior nodes keep the descending reference orientation
-    assert np.all(np.diff(op.nodes) < 0.0)
-    assert np.max(np.abs(op.nodes)) < 1.0
-
-
-def test_cheb_free_laplacian_spectrum():
-    """With q = 0 on (-1, 1) the eigenvalues are (k pi / 2)^2."""
-    op = assemble_cheb(Interval(-1.0, 1.0), PotentialSpec(0), n=48)
-    w = _cheb_eigs(op)
-    exact = (np.arange(1, 9) * math.pi / 2.0) ** 2
-    assert np.max(np.abs(w[:8] - exact) / exact) <= 1e-10
-
-
-def test_cheb_translation_invariance_free_case():
-    wa = _cheb_eigs(assemble_cheb(Interval(-1.0, 1.0), PotentialSpec(0), n=24))
-    wb = _cheb_eigs(assemble_cheb(Interval(3.0, 5.0), PotentialSpec(0), n=24))
-    assert np.allclose(wa[:6], wb[:6], rtol=1e-9)
-
-
-def test_cheb_lowest_eigenvalue_bracketed():
-    """Constant-potential comparison pins the ell = 1 ground state."""
-    op = assemble_cheb(Interval(-1.0, 1.0), PotentialSpec(1), n=64)
-    w = _cheb_eigs(op)
-    base = math.pi**2 / 4.0
-    assert base + math.exp(-2.0) < w[0] < base + math.exp(2.0)
-
-
-def test_cheb_refinement_is_spectral():
-    """Doubling n crushes the error until it hits the rounding floor."""
-    iv = Interval(-1.0, 1.0)
-    pot = PotentialSpec(1)
-    ref = _cheb_eigs(assemble_cheb(iv, pot, n=256))[:6]
-    err32 = np.abs(_cheb_eigs(assemble_cheb(iv, pot, n=32))[:6] - ref)
-    err64 = np.abs(_cheb_eigs(assemble_cheb(iv, pot, n=64))[:6] - ref)
-    floor = 5e-12 * np.maximum(1.0, np.abs(ref))
-    assert np.all(err64 <= np.maximum(1e-3 * err32, floor))
-
-
-def test_cheb_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        assemble_cheb(Interval(-1.0, 1.0), PotentialSpec(0), n=3)
-
-
 @pytest.mark.parametrize("q", [20, 400, 900])
 def test_gauss_legendre_rule(q):
     x, w = _gauss_legendre(q)
@@ -174,6 +77,15 @@ def test_galerkin_family_structure():
     assert np.all(np.linalg.eigvalsh(m) > 0.0)
     a = fam.operator(2.0)
     assert np.array_equal(a, 2.0 * m + np.diag(fam.stiffness))
+
+
+def test_cheb_free_laplacian_spectrum():
+    """With q = 0 on (-1, 1) the eigenvalues are (k pi / 2)^2."""
+    # the name predates the Galerkin family; the check is unchanged
+    fam = assemble_galerkin(Interval(-1.0, 1.0), 48)
+    w = pencil_eigenvalues(fam.operator(0.0), fam.mass())
+    exact = (np.arange(1, 9) * math.pi / 2.0) ** 2
+    assert np.max(np.abs(w[:8] - exact) / exact) <= 1e-10
 
 
 def test_galerkin_rejects_bad_input():

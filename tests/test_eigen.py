@@ -1,4 +1,4 @@
-"""Tests for the dense and tridiagonal eigenvalue backends."""
+"""Tests for the symmetric pencil and tridiagonal eigenvalue backends."""
 
 import math
 
@@ -7,13 +7,13 @@ import pytest
 
 from hyperlap.eigen import _sturm_counts
 from hyperlap import (
+    ConvergenceError,
     Interval,
     PotentialSpec,
-    RealityError,
     Spectrum,
     TridiagOperator,
     assemble_fd,
-    dense_eigenvalues,
+    pencil_eigenvalues,
     sturm_count,
     tridiag_eigenvalues,
 )
@@ -28,69 +28,50 @@ def _fd_exact(m, h):
     return (4.0 / h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
 
 
-def test_dense_two_by_two():
-    spec = dense_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(spec.values, [1.0, 3.0], atol=1e-14)
-    assert spec.max_imag == 0.0
-    assert len(spec) == 2
+def _random_pencil(rng, order):
+    a = rng.standard_normal((order, order))
+    g = rng.standard_normal((order, order))
+    return 0.5 * (a + a.T), g @ g.T + order * np.eye(order)
 
 
-def test_dense_identity():
-    spec = dense_eigenvalues(np.eye(5))
-    assert np.allclose(spec.values, np.ones(5))
+def test_pencil_small_cases():
+    w = pencil_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
+    assert np.allclose(w, [1.0, 3.0], atol=1e-14)
+    assert np.allclose(pencil_eigenvalues(np.eye(5), 2.0 * np.eye(5)), 0.5)
 
 
-def test_dense_sorted_ascending():
-    rng = np.random.default_rng(7)
-    d = rng.uniform(-5.0, 5.0, size=40)
-    spec = dense_eigenvalues(np.diag(d))
-    assert np.all(np.diff(spec.values) >= 0.0)
-    assert np.allclose(spec.values, np.sort(d))
-
-
-def test_dense_matches_fd_closed_form():
+def test_pencil_matches_fd_closed_form():
     op = _fd_op(3)
-    spec = dense_eigenvalues(op.to_dense())
-    assert np.allclose(spec.values, _fd_exact(3, op.h), rtol=1e-13)
+    w = pencil_eigenvalues(op.to_dense(), np.eye(3))
+    assert np.allclose(w, _fd_exact(3, op.h), rtol=1e-13)
 
 
-def test_dense_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        dense_eigenvalues(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        dense_eigenvalues(np.ones((2, 2)) * float("nan"))
-    with pytest.raises(ValueError):
-        dense_eigenvalues(np.empty((0, 0)))
-
-
-def test_dense_reality_guard():
-    # rotation generator has spectrum {i, -i}
-    with pytest.raises(RealityError):
-        dense_eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-def test_dense_similarity_invariance():
-    """Diagonal similarity makes the matrix nonsymmetric but keeps eigenvalues."""
+def test_pencil_sorted_and_congruence_invariant():
+    """(S^T A S, S^T B S) has the eigenvalues of (A, B) for invertible S."""
     rng = np.random.default_rng(11)
     for order in (5, 20, 50):
-        sym = rng.standard_normal((order, order))
-        sym = 0.5 * (sym + sym.T)
-        base = dense_eigenvalues(sym).values
-        s = rng.uniform(0.5, 2.0, size=order)
-        transformed = np.diag(s) @ sym @ np.diag(1.0 / s)
-        got = dense_eigenvalues(transformed).values
-        scale = np.max(np.abs(base))
-        assert np.max(np.abs(got - base)) <= 1e-8 * scale
+        a, b = _random_pencil(rng, order)
+        base = pencil_eigenvalues(a.copy(), b.copy())
+        assert np.all(np.diff(base) >= 0.0)
+        s = np.diag(rng.uniform(0.5, 2.0, size=order))
+        s += 0.1 * rng.standard_normal((order, order)) / math.sqrt(order)
+        got = pencil_eigenvalues(s.T @ a @ s, s.T @ b @ s)
+        assert np.max(np.abs(got - base)) <= 1e-10 * np.max(np.abs(base))
 
 
-def test_dense_trace_consistency():
-    rng = np.random.default_rng(13)
-    for order in (10, 80, 200):
-        sym = rng.standard_normal((order, order))
-        sym = 0.5 * (sym + sym.T)
-        spec = dense_eigenvalues(sym)
-        norm = np.linalg.norm(sym)
-        assert abs(np.sum(spec.values) - np.trace(sym)) <= 1e-9 * max(1.0, norm)
+def test_pencil_largest_subset():
+    a, b = _random_pencil(np.random.default_rng(3), 30)
+    full = pencil_eigenvalues(a.copy(), b.copy())
+    top = pencil_eigenvalues(a.copy(), b.copy(), largest=4)
+    assert top.size == 4
+    assert np.allclose(top, full[-4:], rtol=1e-12, atol=0.0)
+
+
+def test_pencil_rejects_bad_input():
+    with pytest.raises(ConvergenceError):
+        pencil_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        pencil_eigenvalues(np.full((2, 2), np.nan), np.eye(2))
 
 
 def test_sturm_identity_counts():
@@ -170,7 +151,7 @@ def test_bisection_matches_closed_form():
 
 def test_bisection_agrees_with_dense():
     op = _fd_op(60, ell=2)
-    dense = dense_eigenvalues(op.to_dense()).values
+    dense = np.linalg.eigvalsh(op.to_dense())
     spec = tridiag_eigenvalues(op, 0.0, float(dense[-1]) + 1.0)
     assert len(spec) == 60
     assert np.max(np.abs(spec.values - dense) / np.maximum(1.0, dense)) <= 1e-10

@@ -1,6 +1,7 @@
 """Tests for the eigenvalue family, certification, and the sweep table."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hyperlap import (
 from hyperlap import sl_family
 
 IV = Interval(-1.0, 1.0)
+COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
 
 
 def _free_problem():
@@ -55,6 +57,65 @@ def test_solve_problem_free_spectrum():
 def test_solve_problem_without_cutoff():
     spec = solve_problem(_free_problem(), n=32)
     assert len(spec) == 31
+
+
+def test_solve_problem_rejects_bad_input():
+    with pytest.raises(ValueError):
+        solve_problem(_free_problem(), n=3)
+    for cutoff in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            solve_problem(_free_problem(), n=16, cutoff=cutoff)
+
+
+def test_solve_problem_is_the_certified_discretization():
+    # plain and certified solves share the Galerkin family at resolution n
+    plain = solve_problem(_mode_problem(3), n=64, cutoff=200.0).values
+    cert = solve_certified(_mode_problem(3), 200.0, n=64, oracle_m=2000).values
+    assert plain.size == cert.size > 0
+    assert np.allclose(plain, cert, rtol=1e-13, atol=0.0)
+
+
+def test_solve_problem_uses_the_strip_width():
+    # coupling (2 pi / (2 pi))^2 = 1 = 1^2, exactly
+    wide = solve_problem(SLProblem(IV, PotentialSpec(2, width=2.0 * math.pi)), n=32)
+    assert np.array_equal(wide.values, solve_problem(_mode_problem(1), n=32).values)
+
+
+def test_solve_problem_ground_states_match_collocation_table():
+    # every retained mode of the frozen table (see test_galerkin_matches_collocation)
+    rows = table_rows_from_csv(COLLOCATION_1000.read_text())
+    ground = {ell: nu for ell, k, nu in rows if k == 1}
+    assert sorted(ground) == list(range(1, 71))
+    for ell, nu in ground.items():
+        got = solve_problem(_mode_problem(ell), n=128, cutoff=1050.0).values[0]
+        assert abs(got - nu) <= 1e-11 * nu
+
+
+def test_solve_problem_translation_invariance_free_case():
+    wa = solve_problem(SLProblem(Interval(-1.0, 1.0), PotentialSpec(0)), n=24).values
+    wb = solve_problem(SLProblem(Interval(3.0, 5.0), PotentialSpec(0)), n=24).values
+    assert np.allclose(wa[:6], wb[:6], rtol=1e-9)
+
+
+def test_solve_problem_ground_state_bracketed():
+    """Constant-potential comparison pins the ell = 1 ground state."""
+    nu1 = solve_problem(_mode_problem(1), n=64).values[0]
+    base = math.pi**2 / 4.0
+    assert base + math.exp(-2.0) < nu1 < base + math.exp(2.0)
+
+
+def test_solve_problem_refinement_is_spectral():
+    """Doubling n crushes the error until it hits the rounding floor.
+
+    The Galerkin values are at rounding by n = 32, so the pair n = 8, 16
+    is where the decay shows: the first six relative errors fall from up
+    to 0.6 to at most 2e-6.
+    """
+    ref = solve_problem(_mode_problem(1), n=256).values[:6]
+    err8 = np.abs(solve_problem(_mode_problem(1), n=8).values[:6] - ref)
+    err16 = np.abs(solve_problem(_mode_problem(1), n=16).values[:6] - ref)
+    floor = 5e-12 * np.maximum(1.0, np.abs(ref))
+    assert np.all(err16 <= np.maximum(1e-3 * err8, floor))
 
 
 def test_certified_free_spectrum():
@@ -90,10 +151,19 @@ def test_certified_rejects_unresolvable_request():
 
 @pytest.mark.parametrize("n", [400, 800])
 def test_galerkin_matches_collocation(n):
-    # n = 800 (order 799) guards the inverse pencil: the direct pencil
-    # (K + kappa M) x = nu B x loses about 1e-7 relative at that order.
+    """Galerkin modes 1, 30 and 70 against the frozen collocation table.
+
+    tests/data/collocation-1000.csv is the certified cutoff-1000 table on
+    (-1, 1), every value <= 1050, made by Chebyshev collocation at n = 400
+    (a dense nonsymmetric eigensolve) and certified against n = 800 before
+    that route was retired; it is byte-identical to
+    perfbench/reference/paper-1000.csv as first committed.  n = 800
+    (order 799) guards the inverse pencil: the direct pencil
+    (K + kappa M) x = nu B x loses about 1e-7 relative at that order.
+    """
+    rows = table_rows_from_csv(COLLOCATION_1000.read_text())
     for ell in (1, 30, 70):
-        coll = solve_problem(_mode_problem(ell), n=400, cutoff=1050.0).values
+        coll = np.array([nu for e, _, nu in rows if e == ell])
         gal = sl_family._spectrum(assemble_galerkin(IV, n), float(ell**2))
         err = np.abs(gal[: coll.size] - coll) / np.maximum(1.0, coll)
         assert coll.size > 0 and gal[coll.size] > 1050.0
@@ -101,8 +171,11 @@ def test_galerkin_matches_collocation(n):
 
 
 def test_certified_tol_floor():
+    for tol in (1e-14, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            solve_certified(_free_problem(), 10.0, tol=tol)
     with pytest.raises(ValueError):
-        solve_certified(_free_problem(), 10.0, tol=1e-14)
+        sweep(IV, 2.0, tol=float("nan"), n=64)  # no mode is solved at all
 
 
 def test_certified_rejects_nonfinite_cutoff():
@@ -222,7 +295,7 @@ def _airy_ground_state_lower(ell, t0, alpha=-1.0):
 
 
 def test_mode_cutoff_1000_bracketed_without_solver():
-    # Independent of the collocation and FD routes: 70 < ell_max <= 72 for
+    # Independent of the Galerkin and FD routes: 70 < ell_max <= 72 for
     # cutoff 1000 on (-1, 1), so the first mode clearing 1000 is not 50.
     free = (math.pi / 2.0) ** 2
     assert free <= _p1_ritz_ground_state(0) <= free * (1.0 + 1e-5)
