@@ -37,6 +37,7 @@ from .discretize import (
 )
 from .eigen import (
     Spectrum,
+    lowest_pencil_eigenvalues,
     pencil_eigenvalues,
     sturm_count,
     tridiag_eigenvalues,
@@ -107,6 +108,7 @@ __all__ = [
     "hyperbolic_volume",
     "kinetic_constant",
     "lambda_from_nu",
+    "lowest_pencil_eigenvalues",
     "lt_best_known",
     "lt_check",
     "lt_classical",

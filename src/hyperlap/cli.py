@@ -57,7 +57,12 @@ def _csv_text(header, rows):
 
 
 def _apply_config(args, argv):
-    """Overlay config-file values onto args; explicit flags win."""
+    """Overlay config-file values onto args; explicit flags win.
+
+    Each value must have its option's type: an int may stand for a float,
+    a bool never stands for a number, and options without a type take
+    strings.
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
@@ -67,15 +72,19 @@ def _apply_config(args, argv):
     argv = argv or []
     for key in sorted(data):
         dest = key.replace("-", "_")
-        if dest == "config" or not hasattr(args, dest):
+        if dest == "config" or dest not in args.option_types:
             raise ValueError(f"unknown config key {key!r}")
         flag = "--" + key
         if any(a == flag or a.startswith(flag + "=") for a in argv):
             continue
         value = data[key]
-        current = getattr(args, dest)
-        if isinstance(current, float) and isinstance(value, int):
+        want = args.option_types[dest]
+        if want is float and type(value) is int:
             value = float(value)
+        if type(value) is not want:
+            raise ValueError(
+                f"config key {key!r} must be of type {want.__name__}, got {value!r}"
+            )
         setattr(args, dest, value)
 
 
@@ -319,13 +328,23 @@ def build_parser():
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_ratio)
 
-    p = subs.add_parser("eig", help="one family member, plain solve")
+    p = subs.add_parser(
+        "eig",
+        help="one family member, plain solve",
+        description="All n-1 Galerkin eigenvalues of one mode, uncertified. "
+        "Without --cutoff roughly the top 40% of them are unresolved "
+        "discretization artifacts; use sweep for certified values.",
+    )
     p.add_argument("--ell", type=int, default=0)
     _interval_args(p)
     p.add_argument(
         "--n", type=int, default=400, help="resolution n: Galerkin order n-1"
     )
-    p.add_argument("--cutoff", type=float, default=None)
+    p.add_argument(
+        "--cutoff", type=float, default=None,
+        help="keep the eigenvalues <= cutoff (default: all n-1, the top "
+        "~40%% unresolved)",
+    )
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_eig)
@@ -381,6 +400,9 @@ def build_parser():
     for sub in subs.choices.values():
         sub.add_argument(
             "--config", metavar="PATH", help="JSON file of long-flag defaults"
+        )
+        sub.set_defaults(
+            option_types={a.dest: a.type or str for a in sub._actions if a.dest != "help"}
         )
     return parser
 

@@ -1,8 +1,8 @@
 """Discretizations of -d^2/dt^2 + q(t) with Dirichlet ends.
 
-Two routes: the Shen-Legendre Galerkin family (symmetric matrices built
-once per interval, mode by mode only the coupling changes; plain solves
-and the certified sweep use it) and second-order central finite
+Two routes: the Shen-Legendre Galerkin family (symmetric banded matrices
+built once per interval, mode by mode only the coupling changes; plain
+solves and the certified sweep use it) and second-order central finite
 differences (symmetric tridiagonal, used as the cross-checking oracle).
 """
 
@@ -107,6 +107,17 @@ def _shen_values(n, x):
     return phi
 
 
+def _band_to_dense(band):
+    """The dense, Fortran-ordered symmetric matrix of a LAPACK lower band."""
+    order = band.shape[1]
+    a = np.zeros((order, order), order="F")
+    i = np.arange(order)
+    for d, row in enumerate(band):
+        a[i[d:], i[: order - d]] = row[: order - d]
+        a[i[: order - d], i[d:]] = row[: order - d]
+    return a
+
+
 @dataclass(frozen=True)
 class GalerkinFamily:
     """Shen-Legendre Galerkin matrices of -psi'' + kappa exp(2t) psi on an interval.
@@ -117,17 +128,19 @@ class GalerkinFamily:
     eigenproblem), mode kappa is the symmetric pencil (K + kappa M) c = nu B c:
 
     - ``stiffness``: the diagonal of K, (4 / length^2) (4k + 6);
-    - ``mass_diag``/``mass_off2``: B, nonzero only on the diagonal and at
-      offset 2 (Shen's closed form);
-    - ``weight_mass``: the dense, Fortran-ordered exp(2t) mass matrix M.
+    - ``mass_band``: B, nonzero only on the diagonal and at offset 2
+      (Shen's closed form);
+    - ``weight_band``: the exp(2t) mass matrix M, banded to rounding.
+
+    Both bands are LAPACK lower bands, Fortran-ordered: row d holds the
+    entries (j + d, j) in its first order - d columns.
     """
 
     interval: Interval
     n: int
     stiffness: np.ndarray
-    mass_diag: np.ndarray
-    mass_off2: np.ndarray
-    weight_mass: np.ndarray
+    mass_band: np.ndarray
+    weight_band: np.ndarray
 
     @property
     def order(self):
@@ -135,32 +148,49 @@ class GalerkinFamily:
 
     def mass(self):
         """B as a new dense Fortran-ordered matrix."""
-        b = np.zeros((self.order, self.order), order="F")
-        i = np.arange(self.order)
-        b[i, i] = self.mass_diag
-        b[i[:-2], i[2:]] = self.mass_off2
-        b[i[2:], i[:-2]] = self.mass_off2
-        return b
+        return _band_to_dense(self.mass_band)
+
+    def weight_mass(self):
+        """M as a new dense Fortran-ordered matrix."""
+        return _band_to_dense(self.weight_band)
 
     def operator(self, kappa):
         """K + kappa M as a new dense Fortran-ordered matrix."""
-        a = kappa * self.weight_mass
-        i = np.arange(self.order)
-        a[i, i] += self.stiffness
+        a = kappa * self.weight_mass()
+        a[np.diag_indices(self.order)] += self.stiffness
+        return a
+
+    def operator_band(self, kappa):
+        """K + kappa M as a new lower band."""
+        a = kappa * self.weight_band
+        a[0] += self.stiffness
         return a
 
 
-def assemble_galerkin(interval, n=400):
-    """Galerkin family on ``interval`` with the n - 1 functions of degree <= n.
+def _half_bandwidth(length):
+    """Half bandwidth of the exp(2t) mass: past it the entries are rounding.
 
-    M is integrated by Gauss-Legendre quadrature with points to spare:
-    q nodes are exact through degree 2q - 1, which covers the degree 2n of
-    phi_j phi_k plus 2 * spare more for exp(length * x), whose Legendre
-    coefficients fall like (length / 2)^d / d!.
+    M_jk integrates phi_j phi_k against exp(length x) (times a constant),
+    and only the Legendre components of exp(length x) of degree at least
+    |j - k| - 2 reach offset |j - k|.  Those fall like (length / 2)^d / d!;
+    the first d where that is under 2^-60 (20 at length 2, 30 at length 6),
+    plus 4, covers the 2 and leaves 2 to spare.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4 to have interior structure, got {n}")
-    k = np.arange(n - 1, dtype=float)
+    d, term = 0, 1.0
+    while term >= 2.0 ** -60:
+        d += 1
+        term *= length / (2.0 * d)
+    return d + 4
+
+
+def _weighted_basis(interval, n):
+    """Rows phi_k sqrt(W) at Gauss-Legendre nodes: M = sum over nodes of their products.
+
+    W is the quadrature weight times exp(2t).  q nodes are exact through
+    degree 2q - 1, which covers the degree 2n of phi_j phi_k plus 2 * spare
+    more for exp(length * x), whose Legendre coefficients fall like
+    (length / 2)^d / d!.
+    """
     spare = 16 + math.ceil(interval.length)
     x, w = _gauss_legendre(n + 1 + spare)
     with np.errstate(over="ignore"):
@@ -168,15 +198,35 @@ def assemble_galerkin(interval, n=400):
     if not np.all(np.isfinite(weight)):
         raise ValueError("exp(2t) overflows on the interval")
     phi = _shen_values(n, x)
-    phi *= np.sqrt(weight)  # M = (phi sqrt(W)) (phi sqrt(W))^T
+    phi *= np.sqrt(weight)
+    return phi
+
+
+def assemble_galerkin(interval, n=400):
+    """Galerkin family on ``interval`` with the n - 1 functions of degree <= n.
+
+    M is integrated by Gauss-Legendre quadrature and kept to the half
+    bandwidth of _half_bandwidth: every entry dropped is below the rounding
+    of the entries kept.
+    """
+    if n < 4:
+        raise ValueError(f"need n >= 4 to have interior structure, got {n}")
+    order = n - 1
+    k = np.arange(order, dtype=float)
+    phi = _weighted_basis(interval, n)
+    width = min(_half_bandwidth(interval.length), order - 1)
+    weight_band = np.zeros((width + 1, order), order="F")
+    for d in range(width + 1):
+        weight_band[d, : order - d] = np.einsum("ij,ij->i", phi[d:], phi[: order - d])
+    mass_band = np.zeros((3, order), order="F")
+    mass_band[0] = 2.0 / (2.0 * k + 1.0) + 2.0 / (2.0 * k + 5.0)
+    mass_band[2, :-2] = -2.0 / (2.0 * k[:-2] + 5.0)
     return GalerkinFamily(
         interval=interval,
         n=n,
         stiffness=(4.0 / interval.length ** 2) * (4.0 * k + 6.0),
-        mass_diag=2.0 / (2.0 * k + 1.0) + 2.0 / (2.0 * k + 5.0),
-        mass_off2=-2.0 / (2.0 * k[:-2] + 5.0),
-        # M is symmetric, so the transposed view is its Fortran-ordered form
-        weight_mass=(phi @ phi.T).T,
+        mass_band=mass_band,
+        weight_band=weight_band,
     )
 
 

@@ -1,15 +1,19 @@
 """Eigenvalue backends.
 
-The pencil route wraps LAPACK's symmetric-definite generalized solver for
-the Galerkin family of plain solves and the certified sweep.  The
-tridiagonal route is a self-contained Sturm-sequence bisection, kept free
-of LAPACK on purpose so it never shares a failure mode with the pencil.
+The pencil routes solve the Galerkin family: LAPACK's dense
+symmetric-definite solver gives the full spectrum of plain solves, and
+spectral-transformation Lanczos on the banded pencil gives the few lowest
+eigenvalues the certified sweep needs.  The tridiagonal route is a
+self-contained Sturm-sequence bisection, kept free of LAPACK on purpose so
+it never shares a failure mode with the pencil.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import ConvergenceError
 
@@ -50,6 +54,44 @@ def pencil_eigenvalues(a, b, largest=None):
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric-definite eigensolve failed: {exc}") from exc
+
+
+def lowest_pencil_eigenvalues(a_band, b_band, k):
+    """The k smallest eigenvalues nu of a x = nu b x, ascending, for banded a and b.
+
+    ``a_band`` and ``b_band`` are the LAPACK lower bands of symmetric
+    positive definite matrices (row d holds offset d).  With a = L L^T
+    from the banded Cholesky, ARPACK's Lanczos finds the k largest
+    eigenvalues mu of L^-1 b L^-T, and nu = 1 / mu (Ericsson and Ruhe's
+    spectral transformation): O(order * bandwidth) work per step.  The
+    start vector is fixed, so repeated runs give identical values.  A
+    failed factorization or a Lanczos run that does not converge raises
+    ConvergenceError.
+    """
+    # deferred: scipy.sparse.linalg is heavy, and importing hyperlap needs none of it
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    order = a_band.shape[1]
+    if not 1 <= k < order:
+        raise ValueError(f"need 1 <= k < order {order}, got {k}")
+    chol, info = dpbtrf(a_band, lower=1)
+    if info != 0:
+        raise ConvergenceError(f"banded Cholesky failed at leading minor {info}")
+    b_width = b_band.shape[0] - 1
+
+    def apply(x):
+        y = dtbtrs(chol, x, uplo="L", trans="T")[0]
+        return dtbtrs(chol, dsbmv(b_width, 1.0, b_band, y, lower=1), uplo="L")[0]
+
+    op = LinearOperator((order, order), matvec=apply, dtype=float)
+    try:
+        mu = eigsh(
+            op, k=k, which="LA", tol=0, v0=np.sin(1.0 + np.arange(order)),
+            return_eigenvectors=False,
+        )
+    except ArpackError as exc:
+        raise ConvergenceError(f"Lanczos eigensolve failed: {exc}") from exc
+    return np.sort(1.0 / mu)
 
 
 def _sturm_counts(diag, off2, lams):

@@ -4,13 +4,15 @@ Separating variables on a strip of width w (x direction) times an
 interval in t = log y turns the hyperbolic Dirichlet problem into the
 family -psi'' + kappa exp(2t) psi = nu psi with Dirichlet ends, one
 problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
-The modes differ only in that scalar, so the sweep builds the
+The modes differ only in that scalar, so the sweep builds the banded
 Legendre-Galerkin matrices K, B and M once per resolution (orders n - 1
-and 2n - 1), solves the symmetric pencil K + kappa M against B for every
-family whose ground state clears the cutoff, certifies each retained
-eigenvalue against the doubled resolution, and cross-checks every mode's
-count against the finite-difference Sturm oracle in one batched pass.
-Plain solves (solve_problem) take one Galerkin family at resolution n.
+and 2n - 1).  Mode by mode it solves the symmetric pencil K + kappa M
+against B for only the few lowest eigenvalues, by banded Lanczos, until a
+ground state clears the cutoff; it certifies each retained eigenvalue
+against the doubled resolution and cross-checks every mode's count
+against the finite-difference Sturm oracle in one batched pass.  Plain
+solves (solve_problem) take the full dense spectrum of one Galerkin family
+at resolution n.
 """
 
 import math
@@ -19,11 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import Interval, PotentialSpec, assemble_fd, assemble_galerkin
-from .eigen import Spectrum, _sturm_counts, pencil_eigenvalues
+from .eigen import (
+    Spectrum,
+    _sturm_counts,
+    lowest_pencil_eigenvalues,
+    pencil_eigenvalues,
+)
 from .errors import CertificationError, IncompleteTableError
 
 # relative padding of a table above its cutoff
 _MARGIN = 0.05
+# modes are searched only below this one: up to it neighbouring couplings
+# differ by far more than the rounding of the eigensolvers
+_MODE_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -44,10 +54,13 @@ def nu_from_lambda(lam, dim=2):
 
 
 def solve_problem(problem, n=400, cutoff=None):
-    """Plain Galerkin solve at resolution n (matrix order n - 1).
+    """Plain Galerkin solve at resolution n (matrix order n - 1), dense.
 
-    Optionally truncated at ``cutoff``.  No certification: use
-    solve_certified when the values feed a bound.
+    Optionally truncated at ``cutoff``.  Without one, all n - 1 Ritz values
+    are returned, and only the lower part of them is resolved: roughly the
+    top 40 % are discretization artifacts (at n = 400, ell = 70, the first
+    228 of 399 are trustworthy).  No certification: use solve_certified
+    when the values feed a bound.
     """
     if cutoff is not None and not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
@@ -81,34 +94,54 @@ def _gap_point(w, k_star):
     return 0.5 * (lower + upper)
 
 
-def _spectrum(family, coupling, lowest=None):
-    """Galerkin eigenvalues nu of one mode, ascending; all, or the ``lowest``.
+def _spectrum(family, coupling):
+    """All Galerkin eigenvalues nu of one mode, ascending, by a dense solve.
 
     Solved as the inverse pencil B x = mu (K + kappa M) x with nu = 1/mu:
     factoring the well-conditioned K + kappa M instead of B keeps the
     large-order solves accurate to rounding.
     """
-    mu = pencil_eigenvalues(family.mass(), family.operator(coupling), largest=lowest)
+    mu = pencil_eigenvalues(family.mass(), family.operator(coupling))
     return 1.0 / mu[::-1]
 
 
+def _lowest(family, coupling, k):
+    """The k lowest Galerkin eigenvalues nu of one mode, by banded Lanczos.
+
+    k is capped at order - 2, so a resolution too small for the cutoff
+    shows as every computed value lying below it.
+    """
+    k = min(k, family.order - 2)
+    return lowest_pencil_eigenvalues(family.operator_band(coupling), family.mass_band, k)
+
+
 def _ground_state(family, coupling):
-    return float(_spectrum(family, coupling, lowest=1)[0])
+    return float(_lowest(family, coupling, 1)[0])
 
 
-def _mode_values(families, coupling, cutoff, tol):
+def _count_bound(interval, cutoff):
+    """At most this many Galerkin eigenvalues of any mode are <= cutoff.
+
+    Galerkin values lie above the exact ones, and the exact values of a
+    mode with coupling kappa >= 0 above the free ones: nu_j >= (j pi / length)^2.
+    The relative slack of 1e-9 covers the rounding of values on that line.
+    """
+    return math.floor(
+        interval.length * math.sqrt(max(cutoff, 0.0)) / math.pi * (1.0 + 1e-9)
+    )
+
+
+def _mode_values(families, coupling, cutoff, tol, w):
     """Eigenvalues <= cutoff of one mode: (values, first_above, gap probe).
 
     ``families`` are the Galerkin families of the interval at resolutions
-    n and 2n.  They must agree entrywise to ``tol`` (relative) and on the
-    count below the gap probe; the finite-difference count at the probe is
-    the caller's to check (see _check_oracle).
+    n and 2n, and ``w`` are the lowest eigenvalues at resolution n, at
+    least one more than lie at or below the cutoff.  The 2n values must
+    agree entrywise to ``tol`` (relative) and on the count below the gap
+    probe; the finite-difference count at the probe is the caller's to
+    check (see _check_oracle).
     """
-    cutoff = float(cutoff)
-    if not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     n = families[0].n
-    w, w2 = (_spectrum(family, coupling) for family in families)
     k_star = int(np.searchsorted(w, cutoff, side="right"))
     if k_star == w.size:
         raise CertificationError(
@@ -117,6 +150,7 @@ def _mode_values(families, coupling, cutoff, tol):
             index=k_star,
         )
     lam_star = _gap_point(w, k_star)
+    w2 = _lowest(families[1], coupling, k_star + 1)
     k2 = int(np.searchsorted(w2, lam_star, side="left"))
     if k2 != k_star:
         raise CertificationError(
@@ -162,35 +196,45 @@ def _check_oracle(interval, modes, oracle_m):
 def solve_certified(problem, cutoff, tol=1e-10, n=400, oracle_m=4000):
     """Eigenvalues <= cutoff with two-resolution and count certification."""
     _check_tol(tol)
+    cutoff = float(cutoff)
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     families = [assemble_galerkin(problem.interval, m) for m in (n, 2 * n)]
     coupling = problem.pot.coupling
-    values, _first_above, probe = _mode_values(families, coupling, cutoff, tol)
+    w = _lowest(families[0], coupling, _count_bound(problem.interval, cutoff) + 1)
+    values, _first_above, probe = _mode_values(families, coupling, cutoff, tol, w)
     _check_oracle(
         problem.interval, [(problem.pot.ell, coupling, probe, values.size)], oracle_m
     )
     return Spectrum(values=values)
 
 
-def _ell_max(family, cutoff, width):
-    """First mode whose ground state on ``family`` exceeds ``cutoff``.
+def find_ell_max(interval, cutoff, n=400, width=math.pi):
+    """First mode ell whose ground state exceeds ``cutoff``, at resolution n.
 
     The ground state increases with the coupling kappa, so it equals the
     cutoff c at one critical coupling kappa*: the largest eigenvalue of
-    (c B - K) x = kappa M x.  The first mode past kappa* is then confirmed
-    by the ground states on both sides of it, stepping while they disagree.
-    Up to mode 2^22 neighbouring couplings differ by far more than the
-    rounding of the eigensolver, so at most a few steps are needed; past it
-    the cutoff cannot be resolved and the search is refused.
+    (c B - K) x = kappa M x, found by one dense solve.  The first mode past
+    kappa* is then confirmed by the ground states on both sides of it,
+    stepping while they disagree.  Up to mode 2^22 neighbouring couplings
+    differ by far more than the rounding of the eigensolvers, so at most a
+    few steps are needed; past it the cutoff cannot be resolved and the
+    search is refused.  (sweep finds the same mode by solving the modes in
+    order.)
     """
+    cutoff = float(cutoff)
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
+    family = assemble_galerkin(interval, n)
     kappa1 = PotentialSpec(1, width=width).coupling
     pencil = cutoff * family.mass()
     pencil[np.diag_indices(family.order)] -= family.stiffness
-    kappa = pencil_eigenvalues(pencil, family.weight_mass.copy(order="F"), largest=1)[0]
+    kappa = pencil_eigenvalues(pencil, family.weight_mass(), largest=1)[0]
     ell = 1
     if kappa >= kappa1:
         ell = math.floor(width / math.pi * math.sqrt(kappa)) + 1
-    if ell > 1 << 22:
-        raise ValueError(f"no mode below {1 << 22} clears cutoff {cutoff}")
+    if ell > _MODE_LIMIT:
+        raise ValueError(f"no mode below {_MODE_LIMIT} clears cutoff {cutoff}")
 
     def clears(ell):
         return _ground_state(family, PotentialSpec(ell, width=width).coupling) > cutoff
@@ -203,14 +247,6 @@ def _ell_max(family, cutoff, width):
         while not clears(ell):
             ell += 1
     return ell
-
-
-def find_ell_max(interval, cutoff, n=400, width=math.pi):
-    """First mode ell whose ground state exceeds ``cutoff``, at resolution n."""
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    return _ell_max(assemble_galerkin(interval, n), cutoff, width)
 
 
 @dataclass(frozen=True)
@@ -310,19 +346,22 @@ def sweep(
 ):
     """Certified eigenvalue table of every family with ground state <= cutoff.
 
-    ``ell_max``, when given, skips the adaptive search but is still verified
-    (its ground state must clear the cutoff, else the table would be
-    incomplete).  ``width`` is the strip width: mode ell has the coupling
-    (ell pi / width)^2, so the default pi gives ell^2.
+    Modes are solved in order, each for one more eigenvalue than it can
+    hold below the retention limit: mode 1 by the count bound of the
+    interval, later modes by the previous mode's count, since a count
+    cannot grow with the coupling.  ``ell_max`` is the first mode whose
+    ground state at resolution n clears the cutoff; when given, it is
+    verified instead (its ground state must clear the cutoff, else the
+    table would be incomplete).  ``width`` is the strip width:
+    mode ell has the coupling (ell pi / width)^2, so the default pi gives
+    ell^2.
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     _check_tol(tol)
     families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
-    if ell_max is None:
-        ell_max = _ell_max(families[0], cutoff, width)
-    else:
+    if ell_max is not None:
         ell_max = int(ell_max)
         if ell_max < 1:
             raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -332,12 +371,23 @@ def sweep(
                 f"mode {ell_max} still has its ground state below {cutoff}; "
                 "table would be incomplete"
             )
+    elif PotentialSpec(_MODE_LIMIT, width=width).coupling * math.exp(
+        2.0 * interval.alpha
+    ) <= cutoff:
+        # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
+        raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
     retain = cutoff * (1.0 + _MARGIN)
+    count = _count_bound(interval, retain)
     entries = []
     modes = []
-    for ell in range(1, ell_max):
+    ell = 1
+    while ell != ell_max:
         coupling = PotentialSpec(ell, width=width).coupling
-        values, first_above, probe = _mode_values(families, coupling, retain, tol)
+        w = _lowest(families[0], coupling, count + 1)
+        if ell_max is None and w[0] > cutoff:
+            ell_max = ell
+            break
+        values, first_above, probe = _mode_values(families, coupling, retain, tol, w)
         if first_above <= cutoff:
             raise CertificationError(
                 f"mode {ell}: first discarded eigenvalue {first_above} "
@@ -347,6 +397,8 @@ def sweep(
         modes.append((ell, coupling, probe, values.size))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))
+        count = values.size
+        ell += 1
     _check_oracle(interval, modes, oracle_m)
     return EigenTable(
         entries=tuple(entries),

@@ -1,6 +1,9 @@
 """The package's public names."""
 
+import os
 import re
+import subprocess
+import sys
 
 import hyperlap
 
@@ -17,3 +20,18 @@ def test_public_names_resolve_and_retired_ones_are_gone():
     # guard were retired: plain solves go through the Galerkin family
     retired = re.compile(r"cheb|dense|reality", re.IGNORECASE)
     assert [name for name in dir(hyperlap) if retired.search(name)] == []
+
+
+def test_import_does_not_load_sparse_linalg():
+    # the Lanczos solver imports scipy.sparse.linalg on first use only
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = "import sys, hyperlap; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

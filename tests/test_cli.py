@@ -16,6 +16,17 @@ from hyperlap.cli import main
 FAST_SWEEP = ["--cutoff", "30", "--n", "64", "--alpha", "-1", "--beta", "1"]
 
 
+def _run_cli(*args):
+    """``python -m hyperlap.cli args`` in a fresh interpreter, importing hyperlap from here."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hyperlap.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def _polylines(svg_text):
     root = ET.fromstring(svg_text)
     return [el for el in root.iter() if el.tag.endswith("polyline")]
@@ -226,6 +237,11 @@ def test_artifacts_are_reproducible(tmp_path):
     for path in (sa, sb):
         assert main(["ratio", "--svg", str(path)]) == 0
     assert sa.read_bytes() == sb.read_bytes()
+    # the Lanczos start vector is fixed, so fresh processes agree bytewise
+    runs = [_run_cli("sweep", "--cutoff", "50", "--csv", "-") for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs)
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"ell,k,nu\n")
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -250,6 +266,25 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))
     assert main(["sweep", *FAST_SWEEP, "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config", [{"tol": "1e-10"}, {"n": "64"}, {"n": 64.5}, {"n": True}]
+)
+def test_config_rejects_mistyped_value(tmp_path, config, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--cutoff", "30", "--config", str(cfg)]) == 2
+    assert "must be of type" in capsys.readouterr().err
+
+
+def test_config_int_stands_for_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoff": 30, "tol": 1, "n": 64, "ell-max": "auto"}))
+    out = tmp_path / "out.json"
+    assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["tolerance"] == 1.0 and isinstance(summary["tolerance"], float)
 
 
 def test_config_rejects_non_object(tmp_path):
@@ -311,15 +346,6 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_installed_entry_point():
-    # the child imports hyperlap from where this test did
-    root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperlap.cli", "constants", "--gamma", "1",
-         "--dim", "2", "--json", "-"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_cli("constants", "--gamma", "1", "--dim", "2", "--json", "-")
     assert proc.returncode == 0
     assert sorted(json.loads(proc.stdout)) == ["classical", "theorem"]

@@ -13,7 +13,12 @@ from hyperlap import (
     assemble_galerkin,
     pencil_eigenvalues,
 )
-from hyperlap.discretize import _gauss_legendre, _shen_values
+from hyperlap.discretize import (
+    _gauss_legendre,
+    _half_bandwidth,
+    _shen_values,
+    _weighted_basis,
+)
 
 
 def test_interval_validation():
@@ -64,6 +69,7 @@ def test_gauss_legendre_rule(q):
 def test_galerkin_family_structure():
     fam = assemble_galerkin(Interval(-3.0, 2.0), 16)
     assert fam.order == 15
+    assert fam.mass_band.shape == (3, 15) and fam.mass_band.flags.f_contiguous
     b = fam.mass()
     assert b.flags.f_contiguous and np.array_equal(b, b.T)
     assert np.count_nonzero(b) == 15 + 2 * 13
@@ -71,12 +77,50 @@ def test_galerkin_family_structure():
     x, w = _gauss_legendre(20)
     phi = _shen_values(16, x)
     assert np.allclose((phi * w) @ phi.T, b, rtol=0.0, atol=1e-14)
-    m = fam.weight_mass
-    assert m.flags.f_contiguous
-    assert np.allclose(m, m.T, rtol=0.0, atol=1e-13 * np.abs(m).max())
+    # length 5 keeps offsets through 32, more than order 15 has
+    assert fam.weight_band.shape == (15, 15) and fam.weight_band.flags.f_contiguous
+    m = fam.weight_mass()
+    assert m.flags.f_contiguous and np.array_equal(m, m.T)
     assert np.all(np.linalg.eigvalsh(m) > 0.0)
     a = fam.operator(2.0)
     assert np.array_equal(a, 2.0 * m + np.diag(fam.stiffness))
+    band = fam.operator_band(2.0)
+    for d in range(band.shape[0]):
+        assert np.array_equal(band[d, : 15 - d], np.diag(a, -d))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (0.5, 5.5), (0.5, 6.5)])
+@pytest.mark.parametrize("n", [64, 200, 400, 800])
+def test_weight_band_drops_only_rounding(alpha, beta, n):
+    """M keeps offsets through the half bandwidth; the rest is rounding.
+
+    Every entry past it in the dense quadrature product is at most
+    4 eps max|M|.  The kept entries are the product's own, up to the
+    rounding of a sum over q nodes in another order: sqrt(q) eps times the
+    sum of the magnitudes of its terms.
+    """
+    iv = Interval(alpha, beta)
+    fam = assemble_galerkin(iv, n)
+    phi = _weighted_basis(iv, n)
+    dense = phi @ phi.T
+    width = _half_bandwidth(iv.length)
+    assert fam.weight_band.shape == (width + 1, n - 1)
+    eps = np.finfo(float).eps
+    offset = np.abs(np.subtract.outer(np.arange(n - 1), np.arange(n - 1)))
+    kept = offset <= width
+    assert np.abs(dense[~kept]).max() <= 4.0 * eps * np.abs(dense).max()
+    floor = math.sqrt(phi.shape[1]) * eps * (np.abs(phi) @ np.abs(phi).T)
+    assert np.all(np.abs(fam.weight_mass() - dense)[kept] <= floor[kept])
+
+
+def test_half_bandwidth_rule():
+    # smallest d with (length / 2)^d / d! < 2^-60, plus 4
+    assert _half_bandwidth(2.0) == 24
+    assert _half_bandwidth(6.0) == 34
+    for length in (0.1, 1.0, 2.0, 5.0, 6.0, 20.0):
+        d = _half_bandwidth(length) - 4
+        assert (length / 2.0) ** d / math.factorial(d) < 2.0 ** -60
+        assert (length / 2.0) ** (d - 1) / math.factorial(d - 1) >= 2.0 ** -60
 
 
 def test_cheb_free_laplacian_spectrum():

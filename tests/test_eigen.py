@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from hyperlap.eigen import _sturm_counts
 from hyperlap import (
@@ -13,6 +14,8 @@ from hyperlap import (
     Spectrum,
     TridiagOperator,
     assemble_fd,
+    assemble_galerkin,
+    lowest_pencil_eigenvalues,
     pencil_eigenvalues,
     sturm_count,
     tridiag_eigenvalues,
@@ -72,6 +75,65 @@ def test_pencil_rejects_bad_input():
         pencil_eigenvalues(np.eye(2), np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         pencil_eigenvalues(np.full((2, 2), np.nan), np.eye(2))
+
+
+def _fd_band(m):
+    """The FD operator of _fd_op(m) as a lower band, with the identity as b."""
+    op = _fd_op(m)
+    a = np.zeros((2, m), order="F")
+    a[0] = op.diag
+    a[1, :-1] = op.offdiag
+    return op, a, np.ones((1, m), order="F")
+
+
+def test_lowest_pencil_matches_fd_closed_form():
+    op, a, b = _fd_band(50)
+    w = lowest_pencil_eigenvalues(a, b, 6)
+    assert np.allclose(w, _fd_exact(50, op.h)[:6], rtol=1e-13, atol=0.0)
+    # a b scaled by 2 halves every eigenvalue
+    assert np.allclose(lowest_pencil_eigenvalues(a, 2.0 * b, 6), 0.5 * w, rtol=1e-13)
+
+
+def test_lowest_pencil_is_deterministic():
+    fam = assemble_galerkin(Interval(-1.0, 1.0), 128)
+    runs = [lowest_pencil_eigenvalues(fam.operator_band(50.0), fam.mass_band, 9)
+            for _ in range(3)]
+    assert all(np.array_equal(runs[0], r) for r in runs[1:])
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, bound",
+    [
+        (-1.0, 1.0, 1e-13),
+        # weight exp(2t) spans e^12 here: either route is good to about
+        # eps e^12 = 3.6e-11 against the exact eigenvalues of the matrices
+        (0.5, 6.5, 4e-11),
+    ],
+)
+@pytest.mark.parametrize("n", [400, 800])
+def test_lowest_pencil_matches_dense(alpha, beta, bound, n):
+    fam = assemble_galerkin(Interval(alpha, beta), n)
+    for kappa in (0.0, 1.0, 100.0, 1000.0, 5000.0):
+        got = lowest_pencil_eigenvalues(fam.operator_band(kappa), fam.mass_band, 22)
+        dense = 1.0 / pencil_eigenvalues(fam.mass(), fam.operator(kappa), largest=22)[::-1]
+        assert np.max(np.abs(got - dense) / dense) <= bound
+
+
+def test_lowest_pencil_failures(monkeypatch):
+    op, a, b = _fd_band(20)
+    with pytest.raises(ValueError):
+        lowest_pencil_eigenvalues(a, b, 20)  # Lanczos needs k < order
+    with pytest.raises(ValueError):
+        lowest_pencil_eigenvalues(a, b, 0)
+    with pytest.raises(ConvergenceError):
+        lowest_pencil_eigenvalues(-a, b, 3)  # not positive definite
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        lowest_pencil_eigenvalues(a, b, 3)
 
 
 def test_sturm_identity_counts():

@@ -19,6 +19,7 @@ from hyperlap import (
     assemble_galerkin,
     find_ell_max,
     lambda_from_nu,
+    lowest_pencil_eigenvalues,
     nu_from_lambda,
     pencil_eigenvalues,
     solve_certified,
@@ -217,6 +218,14 @@ def test_find_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
             break
         ell += 1
     assert find_ell_max(interval, cutoff, n=n, width=width) == ell
+    # the sweep finds the same mode as it goes, where n certifies the cutoff;
+    # n = 64 does not certify 1e4, and 140 is the smallest that does
+    if cutoff == 1e4:
+        with pytest.raises(CertificationError):
+            sweep(interval, cutoff, n=n, width=width)
+        n = 140
+        ell = find_ell_max(interval, cutoff, n=n, width=width)
+    assert sweep(interval, cutoff, n=n, width=width).ell_max == ell
 
 
 def test_find_ell_max_three_solves(monkeypatch):
@@ -246,6 +255,43 @@ def test_sweep_builds_each_resolution_once(monkeypatch):
     builds.clear()
     find_ell_max(IV, 40.0, n=64)
     assert builds == [64]
+
+
+def test_sweep_makes_no_dense_solves(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("dense solve in the sweep")
+
+    monkeypatch.setattr(sl_family, "pencil_eigenvalues", refused)
+    table = sweep(IV, 40.0, n=64, oracle_m=800)
+    assert table.ell_max > 1
+    pinned = sweep(IV, 40.0, n=64, oracle_m=800, ell_max=table.ell_max)
+    assert pinned.entries == table.entries
+    assert solve_certified(_mode_problem(3), 200.0, n=64, oracle_m=800).values.size > 0
+
+
+def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
+    """k rule: count bound + 1 for mode 1, then the last count + 1."""
+    asked = []
+
+    def recorded(a_band, b_band, k):
+        values = lowest_pencil_eigenvalues(a_band, b_band, k)
+        asked.append((a_band.shape[1], k, values))
+        return values
+
+    monkeypatch.setattr(sl_family, "lowest_pencil_eigenvalues", recorded)
+    cutoff = 40.0
+    table = sweep(IV, cutoff, n=64, oracle_m=800)
+    retain = cutoff * 1.05
+    coarse = [(k, values) for order, k, values in asked if order == 63]
+    fine = [(k, values) for order, k, values in asked if order == 127]
+    # one coarse solve per mode swept plus the one that stops the sweep
+    assert len(coarse) == table.ell_max and len(fine) == table.ell_max - 1
+    assert coarse[0][0] == math.floor(2.0 * math.sqrt(retain) / math.pi) + 1
+    for ell, (k, values) in enumerate(coarse[1:], start=2):
+        assert k == table.mode_values(ell - 1).size + 1
+        assert values[-1] > retain  # the bound held: nothing was cut off
+    for ell, (k, _) in enumerate(fine, start=1):
+        assert k == table.mode_values(ell).size + 1
 
 
 def test_find_ell_max_validation():
@@ -375,11 +421,16 @@ def test_sweep_rejects_incomplete_ell_max():
         sweep(IV, 40.0, n=64, oracle_m=800, ell_max=1)
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     with pytest.raises(ValueError):
         sweep(IV, -5.0)
     with pytest.raises(ValueError):
         sweep(IV, 40.0, n=64, ell_max=0)
+    # nu1(kappa) >= kappa exp(2 alpha) cannot place ell_max below 2^22:
+    # refused up front, without a solve
+    monkeypatch.setattr(sl_family, "lowest_pencil_eigenvalues", None)
+    with pytest.raises(ValueError, match="past"):
+        sweep(IV, 1e30, n=64)
 
 
 def test_sweep_width_pi_matches_default():
