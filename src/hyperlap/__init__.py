@@ -65,7 +65,6 @@ from .lt_verify import (
 from .sl_family import (
     EigenTable,
     SLProblem,
-    find_ell_max,
     lambda_from_nu,
     nu_from_lambda,
     solve_certified,
@@ -103,7 +102,6 @@ __all__ = [
     "counting_constant",
     "counting_rhs",
     "family_table",
-    "find_ell_max",
     "gamma_fn",
     "hyperbolic_volume",
     "kinetic_constant",

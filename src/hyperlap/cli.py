@@ -188,24 +188,8 @@ def cmd_eig(args):
     return 0
 
 
-def _parse_ell_max(raw):
-    if raw is None or raw == "auto":
-        return None
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"--ell-max expects an integer or 'auto', got {raw!r}")
-
-
 def _run_sweep(args):
-    interval = Interval(args.alpha, args.beta)
-    return sweep(
-        interval,
-        args.cutoff,
-        tol=args.tol,
-        n=args.n,
-        ell_max=_parse_ell_max(args.ell_max),
-    )
+    return sweep(Interval(args.alpha, args.beta), args.cutoff, tol=args.tol, n=args.n)
 
 
 def cmd_sweep(args):
@@ -353,7 +337,6 @@ def build_parser():
     p.add_argument("--cutoff", type=float, default=1000.0)
     _interval_args(p)
     _solver_args(p)
-    p.add_argument("--ell-max", default="auto", help="integer, or 'auto' to search")
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_sweep)
@@ -362,7 +345,6 @@ def build_parser():
     p.add_argument("--cutoff", type=float, default=1000.0)
     _interval_args(p)
     _solver_args(p)
-    p.add_argument("--ell-max", default="auto", help="integer, or 'auto' to search")
     p.add_argument("--grid", type=int, default=10000)
     p.add_argument(
         "--constant-scale",

@@ -150,13 +150,9 @@ class GalerkinFamily:
         """B as a new dense Fortran-ordered matrix."""
         return _band_to_dense(self.mass_band)
 
-    def weight_mass(self):
-        """M as a new dense Fortran-ordered matrix."""
-        return _band_to_dense(self.weight_band)
-
     def operator(self, kappa):
         """K + kappa M as a new dense Fortran-ordered matrix."""
-        a = kappa * self.weight_mass()
+        a = kappa * _band_to_dense(self.weight_band)
         a[np.diag_indices(self.order)] += self.stiffness
         return a
 

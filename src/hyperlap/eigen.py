@@ -36,22 +36,16 @@ class Spectrum:
         return self.values.size
 
 
-def pencil_eigenvalues(a, b, largest=None):
+def pencil_eigenvalues(a, b):
     """Eigenvalues mu of the pencil a x = mu b x, sorted ascending.
 
     ``a`` is symmetric and ``b`` symmetric positive definite; LAPACK reads
     their lower triangles and overwrites both, so pass Fortran-ordered
-    matrices the caller no longer needs.  ``largest=k`` computes only the
-    k largest.  A failed factorization of ``b`` or a failed iteration
-    raises ConvergenceError.
+    matrices the caller no longer needs.  A failed factorization of ``b``
+    or a failed iteration raises ConvergenceError.
     """
-    order = a.shape[0]
-    subset = None if largest is None else [order - largest, order - 1]
     try:
-        return eigh(
-            a, b, eigvals_only=True, subset_by_index=subset,
-            overwrite_a=True, overwrite_b=True,
-        )
+        return eigh(a, b, eigvals_only=True, overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric-definite eigensolve failed: {exc}") from exc
 
@@ -61,7 +55,7 @@ def lowest_pencil_eigenvalues(a_band, b_band, k):
 
     ``a_band`` and ``b_band`` are the LAPACK lower bands of symmetric
     positive definite matrices (row d holds offset d).  With a = L L^T
-    from the banded Cholesky, ARPACK's Lanczos finds the k largest
+    from the banded Cholesky, ARPACK's Lanczos finds the k greatest
     eigenvalues mu of L^-1 b L^-T, and nu = 1 / mu (Ericsson and Ruhe's
     spectral transformation): O(order * bandwidth) work per step.  The
     start vector is fixed, so repeated runs give identical values.  A

@@ -224,9 +224,12 @@ def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS, max_nodes=4096,
     """Test (grad term) * (norm term) >= K * quartic term + (1/4) (norm term)^2.
 
     Tensor Gauss-Legendre with node doubling until both sides settle to
-    ``tol`` relative; QuadratureError past ``max_nodes``.  ``slack`` is the
+    ``tol`` relative (finite and positive); QuadratureError past
+    ``max_nodes``.  ``slack`` is the
     relative negativity allowed before declaring a violation.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if domain is None:
         domain = ProductDomain()
     n_nodes = 16

@@ -8,11 +8,12 @@ The modes differ only in that scalar, so the sweep builds the banded
 Legendre-Galerkin matrices K, B and M once per resolution (orders n - 1
 and 2n - 1).  Mode by mode it solves the symmetric pencil K + kappa M
 against B for only the few lowest eigenvalues, by banded Lanczos, until a
-ground state clears the cutoff; it certifies each retained eigenvalue
-against the doubled resolution and cross-checks every mode's count
-against the finite-difference Sturm oracle in one batched pass.  Plain
-solves (solve_problem) take the full dense spectrum of one Galerkin family
-at resolution n.
+ground state clears the cutoff: that mode is the table's ell_max, so the
+mode search costs no solve of its own.  It certifies each retained
+eigenvalue against the doubled resolution and cross-checks every mode's
+count against the finite-difference Sturm oracle in one batched pass.
+Plain solves (solve_problem) take the full dense spectrum of one Galerkin
+family at resolution n.
 """
 
 import math
@@ -115,10 +116,6 @@ def _lowest(family, coupling, k):
     return lowest_pencil_eigenvalues(family.operator_band(coupling), family.mass_band, k)
 
 
-def _ground_state(family, coupling):
-    return float(_lowest(family, coupling, 1)[0])
-
-
 def _count_bound(interval, cutoff):
     """At most this many Galerkin eigenvalues of any mode are <= cutoff.
 
@@ -145,7 +142,7 @@ def _mode_values(families, coupling, cutoff, tol, w):
     k_star = int(np.searchsorted(w, cutoff, side="right"))
     if k_star == w.size:
         raise CertificationError(
-            f"cutoff {cutoff} lies beyond the largest resolved eigenvalue "
+            f"cutoff {cutoff} lies beyond the highest resolved eigenvalue "
             f"{w[-1]}; raise n",
             index=k_star,
         )
@@ -165,7 +162,7 @@ def _mode_values(families, coupling, cutoff, tol, w):
             i = int(np.nonzero(bad)[0][0])
             raise CertificationError(
                 f"eigenvalue {i} differs between resolutions {n} and {2 * n}: "
-                f"{w[i]!r} vs {w2[i]!r} (tol {tol})",
+                f"{w[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
                 index=i,
             )
     return w[:k_star].copy(), float(w[k_star]), lam_star
@@ -207,46 +204,6 @@ def solve_certified(problem, cutoff, tol=1e-10, n=400, oracle_m=4000):
         problem.interval, [(problem.pot.ell, coupling, probe, values.size)], oracle_m
     )
     return Spectrum(values=values)
-
-
-def find_ell_max(interval, cutoff, n=400, width=math.pi):
-    """First mode ell whose ground state exceeds ``cutoff``, at resolution n.
-
-    The ground state increases with the coupling kappa, so it equals the
-    cutoff c at one critical coupling kappa*: the largest eigenvalue of
-    (c B - K) x = kappa M x, found by one dense solve.  The first mode past
-    kappa* is then confirmed by the ground states on both sides of it,
-    stepping while they disagree.  Up to mode 2^22 neighbouring couplings
-    differ by far more than the rounding of the eigensolvers, so at most a
-    few steps are needed; past it the cutoff cannot be resolved and the
-    search is refused.  (sweep finds the same mode by solving the modes in
-    order.)
-    """
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    family = assemble_galerkin(interval, n)
-    kappa1 = PotentialSpec(1, width=width).coupling
-    pencil = cutoff * family.mass()
-    pencil[np.diag_indices(family.order)] -= family.stiffness
-    kappa = pencil_eigenvalues(pencil, family.weight_mass(), largest=1)[0]
-    ell = 1
-    if kappa >= kappa1:
-        ell = math.floor(width / math.pi * math.sqrt(kappa)) + 1
-    if ell > _MODE_LIMIT:
-        raise ValueError(f"no mode below {_MODE_LIMIT} clears cutoff {cutoff}")
-
-    def clears(ell):
-        return _ground_state(family, PotentialSpec(ell, width=width).coupling) > cutoff
-
-    if clears(ell):
-        while ell > 1 and clears(ell - 1):
-            ell -= 1
-    else:
-        ell += 1
-        while not clears(ell):
-            ell += 1
-    return ell
 
 
 @dataclass(frozen=True)
@@ -335,57 +292,36 @@ def table_rows_from_csv(text):
     return out
 
 
-def sweep(
-    interval,
-    cutoff,
-    tol=1e-10,
-    n=400,
-    ell_max=None,
-    oracle_m=4000,
-    width=math.pi,
-):
+def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
     """Certified eigenvalue table of every family with ground state <= cutoff.
 
     Modes are solved in order, each for one more eigenvalue than it can
     hold below the retention limit: mode 1 by the count bound of the
     interval, later modes by the previous mode's count, since a count
-    cannot grow with the coupling.  ``ell_max`` is the first mode whose
-    ground state at resolution n clears the cutoff; when given, it is
-    verified instead (its ground state must clear the cutoff, else the
-    table would be incomplete).  ``width`` is the strip width:
-    mode ell has the coupling (ell pi / width)^2, so the default pi gives
-    ell^2.
+    cannot grow with the coupling.  The first mode whose ground state at
+    resolution n clears the cutoff ends the sweep and is the table's
+    ``ell_max``.  ``width`` is the strip width: mode ell has the coupling
+    (ell pi / width)^2, so the default pi gives ell^2.
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     _check_tol(tol)
-    families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
-    if ell_max is not None:
-        ell_max = int(ell_max)
-        if ell_max < 1:
-            raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-        coupling = PotentialSpec(ell_max, width=width).coupling
-        if _ground_state(families[0], coupling) <= cutoff:
-            raise IncompleteTableError(
-                f"mode {ell_max} still has its ground state below {cutoff}; "
-                "table would be incomplete"
-            )
-    elif PotentialSpec(_MODE_LIMIT, width=width).coupling * math.exp(
+    if PotentialSpec(_MODE_LIMIT, width=width).coupling * math.exp(
         2.0 * interval.alpha
     ) <= cutoff:
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
+    families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
     retain = cutoff * (1.0 + _MARGIN)
     count = _count_bound(interval, retain)
     entries = []
     modes = []
     ell = 1
-    while ell != ell_max:
+    while True:
         coupling = PotentialSpec(ell, width=width).coupling
         w = _lowest(families[0], coupling, count + 1)
-        if ell_max is None and w[0] > cutoff:
-            ell_max = ell
+        if w[0] > cutoff:
             break
         values, first_above, probe = _mode_values(families, coupling, retain, tol, w)
         if first_above <= cutoff:
@@ -403,7 +339,7 @@ def sweep(
     return EigenTable(
         entries=tuple(entries),
         cutoff=cutoff,
-        ell_max=ell_max,
+        ell_max=ell,
         resolution=n,
         tolerance=tol,
         interval=interval,

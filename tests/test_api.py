@@ -20,6 +20,9 @@ def test_public_names_resolve_and_retired_ones_are_gone():
     # guard were retired: plain solves go through the Galerkin family
     retired = re.compile(r"cheb|dense|reality", re.IGNORECASE)
     assert [name for name in dir(hyperlap) if retired.search(name)] == []
+    # the sweep's own mode scan is the only mode search
+    assert not hasattr(hyperlap, "find_ell_max")
+    assert not hasattr(hyperlap.sl_family, "find_ell_max")
 
 
 def test_import_does_not_load_sparse_linalg():

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import hyperlap
-from hyperlap import lt_best_known, lt_classical
+from hyperlap import lt_best_known, lt_classical, sobolev_check, trial_profile
 from hyperlap.cli import main
 
 FAST_SWEEP = ["--cutoff", "30", "--n", "64", "--alpha", "-1", "--beta", "1"]
@@ -157,26 +157,33 @@ def test_sweep_json_summary(tmp_path):
     assert 0.0 < data["nu_min"] < data["nu_max"] <= 30.0 * 1.05
 
 
+# The sweep's own mode scan is the only source of ell_max: --ell-max and
+# the ell-max config key are gone, and every use of them exits 2.
+
+
 def test_sweep_ell_max_flag(tmp_path):
-    auto = tmp_path / "auto.csv"
-    fixed = tmp_path / "fixed.csv"
-    assert main(["sweep", *FAST_SWEEP, "--ell-max", "auto", "--csv", str(auto)]) == 0
-    summary = tmp_path / "s.json"
-    assert main(["sweep", *FAST_SWEEP, "--json", str(summary)]) == 0
-    lm = json.loads(summary.read_text())["ell_max"]
-    assert (
-        main(["sweep", *FAST_SWEEP, "--ell-max", str(lm), "--csv", str(fixed)]) == 0
-    )
-    assert auto.read_text() == fixed.read_text()
+    for command in ("sweep", "polya"):
+        out = tmp_path / f"{command}.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *FAST_SWEEP, "--ell-max", "20", "--csv", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
-def test_sweep_bad_ell_max_exits_two():
-    assert main(["sweep", *FAST_SWEEP, "--ell-max", "wibble"]) == 2
+def test_sweep_bad_ell_max_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ell-max": 20}))
+    assert main(["sweep", *FAST_SWEEP, "--config", str(cfg)]) == 2
+    assert "unknown config key 'ell-max'" in capsys.readouterr().err
 
 
-def test_sweep_too_small_ell_max_exits_two():
-    # ground state of mode 1 sits below the cutoff, so the table is incomplete
-    assert main(["sweep", *FAST_SWEEP, "--ell-max", "1"]) == 2
+def test_sweep_too_small_ell_max_exits_two(tmp_path):
+    # the value that once asked for an incomplete table
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *FAST_SWEEP, "--ell-max", "1", "--csv", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_sweep_unresolvable_exits_three():
@@ -280,7 +287,7 @@ def test_config_rejects_mistyped_value(tmp_path, config, capsys):
 
 def test_config_int_stands_for_float(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cutoff": 30, "tol": 1, "n": 64, "ell-max": "auto"}))
+    cfg.write_text(json.dumps({"cutoff": 30, "tol": 1, "n": 64}))
     out = tmp_path / "out.json"
     assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 0
     summary = json.loads(out.read_text())
@@ -338,6 +345,16 @@ def test_sobolev_json_all_profiles(tmp_path):
     reports = json.loads(out.read_text())
     assert len(reports) == 5
     assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_sobolev_tol_must_be_finite_and_positive(tol, capsys):
+    # inf would accept the first 32-node margin, and nan, 0 and -1 would
+    # double the nodes to max_nodes before failing as unsettled
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        sobolev_check(trial_profile("bump"), tol=float(tol))
+    assert main(["sobolev", "--profile", "bump", "--tol", tol]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():

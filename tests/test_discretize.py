@@ -14,6 +14,7 @@ from hyperlap import (
     pencil_eigenvalues,
 )
 from hyperlap.discretize import (
+    _band_to_dense,
     _gauss_legendre,
     _half_bandwidth,
     _shen_values,
@@ -79,7 +80,7 @@ def test_galerkin_family_structure():
     assert np.allclose((phi * w) @ phi.T, b, rtol=0.0, atol=1e-14)
     # length 5 keeps offsets through 32, more than order 15 has
     assert fam.weight_band.shape == (15, 15) and fam.weight_band.flags.f_contiguous
-    m = fam.weight_mass()
+    m = _band_to_dense(fam.weight_band)
     assert m.flags.f_contiguous and np.array_equal(m, m.T)
     assert np.all(np.linalg.eigvalsh(m) > 0.0)
     a = fam.operator(2.0)
@@ -110,7 +111,7 @@ def test_weight_band_drops_only_rounding(alpha, beta, n):
     kept = offset <= width
     assert np.abs(dense[~kept]).max() <= 4.0 * eps * np.abs(dense).max()
     floor = math.sqrt(phi.shape[1]) * eps * (np.abs(phi) @ np.abs(phi).T)
-    assert np.all(np.abs(fam.weight_mass() - dense)[kept] <= floor[kept])
+    assert np.all(np.abs(_band_to_dense(fam.weight_band) - dense)[kept] <= floor[kept])
 
 
 def test_half_bandwidth_rule():

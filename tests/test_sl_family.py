@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,9 @@ from hyperlap import (
     SLProblem,
     assemble_fd,
     assemble_galerkin,
-    find_ell_max,
     lambda_from_nu,
     lowest_pencil_eigenvalues,
     nu_from_lambda,
-    pencil_eigenvalues,
     solve_certified,
     solve_problem,
     sweep,
@@ -184,18 +183,35 @@ def test_certified_rejects_nonfinite_cutoff():
         solve_certified(_free_problem(), float("inf"))
 
 
+# The sweep's own mode scan is the only search for ell_max; the three tests
+# below keep the checks that once pinned a separate search.
+
+
 def test_find_ell_max_defining_property():
     cutoff = 50.0
-    lm = find_ell_max(IV, cutoff, n=64)
+    table = sweep(IV, cutoff, n=64)
+    lm = table.ell_max
     assert lm >= 2
     above = solve_problem(_mode_problem(lm), n=64).values[0]
     below = solve_problem(_mode_problem(lm - 1), n=64).values[0]
     assert above > cutoff >= below
+    # ell_max is the first excluded mode: the table ends at the one before
+    assert max(ell for ell, _, _ in table.entries) == lm - 1
 
 
 def test_find_ell_max_tiny_cutoff():
     # even the first mode clears 2, so nothing is retained
-    assert find_ell_max(IV, 2.0, n=64) == 1
+    assert solve_problem(_mode_problem(1), n=64).values[0] > 2.0
+    assert sweep(IV, 2.0, n=64).ell_max == 1
+
+
+def test_find_ell_max_validation(monkeypatch):
+    # bad cutoffs, and one that would need a mode past 2^22, are refused
+    # before anything is assembled
+    monkeypatch.setattr(sl_family, "assemble_galerkin", None)
+    for cutoff in (-1.0, float("nan"), 1e30):
+        with pytest.raises(ValueError):
+            sweep(IV, cutoff, n=64)
 
 
 @pytest.mark.parametrize(
@@ -210,36 +226,25 @@ def test_find_ell_max_tiny_cutoff():
         (Interval(-3.0, 2.0), 500.0, 96, 2.0 * math.pi),
     ],
 )
-def test_find_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
-    ell = 1
-    while True:
-        pot = PotentialSpec(ell, width=width)
-        if solve_problem(SLProblem(interval, pot), n=n).values[0] > cutoff:
-            break
-        ell += 1
-    assert find_ell_max(interval, cutoff, n=n, width=width) == ell
-    # the sweep finds the same mode as it goes, where n certifies the cutoff;
-    # n = 64 does not certify 1e4, and 140 is the smallest that does
+def test_sweep_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
+    """ell_max is the first mode whose dense ground state clears the cutoff."""
     if cutoff == 1e4:
+        # n = 64 does not certify 1e4, and 140 is the smallest n that does
         with pytest.raises(CertificationError):
             sweep(interval, cutoff, n=n, width=width)
         n = 140
-        ell = find_ell_max(interval, cutoff, n=n, width=width)
-    assert sweep(interval, cutoff, n=n, width=width).ell_max == ell
 
+    def nu1(ell):
+        pot = PotentialSpec(ell, width=width)
+        return solve_problem(SLProblem(interval, pot), n=n).values[0]
 
-def test_find_ell_max_three_solves(monkeypatch):
-    calls = []
-
-    def counted(a, b, *args, **kwargs):
-        calls.append(a.shape)
-        return pencil_eigenvalues(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(sl_family, "pencil_eigenvalues", counted)
-    for cutoff, width in ((1000.0, math.pi), (300.0, 2.0 * math.pi), (2.0, math.pi)):
-        calls.clear()
-        find_ell_max(IV, cutoff, n=64, width=width)
-        assert 1 <= len(calls) <= 3
+    ell = 1
+    while nu1(ell) <= cutoff:
+        ell += 1
+    ell_max = sweep(interval, cutoff, n=n, width=width).ell_max
+    assert ell_max == ell
+    assert ell_max == 1 or nu1(ell_max - 1) <= cutoff
+    assert cutoff < nu1(ell_max)
 
 
 def test_sweep_builds_each_resolution_once(monkeypatch):
@@ -252,9 +257,6 @@ def test_sweep_builds_each_resolution_once(monkeypatch):
     monkeypatch.setattr(sl_family, "assemble_galerkin", counted)
     sweep(IV, 40.0, n=64, oracle_m=800)
     assert builds == [64, 128]
-    builds.clear()
-    find_ell_max(IV, 40.0, n=64)
-    assert builds == [64]
 
 
 def test_sweep_makes_no_dense_solves(monkeypatch):
@@ -264,8 +266,6 @@ def test_sweep_makes_no_dense_solves(monkeypatch):
     monkeypatch.setattr(sl_family, "pencil_eigenvalues", refused)
     table = sweep(IV, 40.0, n=64, oracle_m=800)
     assert table.ell_max > 1
-    pinned = sweep(IV, 40.0, n=64, oracle_m=800, ell_max=table.ell_max)
-    assert pinned.entries == table.entries
     assert solve_certified(_mode_problem(3), 200.0, n=64, oracle_m=800).values.size > 0
 
 
@@ -292,15 +292,6 @@ def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
         assert values[-1] > retain  # the bound held: nothing was cut off
     for ell, (k, _) in enumerate(fine, start=1):
         assert k == table.mode_values(ell).size + 1
-
-
-def test_find_ell_max_validation():
-    with pytest.raises(ValueError):
-        find_ell_max(IV, -1.0)
-    with pytest.raises(ValueError):
-        find_ell_max(IV, float("nan"))
-    with pytest.raises(ValueError):
-        find_ell_max(IV, 1e30, n=64)  # would need a mode past 2^22
 
 
 def _p1_ritz_ground_state(ell, alpha=-1.0, beta=1.0, m=400):
@@ -391,6 +382,21 @@ def test_sweep_rejects_unresolvable_request():
         sweep(IV, 200.0, n=8)
 
 
+def test_sweep_certification_error_prints_plain_floats():
+    # n = 8 resolves mode 1 of cutoff 30 too coarsely to agree with n = 16
+    with pytest.raises(CertificationError) as info:
+        sweep(IV, 30.0, n=8)
+    message = str(info.value)
+    assert "np.float64" not in message
+    found = re.search(r"resolutions 8 and 16: (\S+) vs (\S+) \(tol", message)
+    assert found, message
+    i = info.value.index
+    for text, n in zip(found.groups(), (8, 16)):
+        assert float(text) == pytest.approx(
+            solve_problem(_mode_problem(1), n=n).values[i], rel=1e-12
+        )
+
+
 def test_sweep_oracle_mismatch_names_the_mode(monkeypatch):
     def off_by_one_at_mode_2(diag, off2, lams):
         counts = sturm_counts(diag, off2, lams)
@@ -410,22 +416,10 @@ def test_sweep_deterministic():
     assert a.ell_max == b.ell_max
 
 
-def test_sweep_explicit_ell_max():
-    adaptive = sweep(IV, 40.0, n=64, oracle_m=800)
-    pinned = sweep(IV, 40.0, n=64, oracle_m=800, ell_max=adaptive.ell_max)
-    assert pinned.entries == adaptive.entries
-
-
-def test_sweep_rejects_incomplete_ell_max():
-    with pytest.raises(IncompleteTableError):
-        sweep(IV, 40.0, n=64, oracle_m=800, ell_max=1)
-
-
 def test_sweep_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        sweep(IV, -5.0)
-    with pytest.raises(ValueError):
-        sweep(IV, 40.0, n=64, ell_max=0)
+    for cutoff in (-5.0, float("nan")):
+        with pytest.raises(ValueError):
+            sweep(IV, cutoff)
     # nu1(kappa) >= kappa exp(2 alpha) cannot place ell_max below 2^22:
     # refused up front, without a solve
     monkeypatch.setattr(sl_family, "lowest_pencil_eigenvalues", None)
@@ -442,8 +436,6 @@ def test_sweep_width_validation():
     for width in (0.0, -math.pi, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             sweep(IV, 40.0, n=64, width=width)
-        with pytest.raises(ValueError):
-            sweep(IV, 40.0, n=64, width=width, ell_max=5)
 
 
 def test_table_query_semantics():
