@@ -36,7 +36,6 @@ from .discretize import (
     assemble_galerkin,
 )
 from .eigen import (
-    Spectrum,
     lowest_pencil_eigenvalues,
     pencil_eigenvalues,
     sturm_count,
@@ -64,7 +63,6 @@ from .lt_verify import (
 )
 from .sl_family import (
     EigenTable,
-    SLProblem,
     lambda_from_nu,
     nu_from_lambda,
     solve_certified,
@@ -90,10 +88,8 @@ __all__ = [
     "PotentialSpec",
     "ProductDomain",
     "QuadratureError",
-    "SLProblem",
     "SobolevReport",
     "SobolevTrialFunction",
-    "Spectrum",
     "TridiagOperator",
     "TRIAL_NAMES",
     "assemble_fd",

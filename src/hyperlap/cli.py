@@ -27,7 +27,7 @@ from .lt_verify import (
     sobolev_check,
     trial_profile,
 )
-from .sl_family import SLProblem, solve_problem, sweep
+from .sl_family import solve_problem, sweep
 from .svgplot import line_plot
 
 
@@ -164,10 +164,12 @@ def cmd_ratio(args):
 
 
 def cmd_eig(args):
-    problem = SLProblem(Interval(args.alpha, args.beta), PotentialSpec(ell=args.ell))
-    spec = solve_problem(problem, n=args.n, cutoff=args.cutoff)
+    nus = solve_problem(
+        Interval(args.alpha, args.beta), PotentialSpec(ell=args.ell),
+        n=args.n, cutoff=args.cutoff,
+    )
     if args.csv:
-        rows = [(args.ell, k, float(nu)) for k, nu in enumerate(spec.values, start=1)]
+        rows = [(args.ell, k, float(nu)) for k, nu in enumerate(nus, start=1)]
         _emit(_csv_text("ell,k,nu", rows), args.csv)
     if args.json:
         _emit_json(
@@ -177,14 +179,14 @@ def cmd_eig(args):
                 "beta": args.beta,
                 "n": args.n,
                 "cutoff": args.cutoff,
-                "count": int(len(spec)),
-                "nu": [float(v) for v in spec.values],
+                "count": nus.size,
+                "nu": [float(v) for v in nus],
             },
             args.json,
         )
     if not (args.csv or args.json):
-        head = ", ".join(f"{v:.12g}" for v in spec.values[:5])
-        print(f"ell={args.ell}: {len(spec)} eigenvalues <= cutoff; first [{head}]")
+        head = ", ".join(f"{v:.12g}" for v in nus[:5])
+        print(f"ell={args.ell}: {nus.size} eigenvalues <= cutoff; first [{head}]")
     return 0
 
 

@@ -84,13 +84,16 @@ def lt_best_known(gamma, dim, excess=EXCESS):
 
     Factor 1 for gamma >= 3/2, ``excess`` for 1 <= gamma < 3/2, and
     2 * ``excess`` for 1/2 <= gamma < 1.  Below 1/2 no uniform constant of
-    this form is available and a ValueError is raised.
+    this form is available and a ValueError is raised, as it is for an
+    ``excess`` that is not positive and finite.
     """
     gamma = float(gamma)
     if not math.isfinite(gamma) or gamma < 0.5:
         raise ValueError(
             f"best known constants require gamma >= 1/2, got {gamma!r}"
         )
+    if not (math.isfinite(excess) and excess > 0.0):
+        raise ValueError(f"excess must be positive and finite, got {excess!r}")
     if gamma >= 1.5:
         factor = 1.0
     elif gamma >= 1.0:

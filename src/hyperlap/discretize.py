@@ -13,6 +13,10 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
+# largest Galerkin resolution n: at 4096 the basis table of _weighted_basis
+# holds about 135 MB
+_MAX_N = 4096
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -201,12 +205,14 @@ def _weighted_basis(interval, n):
 def assemble_galerkin(interval, n=400):
     """Galerkin family on ``interval`` with the n - 1 functions of degree <= n.
 
+    n runs from 4 (the least with interior structure) to _MAX_N.
+
     M is integrated by Gauss-Legendre quadrature and kept to the half
     bandwidth of _half_bandwidth: every entry dropped is below the rounding
     of the entries kept.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4 to have interior structure, got {n}")
+    if not 4 <= n <= _MAX_N:
+        raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
     order = n - 1
     k = np.arange(order, dtype=float)
     phi = _weighted_basis(interval, n)
@@ -230,15 +236,13 @@ def assemble_galerkin(interval, n=400):
 class TridiagOperator:
     """Symmetric tridiagonal matrix, normally the finite-difference stencil.
 
-    Only diag/offdiag/h are required so synthetic operators can be built
-    directly in tests; assemble_fd fills in the grid metadata.
+    Only diag/offdiag are required so synthetic operators can be built
+    directly in tests; assemble_fd also records the grid spacing and nodes.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
     h: float = 1.0
-    interval: Optional[Interval] = None
-    pot: Optional[PotentialSpec] = None
     nodes: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -254,10 +258,6 @@ class TridiagOperator:
     @property
     def m(self):
         return self.diag.size
-
-    @property
-    def order(self):
-        return self.m
 
     def to_dense(self):
         a = np.diag(self.diag)
@@ -280,6 +280,4 @@ def assemble_fd(interval, pot, m=2000):
     t = interval.alpha + h * np.arange(1, m + 1)
     diag = 2.0 / h ** 2 + pot.evaluate(t)
     offdiag = np.full(m - 1, -1.0 / h ** 2)
-    return TridiagOperator(
-        diag=diag, offdiag=offdiag, h=h, interval=interval, pot=pot, nodes=t
-    )
+    return TridiagOperator(diag=diag, offdiag=offdiag, h=h, nodes=t)

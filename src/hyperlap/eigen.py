@@ -5,10 +5,9 @@ symmetric-definite solver gives the full spectrum of plain solves, and
 spectral-transformation Lanczos on the banded pencil gives the few lowest
 eigenvalues the certified sweep needs.  The tridiagonal route is a
 self-contained Sturm-sequence bisection, kept free of LAPACK on purpose so
-it never shares a failure mode with the pencil.
+it never shares a failure mode with the pencil.  Every route returns its
+eigenvalues as a plain ascending float64 array.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -17,23 +16,8 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import ConvergenceError
 
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted ascending, plus backend diagnostics.
-
-    ``iterations`` is the bisection sweep count; 0 when the backend does
-    not report one.
-    """
-
-    values: np.ndarray
-    iterations: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self):
-        return self.values.size
+# bisection sweeps before ConvergenceError; each one halves every bracket
+_MAX_SWEEPS = 200
 
 
 def pencil_eigenvalues(a, b):
@@ -123,10 +107,10 @@ def sturm_count(op, lam):
     return int(_sturm_counts(op.diag, off2, np.array([lam]))[0])
 
 
-def tridiag_eigenvalues(op, lo, hi, tol_scale=1e-12, max_sweeps=200):
-    """Eigenvalues of a TridiagOperator in (lo, hi], by Sturm bisection.
+def tridiag_eigenvalues(op, lo, hi):
+    """Eigenvalues of a TridiagOperator in (lo, hi], ascending, by Sturm bisection.
 
-    Each eigenvalue is bracketed to width tol_scale * max(1, |value|).
+    Each eigenvalue is bracketed to width 1e-12 * max(1, |value|).
     Deliberately independent of the pencil route.
     """
     lo = float(lo)
@@ -144,26 +128,21 @@ def tridiag_eigenvalues(op, lo, hi, tol_scale=1e-12, max_sweeps=200):
     n_hi = int(_sturm_counts(op.diag, off2, np.array([np.nextafter(hi, np.inf)]))[0])
     k = n_hi - n_lo
     if k == 0:
-        return Spectrum(values=np.empty(0))
+        return np.empty(0)
 
     lows = np.full(k, max(lo, gmin - 1.0))
     highs = np.full(k, min(hi, gmax + 1.0))
     # global 1-based indices of the wanted eigenvalues
     targets = np.arange(n_lo + 1, n_hi + 1)
-    sweeps = 0
-    while sweeps < max_sweeps:
+    for _ in range(_MAX_SWEEPS):
         mids = 0.5 * (lows + highs)
-        tol = tol_scale * np.maximum(1.0, np.abs(mids))
+        tol = 1e-12 * np.maximum(1.0, np.abs(mids))
         if np.all(highs - lows <= tol):
             break
         counts = _sturm_counts(op.diag, off2, mids)
         go_right = counts < targets
         lows = np.where(go_right, mids, lows)
         highs = np.where(go_right, highs, mids)
-        sweeps += 1
     else:
-        raise ConvergenceError(
-            f"bisection failed to localize after {max_sweeps} sweeps",
-            block_size=k,
-        )
-    return Spectrum(values=0.5 * (lows + highs), iterations=sweeps)
+        raise ConvergenceError(f"bisection failed to localize after {_MAX_SWEEPS} sweeps")
+    return 0.5 * (lows + highs)

@@ -2,15 +2,7 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigenvalue backend failed to converge.
-
-    ``block_size`` is the number of eigenvalues the backend could not
-    resolve (the leading unconverged block), or 0 when unknown.
-    """
-
-    def __init__(self, message, block_size=0):
-        super().__init__(message)
-        self.block_size = block_size
+    """An eigenvalue backend failed to factor or to converge."""
 
 
 class CertificationError(RuntimeError):

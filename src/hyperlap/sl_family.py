@@ -13,7 +13,8 @@ mode search costs no solve of its own.  It certifies each retained
 eigenvalue against the doubled resolution and cross-checks every mode's
 count against the finite-difference Sturm oracle in one batched pass.
 Plain solves (solve_problem) take the full dense spectrum of one Galerkin
-family at resolution n.
+family at resolution n.  Single-mode solves take the interval and the
+PotentialSpec of the mode and return plain ascending float64 arrays.
 """
 
 import math
@@ -21,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Interval, PotentialSpec, assemble_fd, assemble_galerkin
-from .eigen import (
-    Spectrum,
-    _sturm_counts,
-    lowest_pencil_eigenvalues,
-    pencil_eigenvalues,
-)
+from .discretize import _MAX_N, Interval, PotentialSpec, assemble_fd, assemble_galerkin
+from .eigen import _sturm_counts, lowest_pencil_eigenvalues, pencil_eigenvalues
 from .errors import CertificationError, IncompleteTableError
 
 # relative padding of a table above its cutoff
@@ -35,14 +31,6 @@ _MARGIN = 0.05
 # modes are searched only below this one: up to it neighbouring couplings
 # differ by far more than the rounding of the eigensolvers
 _MODE_LIMIT = 1 << 22
-
-
-@dataclass(frozen=True)
-class SLProblem:
-    """One member of the family: -psi'' + q psi = nu psi on an interval."""
-
-    interval: Interval
-    pot: PotentialSpec
 
 
 def lambda_from_nu(nu, dim=2):
@@ -54,8 +42,8 @@ def nu_from_lambda(lam, dim=2):
     return lam - (dim - 1) ** 2 / 4.0
 
 
-def solve_problem(problem, n=400, cutoff=None):
-    """Plain Galerkin solve at resolution n (matrix order n - 1), dense.
+def solve_problem(interval, pot, n=400, cutoff=None):
+    """Plain Galerkin eigenvalues of mode ``pot`` at resolution n (order n - 1), dense.
 
     Optionally truncated at ``cutoff``.  Without one, all n - 1 Ritz values
     are returned, and only the lower part of them is resolved: roughly the
@@ -65,10 +53,10 @@ def solve_problem(problem, n=400, cutoff=None):
     """
     if cutoff is not None and not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    values = _spectrum(assemble_galerkin(problem.interval, n), problem.pot.coupling)
+    values = _spectrum(assemble_galerkin(interval, n), pot.coupling)
     if cutoff is not None:
         values = values[: np.searchsorted(values, float(cutoff), side="right")]
-    return Spectrum(values=values)
+    return values
 
 
 def _check_tol(tol):
@@ -76,23 +64,6 @@ def _check_tol(tol):
         raise ValueError(
             f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
         )
-
-
-def _gap_point(w, k_star):
-    """A probe value inside the spectral gap around position k_star.
-
-    Far (relative to discretization error) from both neighbours, so
-    integer counts computed by independent methods agree at it.
-    """
-    if k_star > 0:
-        lower = w[k_star - 1]
-    else:
-        lower = w[0] - max(1.0, abs(w[0]))
-    if k_star < w.size:
-        upper = w[k_star]
-    else:
-        upper = w[-1] + max(1.0, abs(w[-1]))
-    return 0.5 * (lower + upper)
 
 
 def _spectrum(family, coupling):
@@ -128,15 +99,27 @@ def _count_bound(interval, cutoff):
     )
 
 
+def _families(interval, n):
+    """Galerkin families at resolutions n and 2n, for certification."""
+    if not 4 <= n <= _MAX_N // 2:
+        raise ValueError(
+            f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification also solves at 2n"
+        )
+    return [assemble_galerkin(interval, m) for m in (n, 2 * n)]
+
+
 def _mode_values(families, coupling, cutoff, tol, w):
-    """Eigenvalues <= cutoff of one mode: (values, first_above, gap probe).
+    """Eigenvalues <= cutoff of one mode, and the gap probe above them.
 
     ``families`` are the Galerkin families of the interval at resolutions
     n and 2n, and ``w`` are the lowest eigenvalues at resolution n, at
     least one more than lie at or below the cutoff.  The 2n values must
     agree entrywise to ``tol`` (relative) and on the count below the gap
     probe; the finite-difference count at the probe is the caller's to
-    check (see _check_oracle).
+    check (see _check_oracle).  The probe lies halfway between the last
+    value kept (or a point below the first) and the first value above the
+    cutoff, far (relative to discretization error) from both, so counts by
+    independent methods agree at it.
     """
     n = families[0].n
     k_star = int(np.searchsorted(w, cutoff, side="right"))
@@ -146,7 +129,8 @@ def _mode_values(families, coupling, cutoff, tol, w):
             f"{w[-1]}; raise n",
             index=k_star,
         )
-    lam_star = _gap_point(w, k_star)
+    lower = w[k_star - 1] if k_star else w[0] - max(1.0, abs(w[0]))
+    lam_star = 0.5 * (lower + w[k_star])
     w2 = _lowest(families[1], coupling, k_star + 1)
     k2 = int(np.searchsorted(w2, lam_star, side="left"))
     if k2 != k_star:
@@ -165,7 +149,7 @@ def _mode_values(families, coupling, cutoff, tol, w):
                 f"{w[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
                 index=i,
             )
-    return w[:k_star].copy(), float(w[k_star]), lam_star
+    return w[:k_star].copy(), lam_star
 
 
 def _check_oracle(interval, modes, oracle_m):
@@ -190,20 +174,17 @@ def _check_oracle(interval, modes, oracle_m):
             )
 
 
-def solve_certified(problem, cutoff, tol=1e-10, n=400, oracle_m=4000):
-    """Eigenvalues <= cutoff with two-resolution and count certification."""
+def solve_certified(interval, pot, cutoff, tol=1e-10, n=400, oracle_m=4000):
+    """Eigenvalues <= cutoff of mode ``pot``, certified by two resolutions and a count."""
     _check_tol(tol)
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    families = [assemble_galerkin(problem.interval, m) for m in (n, 2 * n)]
-    coupling = problem.pot.coupling
-    w = _lowest(families[0], coupling, _count_bound(problem.interval, cutoff) + 1)
-    values, _first_above, probe = _mode_values(families, coupling, cutoff, tol, w)
-    _check_oracle(
-        problem.interval, [(problem.pot.ell, coupling, probe, values.size)], oracle_m
-    )
-    return Spectrum(values=values)
+    families = _families(interval, n)
+    w = _lowest(families[0], pot.coupling, _count_bound(interval, cutoff) + 1)
+    values, probe = _mode_values(families, pot.coupling, cutoff, tol, w)
+    _check_oracle(interval, [(pot.ell, pot.coupling, probe, values.size)], oracle_m)
+    return values
 
 
 @dataclass(frozen=True)
@@ -216,12 +197,14 @@ class EigenTable:
     the first excluded mode.  The sweep records its ``interval`` and ``width``.
     """
 
+    # not a field: every table is padded by the same margin
+    margin = _MARGIN
+
     entries: tuple
     cutoff: float
     ell_max: int
     resolution: int
     tolerance: float
-    margin: float = _MARGIN
     interval: Interval | None = None
     width: float | None = None
 
@@ -301,7 +284,9 @@ def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
     cannot grow with the coupling.  The first mode whose ground state at
     resolution n clears the cutoff ends the sweep and is the table's
     ``ell_max``.  ``width`` is the strip width: mode ell has the coupling
-    (ell pi / width)^2, so the default pi gives ell^2.
+    (ell pi / width)^2, so the default pi gives ell^2.  Every mode keeps
+    its values through cutoff * (1 + margin), so the first value it
+    discards lies above the cutoff by construction.
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
@@ -312,7 +297,7 @@ def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
     ) <= cutoff:
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
-    families = [assemble_galerkin(interval, m) for m in (n, 2 * n)]
+    families = _families(interval, n)
     retain = cutoff * (1.0 + _MARGIN)
     count = _count_bound(interval, retain)
     entries = []
@@ -323,13 +308,7 @@ def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
         w = _lowest(families[0], coupling, count + 1)
         if w[0] > cutoff:
             break
-        values, first_above, probe = _mode_values(families, coupling, retain, tol, w)
-        if first_above <= cutoff:
-            raise CertificationError(
-                f"mode {ell}: first discarded eigenvalue {first_above} "
-                f"does not clear the cutoff {cutoff}",
-                index=len(values),
-            )
+        values, probe = _mode_values(families, coupling, retain, tol, w)
         modes.append((ell, coupling, probe, values.size))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))

@@ -17,7 +17,6 @@ from hyperlap import (
     Interval,
     PotentialSpec,
     ProductDomain,
-    SLProblem,
     TRIAL_NAMES,
     assemble_fd,
     constant_ratio,
@@ -37,16 +36,16 @@ STRIP_VOLUME = math.pi * (math.e - 1.0 / math.e)
 
 
 def _nu1(ell, n=400):
-    return float(solve_problem(SLProblem(IV, PotentialSpec(ell)), n=n).values[0])
+    return float(solve_problem(IV, PotentialSpec(ell), n=n)[0])
 
 
 def test_criterion_1_spectral_accuracy(criterion):
     t0 = time.time()
-    spec = solve_problem(SLProblem(IV, PotentialSpec(0)), n=400)
+    spec = solve_problem(IV, PotentialSpec(0), n=400)
     elapsed = time.time() - t0
     k = np.arange(1, 151)
     exact = (k * math.pi / 2.0) ** 2
-    rel = np.abs(spec.values[:150] - exact) / exact
+    rel = np.abs(spec[:150] - exact) / exact
     ok = rel[:100].max() <= 1e-10 and rel.max() <= 1e-8 and elapsed < 30.0
     criterion(
         1,
@@ -110,8 +109,8 @@ def test_criterion_3_mode_truncation_at_fifty(criterion, full_table):
 def _richardson_pair(pot, hi, m):
     coarse_op = assemble_fd(IV, pot, m=m)
     fine_op = assemble_fd(IV, pot, m=2 * m)
-    coarse = tridiag_eigenvalues(coarse_op, 0.0, hi).values
-    fine = tridiag_eigenvalues(fine_op, 0.0, hi).values
+    coarse = tridiag_eigenvalues(coarse_op, 0.0, hi)
+    fine = tridiag_eigenvalues(fine_op, 0.0, hi)
     h1, h2 = coarse_op.h, fine_op.h
     k = min(coarse.size, fine.size)
     return (fine[:k] * h1**2 - coarse[:k] * h2**2) / (h1**2 - h2**2)
@@ -121,13 +120,13 @@ def test_criterion_4_oracle_cross_validation(criterion):
     worst = 0.0
     for ell in (1, 5, 10):
         pot = PotentialSpec(ell)
-        w = solve_problem(SLProblem(IV, pot), n=400).values[:20]
+        w = solve_problem(IV, pot, n=400)[:20]
         extrap = _richardson_pair(pot, float(w[-1]) * 1.05 + 5.0, m=2000)[:20]
         worst = max(worst, float(np.max(np.abs(w - extrap) / np.abs(extrap))))
     mismatches = []
     for ell in range(1, 51):
         pot = PotentialSpec(ell)
-        w = solve_problem(SLProblem(IV, pot), n=400).values
+        w = solve_problem(IV, pot, n=400)
         c_gal = int(np.sum(w < 1000.0))
         c_fd = sturm_count(assemble_fd(IV, pot, m=8000), 1000.0)
         if c_fd != c_gal:

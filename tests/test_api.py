@@ -23,6 +23,10 @@ def test_public_names_resolve_and_retired_ones_are_gone():
     # the sweep's own mode scan is the only mode search
     assert not hasattr(hyperlap, "find_ell_max")
     assert not hasattr(hyperlap.sl_family, "find_ell_max")
+    # single-mode solves take plain arguments and return plain arrays
+    for name in ("Spectrum", "SLProblem"):
+        assert name not in names
+        assert not hasattr(hyperlap, name)
 
 
 def test_import_does_not_load_sparse_linalg():

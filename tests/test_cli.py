@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -51,6 +52,17 @@ def test_constants_below_half_has_no_theorem_value(capsys):
 
 def test_constants_invalid_gamma_exits_two():
     assert main(["constants", "--gamma", "-1", "--dim", "2"]) == 2
+
+
+@pytest.mark.parametrize("excess", ["nan", "inf", "0", "-5"])
+def test_invalid_excess_exits_two(excess, capsys):
+    for argv in (
+        ["constants", "--gamma", "1", "--dim", "2"],
+        ["ratio"],
+        ["ltcheck", "--gamma", "1", "--cutoff", "20", "--n", "64"],
+    ):
+        assert main([*argv, "--excess", excess]) == 2
+        assert "excess must be positive and finite" in capsys.readouterr().err
 
 
 def test_constants_human_readable(capsys):
@@ -188,6 +200,24 @@ def test_sweep_too_small_ell_max_exits_two(tmp_path):
 
 def test_sweep_unresolvable_exits_three():
     assert main(["sweep", "--cutoff", "200", "--n", "8"]) == 3
+
+
+def test_resolution_past_the_limit_exits_two_at_once(capsys):
+    # refused before any quadrature rule or basis table is built
+    t0 = time.perf_counter()
+    assert main(["sweep", "--cutoff", "30", "--n", "100000000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "got 100000000" in capsys.readouterr().err
+    # certified commands also solve at 2n, so they stop at n = 2048
+    for argv in (
+        ["sweep", "--cutoff", "30"],
+        ["polya", "--cutoff", "30"],
+        ["ltcheck", "--gamma", "1", "--cutoff", "20"],
+    ):
+        assert main([*argv, "--n", "2049"]) == 2
+        assert "need 4 <= n <= 2048, got 2049" in capsys.readouterr().err
+    assert main(["eig", "--n", "4097"]) == 2
+    assert "got 4097" in capsys.readouterr().err
 
 
 def test_polya_outputs(tmp_path):

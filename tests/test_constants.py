@@ -109,6 +109,17 @@ def test_best_known_excess_override():
     assert abs(lt_best_known(1.0, 2) / base - EXCESS) <= 1e-15
 
 
+@pytest.mark.parametrize("excess", [float("nan"), float("inf"), 0.0, -5.0])
+def test_excess_must_be_positive_and_finite(excess):
+    # every branch refuses it, and so does every constant built on lt_best_known
+    for gamma in (0.5, 1.0, 2.0):
+        with pytest.raises(ValueError, match="excess must be positive and finite"):
+            lt_best_known(gamma, 2, excess)
+    for fn in (kinetic_constant, counting_constant, constant_ratio):
+        with pytest.raises(ValueError, match="excess must be positive and finite"):
+            fn(2, excess)
+
+
 def test_best_known_dominates_classical():
     for gamma in (0.5, 0.75, 1.0, 1.3, 1.5, 2.5):
         for d in range(1, 7):

@@ -136,6 +136,8 @@ def test_cheb_free_laplacian_spectrum():
 def test_galerkin_rejects_bad_input():
     with pytest.raises(ValueError):
         assemble_galerkin(Interval(-1.0, 1.0), 3)
+    with pytest.raises(ValueError, match="need 4 <= n <= 4096, got 4097"):
+        assemble_galerkin(Interval(-1.0, 1.0), 4097)
     with pytest.raises(ValueError):
         assemble_galerkin(Interval(0.0, 400.0), 16)  # exp(2t) overflows
 
@@ -183,7 +185,6 @@ def test_fd_rejects_tiny_m():
 def test_tridiag_synthetic_construction():
     op = TridiagOperator(diag=np.array([2.0, 2.0, 2.0]), offdiag=np.array([1.0, 1.0]))
     assert op.m == 3
-    assert op.order == 3
     dense = op.to_dense()
     assert np.allclose(dense, dense.T)
     assert dense[0, 1] == 1.0 and dense[2, 1] == 1.0 and dense[0, 2] == 0.0

@@ -11,7 +11,6 @@ from hyperlap import (
     ConvergenceError,
     Interval,
     PotentialSpec,
-    Spectrum,
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
@@ -189,8 +188,7 @@ def test_bisection_identity():
     op = TridiagOperator(diag=np.ones(6), offdiag=np.zeros(5))
     spec = tridiag_eigenvalues(op, 0.0, 2.0)
     assert len(spec) == 6
-    assert np.allclose(spec.values, 1.0, atol=1e-12)
-    assert spec.iterations > 0
+    assert np.allclose(spec, 1.0, atol=1e-12)
 
 
 def test_bisection_matches_closed_form():
@@ -200,7 +198,7 @@ def test_bisection_matches_closed_form():
     spec = tridiag_eigenvalues(op, 0.0, float(exact[-1]) + 1.0)
     assert len(spec) == m
     tol = 1e-10 * np.maximum(1.0, exact)
-    assert np.all(np.abs(spec.values - exact) <= tol)
+    assert np.all(np.abs(spec - exact) <= tol)
 
 
 def test_bisection_agrees_with_dense():
@@ -208,7 +206,7 @@ def test_bisection_agrees_with_dense():
     dense = np.linalg.eigvalsh(op.to_dense())
     spec = tridiag_eigenvalues(op, 0.0, float(dense[-1]) + 1.0)
     assert len(spec) == 60
-    assert np.max(np.abs(spec.values - dense) / np.maximum(1.0, dense)) <= 1e-10
+    assert np.max(np.abs(spec - dense) / np.maximum(1.0, dense)) <= 1e-10
 
 
 def test_bisection_window_semantics():
@@ -223,7 +221,7 @@ def test_bisection_empty_window():
     op = _fd_op(10)
     spec = tridiag_eigenvalues(op, -5.0, -1.0)
     assert len(spec) == 0
-    assert isinstance(spec, Spectrum)
+    assert isinstance(spec, np.ndarray) and spec.dtype == np.float64
 
 
 def test_bisection_count_consistency():

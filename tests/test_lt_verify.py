@@ -21,6 +21,7 @@ from hyperlap import (
     sweep,
     trial_profile,
 )
+from hyperlap import lt_verify
 
 MODEL = ProductDomain()
 
@@ -166,6 +167,14 @@ def test_lt_check_excess_override(model_table):
     base = lt_check(pot, 1.0, table=model_table)
     loose = lt_check(pot, 1.0, table=model_table, excess=1.0)
     assert loose.ratio == pytest.approx(EXCESS * base.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("excess", [float("nan"), float("inf"), 0.0, -5.0])
+def test_lt_check_rejects_bad_excess_before_the_sweep(excess, monkeypatch):
+    monkeypatch.setattr(lt_verify, "family_table", None)
+    pot = BoxPotential(domain=MODEL, height=20.0)
+    with pytest.raises(ValueError, match="excess must be positive and finite"):
+        lt_check(pot, 1.0, excess=excess)
 
 
 def test_lt_report_json(model_table):

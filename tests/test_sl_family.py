@@ -15,7 +15,6 @@ from hyperlap import (
     IncompleteTableError,
     Interval,
     PotentialSpec,
-    SLProblem,
     assemble_fd,
     assemble_galerkin,
     lambda_from_nu,
@@ -33,14 +32,6 @@ IV = Interval(-1.0, 1.0)
 COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
 
 
-def _free_problem():
-    return SLProblem(interval=IV, pot=PotentialSpec(0))
-
-
-def _mode_problem(ell):
-    return SLProblem(interval=IV, pot=PotentialSpec(ell))
-
-
 def test_lambda_shift():
     assert lambda_from_nu(10.0) == 10.25
     assert lambda_from_nu(10.0, dim=3) == 11.0
@@ -48,37 +39,37 @@ def test_lambda_shift():
 
 
 def test_solve_problem_free_spectrum():
-    spec = solve_problem(_free_problem(), n=64, cutoff=100.0)
+    spec = solve_problem(IV, PotentialSpec(0), n=64, cutoff=100.0)
     exact = (np.arange(1, 7) * math.pi / 2.0) ** 2
     assert len(spec) == 6
-    assert np.max(np.abs(spec.values - exact) / exact) <= 1e-10
+    assert np.max(np.abs(spec - exact) / exact) <= 1e-10
 
 
 def test_solve_problem_without_cutoff():
-    spec = solve_problem(_free_problem(), n=32)
+    spec = solve_problem(IV, PotentialSpec(0), n=32)
     assert len(spec) == 31
 
 
 def test_solve_problem_rejects_bad_input():
     with pytest.raises(ValueError):
-        solve_problem(_free_problem(), n=3)
+        solve_problem(IV, PotentialSpec(0), n=3)
     for cutoff in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            solve_problem(_free_problem(), n=16, cutoff=cutoff)
+            solve_problem(IV, PotentialSpec(0), n=16, cutoff=cutoff)
 
 
 def test_solve_problem_is_the_certified_discretization():
     # plain and certified solves share the Galerkin family at resolution n
-    plain = solve_problem(_mode_problem(3), n=64, cutoff=200.0).values
-    cert = solve_certified(_mode_problem(3), 200.0, n=64, oracle_m=2000).values
+    plain = solve_problem(IV, PotentialSpec(3), n=64, cutoff=200.0)
+    cert = solve_certified(IV, PotentialSpec(3), 200.0, n=64, oracle_m=2000)
     assert plain.size == cert.size > 0
     assert np.allclose(plain, cert, rtol=1e-13, atol=0.0)
 
 
 def test_solve_problem_uses_the_strip_width():
     # coupling (2 pi / (2 pi))^2 = 1 = 1^2, exactly
-    wide = solve_problem(SLProblem(IV, PotentialSpec(2, width=2.0 * math.pi)), n=32)
-    assert np.array_equal(wide.values, solve_problem(_mode_problem(1), n=32).values)
+    wide = solve_problem(IV, PotentialSpec(2, width=2.0 * math.pi), n=32)
+    assert np.array_equal(wide, solve_problem(IV, PotentialSpec(1), n=32))
 
 
 def test_solve_problem_ground_states_match_collocation_table():
@@ -87,19 +78,19 @@ def test_solve_problem_ground_states_match_collocation_table():
     ground = {ell: nu for ell, k, nu in rows if k == 1}
     assert sorted(ground) == list(range(1, 71))
     for ell, nu in ground.items():
-        got = solve_problem(_mode_problem(ell), n=128, cutoff=1050.0).values[0]
+        got = solve_problem(IV, PotentialSpec(ell), n=128, cutoff=1050.0)[0]
         assert abs(got - nu) <= 1e-11 * nu
 
 
 def test_solve_problem_translation_invariance_free_case():
-    wa = solve_problem(SLProblem(Interval(-1.0, 1.0), PotentialSpec(0)), n=24).values
-    wb = solve_problem(SLProblem(Interval(3.0, 5.0), PotentialSpec(0)), n=24).values
+    wa = solve_problem(Interval(-1.0, 1.0), PotentialSpec(0), n=24)
+    wb = solve_problem(Interval(3.0, 5.0), PotentialSpec(0), n=24)
     assert np.allclose(wa[:6], wb[:6], rtol=1e-9)
 
 
 def test_solve_problem_ground_state_bracketed():
     """Constant-potential comparison pins the ell = 1 ground state."""
-    nu1 = solve_problem(_mode_problem(1), n=64).values[0]
+    nu1 = solve_problem(IV, PotentialSpec(1), n=64)[0]
     base = math.pi**2 / 4.0
     assert base + math.exp(-2.0) < nu1 < base + math.exp(2.0)
 
@@ -111,42 +102,41 @@ def test_solve_problem_refinement_is_spectral():
     is where the decay shows: the first six relative errors fall from up
     to 0.6 to at most 2e-6.
     """
-    ref = solve_problem(_mode_problem(1), n=256).values[:6]
-    err8 = np.abs(solve_problem(_mode_problem(1), n=8).values[:6] - ref)
-    err16 = np.abs(solve_problem(_mode_problem(1), n=16).values[:6] - ref)
+    ref = solve_problem(IV, PotentialSpec(1), n=256)[:6]
+    err8 = np.abs(solve_problem(IV, PotentialSpec(1), n=8)[:6] - ref)
+    err16 = np.abs(solve_problem(IV, PotentialSpec(1), n=16)[:6] - ref)
     floor = 5e-12 * np.maximum(1.0, np.abs(ref))
     assert np.all(err16 <= np.maximum(1e-3 * err8, floor))
 
 
 def test_certified_free_spectrum():
-    spec = solve_certified(_free_problem(), 1000.0, tol=1e-10, n=400)
+    spec = solve_certified(IV, PotentialSpec(0), 1000.0, tol=1e-10, n=400)
     exact = (np.arange(1, 21) * math.pi / 2.0) ** 2
     assert len(spec) == 20
-    assert np.max(np.abs(spec.values - exact) / exact) <= 1e-10
+    assert np.max(np.abs(spec - exact) / exact) <= 1e-10
 
 
 def test_certified_against_richardson_oracle():
     """Mode 1 eigenvalues cross-checked with the extrapolated FD values."""
-    spec = solve_certified(_mode_problem(1), 100.0, tol=1e-10, n=128)
+    spec = solve_certified(IV, PotentialSpec(1), 100.0, tol=1e-10, n=128)
     assert len(spec) >= 5
-    prob = _mode_problem(1)
-    hi = float(spec.values[-1]) * 1.2
-    coarse = tridiag_eigenvalues(assemble_fd(IV, prob.pot, m=2000), 0.0, hi).values
-    fine = tridiag_eigenvalues(assemble_fd(IV, prob.pot, m=4001), 0.0, hi).values
+    hi = float(spec[-1]) * 1.2
+    coarse = tridiag_eigenvalues(assemble_fd(IV, PotentialSpec(1), m=2000), 0.0, hi)
+    fine = tridiag_eigenvalues(assemble_fd(IV, PotentialSpec(1), m=4001), 0.0, hi)
     k = len(spec)
     extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
-    assert np.max(np.abs(spec.values - extrap) / extrap) <= 1e-8
+    assert np.max(np.abs(spec - extrap) / extrap) <= 1e-8
 
 
 def test_certified_empty_below_ground_state():
-    spec = solve_certified(_free_problem(), 2.0, n=64)
+    spec = solve_certified(IV, PotentialSpec(0), 2.0, n=64)
     assert len(spec) == 0
 
 
 def test_certified_rejects_unresolvable_request():
     # resolution 8 cannot certify anything near 500
     with pytest.raises(CertificationError):
-        solve_certified(_free_problem(), 500.0, tol=1e-10, n=8)
+        solve_certified(IV, PotentialSpec(0), 500.0, tol=1e-10, n=8)
 
 
 @pytest.mark.parametrize("n", [400, 800])
@@ -173,14 +163,23 @@ def test_galerkin_matches_collocation(n):
 def test_certified_tol_floor():
     for tol in (1e-14, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            solve_certified(_free_problem(), 10.0, tol=tol)
+            solve_certified(IV, PotentialSpec(0), 10.0, tol=tol)
     with pytest.raises(ValueError):
         sweep(IV, 2.0, tol=float("nan"), n=64)  # no mode is solved at all
 
 
 def test_certified_rejects_nonfinite_cutoff():
     with pytest.raises(ValueError):
-        solve_certified(_free_problem(), float("inf"))
+        solve_certified(IV, PotentialSpec(0), float("inf"))
+
+
+def test_certified_paths_refuse_n_past_half_the_limit(monkeypatch):
+    # they also assemble 2n, so n = 2049 is refused before anything is built
+    monkeypatch.setattr(sl_family, "assemble_galerkin", None)
+    with pytest.raises(ValueError, match="need 4 <= n <= 2048, got 2049"):
+        solve_certified(IV, PotentialSpec(0), 10.0, n=2049)
+    with pytest.raises(ValueError, match="need 4 <= n <= 2048, got 2049"):
+        sweep(IV, 10.0, n=2049)
 
 
 # The sweep's own mode scan is the only search for ell_max; the three tests
@@ -192,8 +191,8 @@ def test_find_ell_max_defining_property():
     table = sweep(IV, cutoff, n=64)
     lm = table.ell_max
     assert lm >= 2
-    above = solve_problem(_mode_problem(lm), n=64).values[0]
-    below = solve_problem(_mode_problem(lm - 1), n=64).values[0]
+    above = solve_problem(IV, PotentialSpec(lm), n=64)[0]
+    below = solve_problem(IV, PotentialSpec(lm - 1), n=64)[0]
     assert above > cutoff >= below
     # ell_max is the first excluded mode: the table ends at the one before
     assert max(ell for ell, _, _ in table.entries) == lm - 1
@@ -201,7 +200,7 @@ def test_find_ell_max_defining_property():
 
 def test_find_ell_max_tiny_cutoff():
     # even the first mode clears 2, so nothing is retained
-    assert solve_problem(_mode_problem(1), n=64).values[0] > 2.0
+    assert solve_problem(IV, PotentialSpec(1), n=64)[0] > 2.0
     assert sweep(IV, 2.0, n=64).ell_max == 1
 
 
@@ -236,7 +235,7 @@ def test_sweep_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
 
     def nu1(ell):
         pot = PotentialSpec(ell, width=width)
-        return solve_problem(SLProblem(interval, pot), n=n).values[0]
+        return solve_problem(interval, pot, n=n)[0]
 
     ell = 1
     while nu1(ell) <= cutoff:
@@ -266,7 +265,7 @@ def test_sweep_makes_no_dense_solves(monkeypatch):
     monkeypatch.setattr(sl_family, "pencil_eigenvalues", refused)
     table = sweep(IV, 40.0, n=64, oracle_m=800)
     assert table.ell_max > 1
-    assert solve_certified(_mode_problem(3), 200.0, n=64, oracle_m=800).values.size > 0
+    assert solve_certified(IV, PotentialSpec(3), 200.0, n=64, oracle_m=800).size > 0
 
 
 def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
@@ -370,8 +369,8 @@ def test_sweep_matches_richardson_oracle():
         vals = table.mode_values(ell)
         pot = PotentialSpec(ell)
         hi = float(vals[-1]) * 1.2
-        coarse = tridiag_eigenvalues(assemble_fd(IV, pot, m=1000), 0.0, hi).values
-        fine = tridiag_eigenvalues(assemble_fd(IV, pot, m=2001), 0.0, hi).values
+        coarse = tridiag_eigenvalues(assemble_fd(IV, pot, m=1000), 0.0, hi)
+        fine = tridiag_eigenvalues(assemble_fd(IV, pot, m=2001), 0.0, hi)
         k = vals.size
         extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
         assert np.max(np.abs(vals - extrap) / extrap) <= 1e-8
@@ -393,7 +392,7 @@ def test_sweep_certification_error_prints_plain_floats():
     i = info.value.index
     for text, n in zip(found.groups(), (8, 16)):
         assert float(text) == pytest.approx(
-            solve_problem(_mode_problem(1), n=n).values[i], rel=1e-12
+            solve_problem(IV, PotentialSpec(1), n=n)[i], rel=1e-12
         )
 
 
