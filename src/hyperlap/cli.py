@@ -10,7 +10,7 @@ import json
 import math
 import sys
 
-from .constants import EXCESS, lt_best_known, lt_classical
+from .constants import EXCESS, _check_excess, lt_best_known, lt_classical
 from .counting import CountingFunction, polya_rows, ratio_rows, verify_bound
 from .discretize import Interval, PotentialSpec
 from .errors import (
@@ -107,6 +107,7 @@ def _strip_volume(alpha, beta):
 
 
 def cmd_constants(args):
+    _check_excess(args.excess)
     out = {
         "classical": lt_classical(args.gamma, args.dim),
         "theorem": (

@@ -68,6 +68,11 @@ def _check_dim(dim, minimum=1):
     return dim
 
 
+def _check_excess(excess):
+    if not (math.isfinite(excess) and excess > 0.0):
+        raise ValueError(f"excess must be positive and finite, got {excess!r}")
+
+
 def lt_classical(gamma, dim):
     """Semiclassical constant Gamma(g+1) / ((4 pi)^(d/2) Gamma(g + d/2 + 1))."""
     gamma = float(gamma)
@@ -92,8 +97,7 @@ def lt_best_known(gamma, dim, excess=EXCESS):
         raise ValueError(
             f"best known constants require gamma >= 1/2, got {gamma!r}"
         )
-    if not (math.isfinite(excess) and excess > 0.0):
-        raise ValueError(f"excess must be positive and finite, got {excess!r}")
+    _check_excess(excess)
     if gamma >= 1.5:
         factor = 1.0
     elif gamma >= 1.0:

@@ -31,6 +31,8 @@ _MARGIN = 0.05
 # modes are searched only below this one: up to it neighbouring couplings
 # differ by far more than the rounding of the eigensolvers
 _MODE_LIMIT = 1 << 22
+# the FD error estimate h^2 nu^2 / 12 may take this share of the gap to the probe
+_FD_SHARE = 0.125
 
 
 def lambda_from_nu(nu, dim=2):
@@ -109,7 +111,7 @@ def _families(interval, n):
 
 
 def _mode_values(families, coupling, cutoff, tol, w):
-    """Eigenvalues <= cutoff of one mode, and the gap probe above them.
+    """Eigenvalues <= cutoff of one mode, the gap probe, and the first value above it.
 
     ``families`` are the Galerkin families of the interval at resolutions
     n and 2n, and ``w`` are the lowest eigenvalues at resolution n, at
@@ -149,20 +151,24 @@ def _mode_values(families, coupling, cutoff, tol, w):
                 f"{w[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
                 index=i,
             )
-    return w[:k_star].copy(), lam_star
+    return w[:k_star].copy(), lam_star, w[k_star]
 
 
-def _check_oracle(interval, modes, oracle_m):
+def _check_oracle(interval, modes):
     """Finite-difference Sturm counts at every mode's gap probe, in one pass.
 
-    ``modes`` are (ell, coupling, probe, count) tuples; the counts must
-    equal the FD counts strictly below the probes.  The FD diagonal of mode
-    kappa is 2/h^2 + kappa exp(2t), bitwise the one assemble_fd builds.
+    ``modes`` are (ell, coupling, probe, count, above) tuples; the counts
+    must equal the FD counts strictly below the probes, on the fewest grid
+    points m >= 3 (no parameter) where every h^2 above^2 / 12 is at most
+    _FD_SHARE of above - probe.  The FD diagonal of mode kappa is
+    2/h^2 + kappa exp(2t), bitwise the one assemble_fd builds.
     """
     if not modes:
         return
-    ells, couplings, probes, counts = zip(*modes)
-    fd = assemble_fd(interval, PotentialSpec(0), oracle_m)
+    ells, couplings, probes, counts, aboves = zip(*modes)
+    above = np.array(aboves)
+    points = interval.length * above / np.sqrt(12.0 * _FD_SHARE * (above - probes))
+    fd = assemble_fd(interval, PotentialSpec(0), max(3, math.ceil(points.max()) - 1))
     diag = fd.diag[:, None] + np.outer(np.exp(2.0 * fd.nodes), couplings)
     fd_counts = _sturm_counts(diag, fd.offdiag ** 2, probes)
     for ell, probe, count, fd_count in zip(ells, probes, counts, fd_counts):
@@ -174,16 +180,17 @@ def _check_oracle(interval, modes, oracle_m):
             )
 
 
-def solve_certified(interval, pot, cutoff, tol=1e-10, n=400, oracle_m=4000):
-    """Eigenvalues <= cutoff of mode ``pot``, certified by two resolutions and a count."""
+def solve_certified(interval, pot, cutoff, tol=1e-10, n=400):
+    """Eigenvalues <= cutoff of mode ``pot``, certified by two resolutions and a
+    count on the FD grid that _check_oracle sizes from the gap (no parameter)."""
     _check_tol(tol)
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     families = _families(interval, n)
     w = _lowest(families[0], pot.coupling, _count_bound(interval, cutoff) + 1)
-    values, probe = _mode_values(families, pot.coupling, cutoff, tol, w)
-    _check_oracle(interval, [(pot.ell, pot.coupling, probe, values.size)], oracle_m)
+    values, probe, above = _mode_values(families, pot.coupling, cutoff, tol, w)
+    _check_oracle(interval, [(pot.ell, pot.coupling, probe, values.size, above)])
     return values
 
 
@@ -275,7 +282,7 @@ def table_rows_from_csv(text):
     return out
 
 
-def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
+def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     """Certified eigenvalue table of every family with ground state <= cutoff.
 
     Modes are solved in order, each for one more eigenvalue than it can
@@ -286,7 +293,8 @@ def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
     ``ell_max``.  ``width`` is the strip width: mode ell has the coupling
     (ell pi / width)^2, so the default pi gives ell^2.  Every mode keeps
     its values through cutoff * (1 + margin), so the first value it
-    discards lies above the cutoff by construction.
+    discards lies above the cutoff by construction.  One FD Sturm count
+    checks every mode, on a grid sized from the gaps (see _check_oracle).
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
@@ -308,13 +316,13 @@ def sweep(interval, cutoff, tol=1e-10, n=400, oracle_m=4000, width=math.pi):
         w = _lowest(families[0], coupling, count + 1)
         if w[0] > cutoff:
             break
-        values, probe = _mode_values(families, coupling, retain, tol, w)
-        modes.append((ell, coupling, probe, values.size))
+        values, probe, above = _mode_values(families, coupling, retain, tol, w)
+        modes.append((ell, coupling, probe, values.size, above))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))
         count = values.size
         ell += 1
-    _check_oracle(interval, modes, oracle_m)
+    _check_oracle(interval, modes)
     return EigenTable(
         entries=tuple(entries),
         cutoff=cutoff,

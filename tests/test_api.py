@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -27,6 +28,9 @@ def test_public_names_resolve_and_retired_ones_are_gone():
     for name in ("Spectrum", "SLProblem"):
         assert name not in names
         assert not hasattr(hyperlap, name)
+    # the FD oracle sizes its own grid from the gaps
+    for fn in (hyperlap.sweep, hyperlap.solve_certified):
+        assert "oracle_m" not in inspect.signature(fn).parameters
 
 
 def test_import_does_not_load_sparse_linalg():

@@ -58,6 +58,7 @@ def test_constants_invalid_gamma_exits_two():
 def test_invalid_excess_exits_two(excess, capsys):
     for argv in (
         ["constants", "--gamma", "1", "--dim", "2"],
+        ["constants", "--gamma", "0.25", "--dim", "3"],
         ["ratio"],
         ["ltcheck", "--gamma", "1", "--cutoff", "20", "--n", "64"],
     ):

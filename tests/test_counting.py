@@ -154,7 +154,7 @@ def test_constructor_sorts_and_validates():
 
 
 def test_from_table_inherits_cutoff():
-    table = sweep(Interval(-1.0, 1.0), 40.0, n=64, oracle_m=800)
+    table = sweep(Interval(-1.0, 1.0), 40.0, n=64)
     cf = CountingFunction.from_table(table, STRIP_VOLUME)
     assert cf.cutoff == 40.0
     assert cf.domain_volume == STRIP_VOLUME

@@ -61,7 +61,7 @@ def test_solve_problem_rejects_bad_input():
 def test_solve_problem_is_the_certified_discretization():
     # plain and certified solves share the Galerkin family at resolution n
     plain = solve_problem(IV, PotentialSpec(3), n=64, cutoff=200.0)
-    cert = solve_certified(IV, PotentialSpec(3), 200.0, n=64, oracle_m=2000)
+    cert = solve_certified(IV, PotentialSpec(3), 200.0, n=64)
     assert plain.size == cert.size > 0
     assert np.allclose(plain, cert, rtol=1e-13, atol=0.0)
 
@@ -254,7 +254,7 @@ def test_sweep_builds_each_resolution_once(monkeypatch):
         return assemble_galerkin(interval, n)
 
     monkeypatch.setattr(sl_family, "assemble_galerkin", counted)
-    sweep(IV, 40.0, n=64, oracle_m=800)
+    sweep(IV, 40.0, n=64)
     assert builds == [64, 128]
 
 
@@ -263,9 +263,9 @@ def test_sweep_makes_no_dense_solves(monkeypatch):
         raise AssertionError("dense solve in the sweep")
 
     monkeypatch.setattr(sl_family, "pencil_eigenvalues", refused)
-    table = sweep(IV, 40.0, n=64, oracle_m=800)
+    table = sweep(IV, 40.0, n=64)
     assert table.ell_max > 1
-    assert solve_certified(IV, PotentialSpec(3), 200.0, n=64, oracle_m=800).size > 0
+    assert solve_certified(IV, PotentialSpec(3), 200.0, n=64).size > 0
 
 
 def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
@@ -279,7 +279,7 @@ def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
 
     monkeypatch.setattr(sl_family, "lowest_pencil_eigenvalues", recorded)
     cutoff = 40.0
-    table = sweep(IV, cutoff, n=64, oracle_m=800)
+    table = sweep(IV, cutoff, n=64)
     retain = cutoff * 1.05
     coarse = [(k, values) for order, k, values in asked if order == 63]
     fine = [(k, values) for order, k, values in asked if order == 127]
@@ -341,14 +341,14 @@ def test_mode_cutoff_1000_bracketed_without_solver():
 
 
 def test_sweep_empty_table_is_legal():
-    table = sweep(IV, 2.0, n=64, oracle_m=800)
+    table = sweep(IV, 2.0, n=64)
     assert table.ell_max == 1
     assert table.entries == ()
     assert table.nus().size == 0
 
 
 def test_sweep_small_cutoff_contents():
-    table = sweep(IV, 40.0, n=64, oracle_m=800)
+    table = sweep(IV, 40.0, n=64)
     assert table.ell_max >= 2
     assert table.modes() == list(range(1, table.ell_max))
     nus = table.nus()
@@ -364,7 +364,7 @@ def test_sweep_small_cutoff_contents():
 
 
 def test_sweep_matches_richardson_oracle():
-    table = sweep(IV, 40.0, n=64, oracle_m=800)
+    table = sweep(IV, 40.0, n=64)
     for ell in table.modes():
         vals = table.mode_values(ell)
         pot = PotentialSpec(ell)
@@ -405,12 +405,46 @@ def test_sweep_oracle_mismatch_names_the_mode(monkeypatch):
     sturm_counts = sl_family._sturm_counts
     monkeypatch.setattr(sl_family, "_sturm_counts", off_by_one_at_mode_2)
     with pytest.raises(CertificationError, match="mode 2:"):
-        sweep(IV, 40.0, n=64, oracle_m=800)
+        sweep(IV, 40.0, n=64)
+
+
+def test_oracle_grid_meets_the_sizing_rule(monkeypatch):
+    """The FD grid is the fewest points with h^2 above^2 / 12 <= (above - probe) / 8."""
+    grids = []
+
+    def recorded(interval, pot, m=2000):
+        grids.append(m)
+        return assemble_fd(interval, pot, m)
+
+    monkeypatch.setattr(sl_family, "assemble_fd", recorded)
+    table = sweep(IV, 40.0, n=64)
+    [m] = grids
+    # every mode's first discarded value and its gap probe, from a dense solve
+    gaps = []
+    for ell in table.modes():
+        k = table.mode_values(ell).size
+        w = solve_problem(IV, PotentialSpec(ell), n=64)
+        gaps.append((w[k], 0.5 * (w[k - 1] + w[k])))
+
+    def meets(points):
+        h = IV.length / (points + 1)
+        return all(h * h * a * a / 12.0 <= (a - p) / 8.0 * (1 + 1e-12) for a, p in gaps)
+
+    assert len(gaps) == table.ell_max - 1 > 1
+    assert m >= 3 and meets(m)
+    assert m == 3 or not meets(m - 1)
+
+
+def test_certified_mode_at_cutoff_three_hundred_thousand():
+    # a fixed 4000-point FD grid counts 349 below the probe here
+    values = solve_certified(IV, PotentialSpec(1), 3e5, n=1100)
+    assert values.size == 348
+    assert values[-1] <= 3e5
 
 
 def test_sweep_deterministic():
-    a = sweep(IV, 40.0, n=64, oracle_m=800)
-    b = sweep(IV, 40.0, n=64, oracle_m=800)
+    a = sweep(IV, 40.0, n=64)
+    b = sweep(IV, 40.0, n=64)
     assert a.entries == b.entries
     assert a.ell_max == b.ell_max
 
@@ -427,8 +461,8 @@ def test_sweep_validation(monkeypatch):
 
 
 def test_sweep_width_pi_matches_default():
-    base = sweep(IV, 40.0, n=64, oracle_m=800)
-    assert sweep(IV, 40.0, n=64, oracle_m=800, width=math.pi).entries == base.entries
+    base = sweep(IV, 40.0, n=64)
+    assert sweep(IV, 40.0, n=64, width=math.pi).entries == base.entries
 
 
 def test_sweep_width_validation():
@@ -438,7 +472,7 @@ def test_sweep_width_validation():
 
 
 def test_table_query_semantics():
-    table = sweep(IV, 40.0, n=64, oracle_m=800)
+    table = sweep(IV, 40.0, n=64)
     full = table.nus()
     part = table.nus(through=10.0)
     assert np.all(part <= 10.0)
@@ -451,7 +485,7 @@ def test_table_query_semantics():
 
 
 def test_table_csv_round_trip():
-    table = sweep(IV, 40.0, n=64, oracle_m=800)
+    table = sweep(IV, 40.0, n=64)
     text = table.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "ell,k,nu"
