@@ -12,10 +12,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .constants import EXCESS, kinetic_constant, lt_best_known
 from .counting import CountingFunction
-from .discretize import Interval, PotentialSpec, _gauss_legendre
+from .discretize import Interval, PotentialSpec
 from .errors import QuadratureError
 from . import sl_family
 
@@ -183,6 +184,30 @@ class SobolevReport:
             "passed": self.passed,
             "nodes": self.nodes,
         }
+
+
+def _legendre_pair(q, x):
+    """L_{q-1}(x) and L_q(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, q):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p0, p1
+
+
+def _gauss_legendre(q):
+    """Gauss-Legendre nodes and weights on [-1, 1], in O(q) memory.
+
+    Golub-Welsch nodes (eigenvalues of the Jacobi matrix) polished by one
+    Newton step on L_q; weights 2 / ((1 - x^2) L_q'(x)^2), with
+    (1 - x^2) L_q' = q (L_{q-1} - x L_q).  Keeping the tiny L_q term makes
+    the weights exact to rounding (about 1e-16 on smooth integrands).
+    """
+    k = np.arange(1.0, q)
+    x = eigvalsh_tridiagonal(np.zeros(q), k / np.sqrt(4.0 * k * k - 1.0))
+    p0, p1 = _legendre_pair(q, x)
+    x = x - p1 * (1.0 - x * x) / (q * (p0 - x * p1))
+    p0, p1 = _legendre_pair(q, x)
+    return x, 2.0 * (1.0 - x * x) / (q * (p0 - x * p1)) ** 2
 
 
 def _sobolev_sides(trial, domain, n_nodes, excess):

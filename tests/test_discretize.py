@@ -1,6 +1,8 @@
 """Tests for the Galerkin and finite-difference discretizations."""
 
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,13 +15,31 @@ from hyperlap import (
     assemble_galerkin,
     pencil_eigenvalues,
 )
-from hyperlap.discretize import (
-    _band_to_dense,
-    _gauss_legendre,
-    _half_bandwidth,
-    _shen_values,
-    _weighted_basis,
-)
+from hyperlap.discretize import _band_to_dense, _exp_coefficients, _half_bandwidth
+from hyperlap.lt_verify import _gauss_legendre
+
+
+def _shen_values(n, x):
+    """Rows phi_k(x) = L_k(x) - L_{k+2}(x), k = 0 .. n-2, by the recurrence."""
+    phi = np.empty((n - 1, x.size))
+    p0, p1 = np.ones_like(x), x
+    for k in range(n - 1):
+        p2 = ((2 * k + 3) * x * p1 - (k + 1) * p0) / (k + 2)
+        phi[k] = p0 - p2
+        p0, p1 = p1, p2
+    return phi
+
+
+def _quadrature_mass(iv, n):
+    """The dense exp(2t) mass by Gauss-Legendre quadrature.
+
+    q = n + 17 + ceil(length) nodes are exact through degree 2q - 1: the
+    degree 2n of phi_j phi_k, and 33 + 2 ceil(length) more for
+    exp(length x), whose Legendre coefficients fall like (length / 2)^d / d!.
+    """
+    x, w = _gauss_legendre(n + 1 + 16 + math.ceil(iv.length))
+    phi = _shen_values(n, x) * np.sqrt(w * np.exp(2.0 * iv.from_reference(x)))
+    return phi @ phi.T
 
 
 def test_interval_validation():
@@ -95,23 +115,98 @@ def test_galerkin_family_structure():
 def test_weight_band_drops_only_rounding(alpha, beta, n):
     """M keeps offsets through the half bandwidth; the rest is rounding.
 
-    Every entry past it in the dense quadrature product is at most
-    4 eps max|M|.  The kept entries are the product's own, up to the
-    rounding of a sum over q nodes in another order: sqrt(q) eps times the
-    sum of the magnitudes of its terms.
+    Against a quadrature reference built here: every entry past the half
+    bandwidth is at most 4 eps max|M|, and every kept entry of the closed
+    form lies within 8 eps max|M| of the reference.
     """
     iv = Interval(alpha, beta)
     fam = assemble_galerkin(iv, n)
-    phi = _weighted_basis(iv, n)
-    dense = phi @ phi.T
+    dense = _quadrature_mass(iv, n)
     width = _half_bandwidth(iv.length)
     assert fam.weight_band.shape == (width + 1, n - 1)
     eps = np.finfo(float).eps
     offset = np.abs(np.subtract.outer(np.arange(n - 1), np.arange(n - 1)))
     kept = offset <= width
-    assert np.abs(dense[~kept]).max() <= 4.0 * eps * np.abs(dense).max()
-    floor = math.sqrt(phi.shape[1]) * eps * (np.abs(phi) @ np.abs(phi).T)
-    assert np.all(np.abs(_band_to_dense(fam.weight_band) - dense)[kept] <= floor[kept])
+    scale = np.abs(dense).max()
+    assert np.abs(dense[~kept]).max() <= 4.0 * eps * scale
+    assert np.abs(_band_to_dense(fam.weight_band) - dense)[kept].max() <= 8.0 * eps * scale
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_gauss_legendre():
+    """96 Gauss-Legendre nodes and weights at 50 digits: exact through degree 191."""
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    with mpmath.workdps(50):
+        return GaussLegendre(mpmath.mp).calc_nodes(6, mpmath.mp.prec)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.1), (0.0, 1.0), (-1.0, 1.0), (0.5, 5.5), (0.5, 6.5)])
+def test_weight_band_matches_exact_integrals(alpha, beta):
+    """Every kept entry is within 4 eps max|M| of its 50-digit integral.
+
+    At n = 24, phi_j phi_k has degree at most 48, so 96 nodes leave
+    degree 143 for exp(length x), whose coefficients are below 1e-100 there.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n = 24
+    iv = Interval(alpha, beta)
+    exact = np.zeros((n - 1, n - 1))
+    with mpmath.workdps(50):
+        total = [[mpmath.mpf(0)] * (n - 1) for _ in range(n - 1)]
+        for x, w in _mp_gauss_legendre():
+            p = [mpmath.mpf(1), x]
+            for j in range(1, n + 1):
+                p.append(((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1))
+            phi = [p[k] - p[k + 2] for k in range(n - 1)]
+            weight = w * mpmath.exp(2 * (alpha + (mpmath.mpf(beta) - alpha) * (x + 1) / 2))
+            for j in range(n - 1):
+                for k in range(j + 1):
+                    total[j][k] += weight * phi[j] * phi[k]
+        for j in range(n - 1):
+            for k in range(j + 1):
+                exact[j, k] = exact[k, j] = float(total[j][k])
+    band = assemble_galerkin(iv, n).weight_band
+    offset = np.abs(np.subtract.outer(np.arange(n - 1), np.arange(n - 1)))
+    kept = offset < band.shape[0]
+    error = np.abs(_band_to_dense(band) - exact)[kept].max()
+    assert error <= 4.0 * np.finfo(float).eps * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("length", [1e-3, 0.1, 2.0, 20.0, 100.0, 1000.0])
+def test_exp_coefficients_are_legendre_coefficients(length):
+    """c_m = (2m + 1) / 2 times the integral of L_m exp(length (x - 1)).
+
+    The reference is a 2000-node Gauss-Legendre rule: exact through degree
+    3999, and the coefficients of exp(length (x - 1)) past degree 2500 are
+    far below 1e-300 at every length here.  Its nodes carry rounding of
+    eps, which exp(length x) magnifies to about length eps, so the integrals
+    c_m / (2m + 1) are compared within 2 (1 + length) eps c_0.
+    """
+    c = _exp_coefficients(length)
+    assert c.size == _half_bandwidth(length) + 3
+    assert np.all(np.isfinite(c)) and np.all(c >= 0.0)
+    # the leading coefficient is exact: (1 - exp(-2 length)) / (2 length)
+    assert c[0] == -math.expm1(-2.0 * length) / (2.0 * length)
+    x, w = _gauss_legendre(2000)
+    f = w * np.exp(length * (x - 1.0))
+    half_integrals = np.empty(c.size)
+    p0, p1 = np.ones_like(x), x
+    for m in range(c.size):
+        half_integrals[m] = 0.5 * np.sum(p0 * f)
+        p0, p1 = p1, ((2 * m + 3) * x * p1 - (m + 1) * p0) / (m + 2)
+    error = np.abs(c / (2.0 * np.arange(c.size) + 1.0) - half_integrals).max()
+    assert error <= 2.0 * (1.0 + length) * np.finfo(float).eps * c[0]
+
+
+@pytest.mark.parametrize("alpha", [-1e-3, -20.0, -100.0, -1000.0, -2000.0])
+def test_galerkin_edge_lengths(alpha):
+    """Short and long intervals give a finite band quickly, with no NaN."""
+    start = time.perf_counter()
+    fam = assemble_galerkin(Interval(alpha, 0.0), 64)
+    assert time.perf_counter() - start < 0.5
+    assert np.all(np.isfinite(fam.weight_band)) and np.all(fam.weight_band[0] > 0.0)
 
 
 def test_half_bandwidth_rule():
@@ -122,6 +217,9 @@ def test_half_bandwidth_rule():
         d = _half_bandwidth(length) - 4
         assert (length / 2.0) ** d / math.factorial(d) < 2.0 ** -60
         assert (length / 2.0) ** (d - 1) / math.factorial(d - 1) >= 2.0 ** -60
+    # the term would overflow a float on the way (e^1000 at its peak)
+    for length in (2000.0, 1e5):
+        assert _half_bandwidth(length) > math.e * length / 2.0
 
 
 def test_cheb_free_laplacian_spectrum():

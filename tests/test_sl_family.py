@@ -255,7 +255,21 @@ def test_sweep_builds_each_resolution_once(monkeypatch):
 
     monkeypatch.setattr(sl_family, "assemble_galerkin", counted)
     sweep(IV, 40.0, n=64)
-    assert builds == [64, 128]
+    assert builds == [128]
+
+
+@pytest.mark.parametrize("n", [64, 200, 400])
+def test_families_take_the_coarse_family_from_the_fine_one(n):
+    coarse, fine = sl_family._families(IV, n)
+    assert fine.n == 2 * n
+    built = assemble_galerkin(IV, n)
+    assert coarse.n == n and coarse.interval == built.interval
+    for name in ("stiffness", "mass_band", "weight_band"):
+        assert np.array_equal(getattr(coarse, name), getattr(built, name))
+    assert coarse.weight_band.flags.f_contiguous and coarse.mass_band.flags.f_contiguous
+    for bad in (3, 2 * n + 1):
+        with pytest.raises(ValueError):
+            fine.leading(bad)
 
 
 def test_sweep_makes_no_dense_solves(monkeypatch):
