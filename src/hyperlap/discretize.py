@@ -160,66 +160,57 @@ def _leading_band(band, order, rows):
     return block
 
 
-def _half_bandwidth(length):
-    """Half bandwidth of the exp(2t) mass: past it the entries are rounding.
-
-    M_jk integrates phi_j phi_k against exp(length x) (times a constant),
-    and only the Legendre components of exp(length x) of degree at least
-    |j - k| - 2 reach offset |j - k|.  Those fall like (length / 2)^d / d!;
-    the first d where that is under 2^-60 (20 at length 2, 30 at length 6),
-    plus 4, covers the 2 and leaves 2 to spare.  The factors are summed as
-    logarithms, so no length overflows the term.
-    """
-    d, log_term = 0, 0.0
-    while log_term >= -60.0 * math.log(2.0):
-        d += 1
-        log_term += math.log(length / (2.0 * d))
-    return d + 4
-
-
 def _exp_coefficients(length):
-    """Legendre coefficients c_m of exp(length (x - 1)), m <= _half_bandwidth(length) + 2.
+    """Legendre coefficients c_m of exp(length (x - 1)) for m below the band cut.
 
     c_m = (2m + 1) exp(-length) i_m(length), with i_m the modified
     spherical Bessel functions.  Miller's backward recurrence gives the
     ratios r_m = i_m / i_{m-1} from 1 / r_m = (2m + 1) / length + r_{m+1},
     and exp(-length) i_0 = (1 - exp(-2 length)) / (2 length) normalizes
-    them, so nothing overflows at any length.  The recurrence starts from
-    r = 0 thirty steps past the last degree returned.  Past
-    d = _half_bandwidth(length) - 4, which exceeds e length / 2, every r_m
-    is below length / (2m + 1) < 1/e, and each step down multiplies the
-    relative error of r by r_m r_{m+1} < e^-2: less than e^-60 of the start
-    error reaches the degrees returned.
+    them, so nothing overflows at any length.
+
+    Every r_m is below 1, and past m = e length / 2 below
+    length / (2m + 1) < 1/e, so from there c_m falls by more than e per
+    degree and is below eps max c within 40 degrees.  The recurrence
+    starts from r = 0 thirty degrees further up: each step down multiplies
+    the relative error of r by r_m r_{m+1} < e^-2 there and by less than 1
+    below, so less than e^-60 of the start error reaches the degrees kept.
+
+    The coefficients are cut at the first degree past the largest one
+    where c_m < eps max c: the cut depends on the length only (19 at
+    length 2, 27 at 6, 279 at 1000), and every degree from it on is
+    rounding against the ones kept.
     """
-    top = _half_bandwidth(length) + 2
-    ratios = np.ones(top + 1)
+    start = int(math.e * length / 2.0) + 70
+    ratios = np.ones(start + 1)
     r = 0.0
-    for m in range(top + 30, 0, -1):
+    for m in range(start, 0, -1):
         r = 1.0 / ((2 * m + 1) / length + r)
-        if m <= top:
-            ratios[m] = r
+        ratios[m] = r
     i0 = -math.expm1(-2.0 * length) / (2.0 * length)
-    return (2.0 * np.arange(top + 1) + 1.0) * (i0 * np.cumprod(ratios))
+    c = (2.0 * np.arange(start + 1) + 1.0) * (i0 * np.cumprod(ratios))
+    peak = int(np.argmax(c))
+    return c[: peak + int(np.argmax(c[peak:] < np.finfo(float).eps * c[peak]))]
 
 
-def _exp_gram(length, n, offsets):
+def _exp_gram(c, n, offsets):
     """G_jk, the integral of L_j L_k exp(length (x - 1)) over [-1, 1], by offset.
 
     Entry d (d < offsets) holds G(j, j + d) for j = 0 .. n - d.  With
-    exp(length (x - 1)) = sum of c_m L_m (see _exp_coefficients), G_jk is
-    the sum over m of c_m times the Adams-Neumann integral
+    exp(length (x - 1)) = sum of c_m L_m, and ``c`` its coefficients below
+    the cut of _exp_coefficients, G_jk is the sum over m of c_m times the
+    Adams-Neumann integral
 
         integral of L_j L_k L_m = 2 / (2s + 1) A(s - j) A(s - k) A(s - m) / A(s),
 
     where 2s = j + k + m, A(p) = prod_{i <= p} (2i - 1) / (2i), and the
     integral vanishes unless j + k + m is even and |j - k| <= m <= j + k.
     Every term is nonnegative.  For a fixed offset d and degree m the terms
-    over j are one vector operation; the degrees run down from the highest
-    coefficient that _exp_coefficients keeps (at most 2n, past which every
-    integral vanishes), and no term depends on n, so the result at n is
-    bitwise the leading part of the result at any larger n.
+    over j are one vector operation; the degrees run down from the last
+    one before the cut (at most 2n, past which every integral vanishes), so
+    offsets from the cut on stay zero.  No term depends on n, so the result
+    at n is bitwise the leading part of the result at any larger n.
     """
-    c = _exp_coefficients(length)
     top = min(c.size - 1, 2 * n)
     i = np.arange(1.0, n + top // 2 + 1)
     a = np.concatenate(([1.0], np.cumprod((2.0 * i - 1.0) / (2.0 * i))))
@@ -244,21 +235,26 @@ def assemble_galerkin(interval, n=400):
     M is built in closed form, without quadrature: phi_j phi_k exp(2t) in
     the reference variable is exp(2 beta) phi_j phi_k exp(length (x - 1)),
     so M is exp(2 beta) times the four Legendre Gram entries of _exp_gram
-    that phi_j = L_j - L_{j+2} and phi_k combine.  It is kept to the half
-    bandwidth of _half_bandwidth: every entry dropped is below the rounding
-    of the entries kept.  The four entries cancel more as the interval
-    grows, where exp(length (x - 1)) crowds against x = 1: measured against
-    quadrature, the kept entries are within 5 eps max|M| up to length 6,
-    and about 17, 70 and 1600 eps max|M| at lengths 20, 100 and 1000.  Every entry
-    is independent of n, so the family at n is bitwise the leading block
-    of the family at any larger n (see GalerkinFamily.leading).
+    that phi_j = L_j - L_{j+2} and phi_k combine.  Degree m of the
+    exponential reaches offsets up to m + 2, so with the degrees below the
+    cut of _exp_coefficients, M keeps offsets through the cut + 1 (20 at
+    length 2, 28 at 6, 280 at 1000): every entry dropped comes from degrees
+    at or past the cut alone, and is below the rounding of the entries
+    kept.  The four entries cancel more as the interval grows, where
+    exp(length (x - 1)) crowds against x = 1: measured against quadrature,
+    the kept entries are within 5 eps max|M| up to length 6, and about 17,
+    70 and 1600 eps max|M| at lengths 20, 100 and 1000.  The width depends
+    on the length only and no entry depends on n, so the family at n is
+    bitwise the leading block of the family at any larger n (see
+    GalerkinFamily.leading).
     """
     if not 4 <= n <= _MAX_N:
         raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
     order = n - 1
     k = np.arange(order, dtype=float)
-    width = min(_half_bandwidth(interval.length), order - 1)
-    gram = _exp_gram(interval.length, n, width + 3)
+    c = _exp_coefficients(interval.length)
+    width = min(c.size + 1, order - 1)
+    gram = _exp_gram(c, n, width + 3)
     weight_band = np.zeros((width + 1, order), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(2.0 * interval.beta)

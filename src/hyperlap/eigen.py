@@ -3,10 +3,12 @@
 The pencil routes solve the Galerkin family: LAPACK's dense
 symmetric-definite solver gives the full spectrum of plain solves, and
 spectral-transformation Lanczos on the banded pencil gives the few lowest
-eigenvalues the certified sweep needs.  The tridiagonal route is a
-self-contained Sturm-sequence bisection, kept free of LAPACK on purpose so
-it never shares a failure mode with the pencil.  Every route returns its
-eigenvalues as a plain ascending float64 array.
+eigenvalues the certified sweep needs.  Lanczos stops at a residual of
+1e-9 relative, not at rounding: a Ritz value's error is quadratic in its
+residual, so the values stay within about 1e-16 relative.  The
+tridiagonal route is a self-contained Sturm-sequence bisection, kept free
+of LAPACK on purpose so it never shares a failure mode with the pencil.
+Every route returns its eigenvalues as a plain ascending float64 array.
 """
 
 import numpy as np
@@ -18,6 +20,17 @@ from .errors import ConvergenceError
 
 # bisection sweeps before ConvergenceError; each one halves every bracket
 _MAX_SWEEPS = 200
+
+# Lanczos stops once every wanted Ritz value theta has a residual
+# ||r|| <= _RESIDUAL_TOL * |theta|.  The nearest eigenvalue mu then obeys
+# |theta - mu| <= ||r||^2 / delta (Kato-Temple; Parlett, The Symmetric
+# Eigenvalue Problem, 11.7), delta the gap from theta to the rest of the
+# spectrum.  For one 1D mode the wanted mu_j = 1 / nu_j (j <= 200) have
+# relative gaps delta / theta >= 1e-2, so each value is within
+# 1e-18 / 1e-2 = 1e-16 relative: far below the 1e-13 floor of the
+# certification tolerance, with a quarter to a third fewer operator
+# applications than a residual at rounding level needs.
+_RESIDUAL_TOL = 1e-9
 
 
 def pencil_eigenvalues(a, b):
@@ -41,10 +54,12 @@ def lowest_pencil_eigenvalues(a_band, b_band, k):
     positive definite matrices (row d holds offset d).  With a = L L^T
     from the banded Cholesky, ARPACK's Lanczos finds the k greatest
     eigenvalues mu of L^-1 b L^-T, and nu = 1 / mu (Ericsson and Ruhe's
-    spectral transformation): O(order * bandwidth) work per step.  The
-    start vector is fixed, so repeated runs give identical values.  A
-    failed factorization or a Lanczos run that does not converge raises
-    ConvergenceError.
+    spectral transformation): O(order * bandwidth) work per step.  It
+    stops once every wanted Ritz value theta has ||r|| <= 1e-9 |theta|,
+    so |theta - mu| <= ||r||^2 / delta keeps it within about 1e-16
+    relative (see _RESIDUAL_TOL).  The start vector is fixed, so
+    repeated runs give identical values.  A failed factorization or a
+    Lanczos run that does not converge raises ConvergenceError.
     """
     # deferred: scipy.sparse.linalg is heavy, and importing hyperlap needs none of it
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -64,7 +79,7 @@ def lowest_pencil_eigenvalues(a_band, b_band, k):
     op = LinearOperator((order, order), matvec=apply, dtype=float)
     try:
         mu = eigsh(
-            op, k=k, which="LA", tol=0, v0=np.sin(1.0 + np.arange(order)),
+            op, k=k, which="LA", tol=_RESIDUAL_TOL, v0=np.sin(1.0 + np.arange(order)),
             return_eigenvectors=False,
         )
     except ArpackError as exc:

@@ -15,7 +15,7 @@ from hyperlap import (
     assemble_galerkin,
     pencil_eigenvalues,
 )
-from hyperlap.discretize import _band_to_dense, _exp_coefficients, _half_bandwidth
+from hyperlap.discretize import _band_to_dense, _exp_coefficients
 from hyperlap.lt_verify import _gauss_legendre
 
 
@@ -98,7 +98,7 @@ def test_galerkin_family_structure():
     x, w = _gauss_legendre(20)
     phi = _shen_values(16, x)
     assert np.allclose((phi * w) @ phi.T, b, rtol=0.0, atol=1e-14)
-    # length 5 keeps offsets through 32, more than order 15 has
+    # length 5 keeps offsets through 26, more than order 15 has
     assert fam.weight_band.shape == (15, 15) and fam.weight_band.flags.f_contiguous
     m = _band_to_dense(fam.weight_band)
     assert m.flags.f_contiguous and np.array_equal(m, m.T)
@@ -110,19 +110,23 @@ def test_galerkin_family_structure():
         assert np.array_equal(band[d, : 15 - d], np.diag(a, -d))
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (0.5, 5.5), (0.5, 6.5)])
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.0, 1e-5), (0.0, 1.0), (-1.0, 1.0), (0.5, 5.5), (0.5, 6.5)]
+)
 @pytest.mark.parametrize("n", [64, 200, 400, 800])
 def test_weight_band_drops_only_rounding(alpha, beta, n):
-    """M keeps offsets through the half bandwidth; the rest is rounding.
+    """M keeps offsets through the coefficient cut + 1; the rest is rounding.
 
     Against a quadrature reference built here: every entry past the half
     bandwidth is at most 4 eps max|M|, and every kept entry of the closed
-    form lies within 8 eps max|M| of the reference.
+    form lies within 8 eps max|M| of the reference.  At length 1e-5 the
+    cut is degree 3, and a band that stopped at offset 3 would drop the
+    entries of about 7e3 eps max|M| that degree 2 puts at offset 4.
     """
     iv = Interval(alpha, beta)
     fam = assemble_galerkin(iv, n)
     dense = _quadrature_mass(iv, n)
-    width = _half_bandwidth(iv.length)
+    width = _exp_coefficients(iv.length).size + 1
     assert fam.weight_band.shape == (width + 1, n - 1)
     eps = np.finfo(float).eps
     offset = np.abs(np.subtract.outer(np.arange(n - 1), np.arange(n - 1)))
@@ -185,8 +189,8 @@ def test_exp_coefficients_are_legendre_coefficients(length):
     c_m / (2m + 1) are compared within 2 (1 + length) eps c_0.
     """
     c = _exp_coefficients(length)
-    assert c.size == _half_bandwidth(length) + 3
     assert np.all(np.isfinite(c)) and np.all(c >= 0.0)
+    assert np.all(c[np.argmax(c) :] >= np.finfo(float).eps * c.max())
     # the leading coefficient is exact: (1 - exp(-2 length)) / (2 length)
     assert c[0] == -math.expm1(-2.0 * length) / (2.0 * length)
     x, w = _gauss_legendre(2000)
@@ -210,16 +214,51 @@ def test_galerkin_edge_lengths(alpha):
 
 
 def test_half_bandwidth_rule():
-    # smallest d with (length / 2)^d / d! < 2^-60, plus 4
-    assert _half_bandwidth(2.0) == 24
-    assert _half_bandwidth(6.0) == 34
-    for length in (0.1, 1.0, 2.0, 5.0, 6.0, 20.0):
-        d = _half_bandwidth(length) - 4
-        assert (length / 2.0) ** d / math.factorial(d) < 2.0 ** -60
-        assert (length / 2.0) ** (d - 1) / math.factorial(d - 1) >= 2.0 ** -60
-    # the term would overflow a float on the way (e^1000 at its peak)
-    for length in (2000.0, 1e5):
-        assert _half_bandwidth(length) > math.e * length / 2.0
+    """M keeps offsets through the coefficient cut + 1, whatever n is."""
+    for alpha, width in ((-2.0, 20), (-6.0, 28)):
+        assert _exp_coefficients(-alpha).size + 1 == width
+        for n in (64, 800):
+            assert assemble_galerkin(Interval(alpha, 0.0), n).weight_band.shape[0] == width + 1
+    # a short n keeps every offset it has
+    assert assemble_galerkin(Interval(-6.0, 0.0), 16).weight_band.shape[0] == 15
+    # the cut grows like sqrt(length), far below e length / 2 = 135914
+    assert _exp_coefficients(1e5).size < 3000
+
+
+def test_long_interval_band():
+    """Length 1000 keeps at most 300 offsets, not the whole matrix.
+
+    Past their peak the coefficients fall like exp(-m^2 / 2000), long
+    before the Miller start at e length / 2.
+    """
+    fam = assemble_galerkin(Interval(-1000.0, 0.0), 1024)
+    assert fam.weight_band.shape[0] - 1 == _exp_coefficients(1000.0).size + 1 <= 300
+
+
+@pytest.mark.parametrize("length", [1e-3, 0.1, 2.0, 6.0, 20.0, 100.0, 1000.0])
+def test_band_cut_against_exact_coefficients(length):
+    """Every kept c_m is within 2 (m + 1) eps relative of its 40-digit value,
+    and the first degree dropped is the first past the peak below eps max c.
+
+    c_m = (2m + 1) exp(-length) sqrt(pi / (2 length)) I_{m + 1/2}(length).
+    Each of the m ratios in the product carries about one rounding.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    c = _exp_coefficients(length)
+    cut = c.size
+    with mpmath.workdps(40):
+        x = mpmath.mpf(length)
+        scale = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
+        exact = np.array([
+            float((2 * m + 1) * scale * mpmath.besseli(m + mpmath.mpf(1) / 2, x))
+            for m in range(cut + 1)
+        ])
+    m = np.arange(cut)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(c - exact[:cut]) <= 2.0 * (m + 1) * eps * exact[:cut])
+    peak = int(np.argmax(exact))
+    assert np.all(exact[peak:cut] >= eps * exact.max())
+    assert exact[cut] < eps * exact.max()
 
 
 def test_cheb_free_laplacian_spectrum():

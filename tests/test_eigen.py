@@ -103,11 +103,30 @@ def test_lowest_pencil_is_deterministic():
 )
 @pytest.mark.parametrize("n", [400, 800])
 def test_lowest_pencil_matches_dense(alpha, beta, bound, n):
+    """The Lanczos stopping rule keeps every value at the dense solver's accuracy.
+
+    k = 150 is what the first mode of a sweep to cutoff 5e4 on (-1, 1)
+    asks for.  At kappa 1e5 the weight spanning e^12 leaves the two routes
+    about 6e-11 apart, past the bound, so that kappa is checked on (-1, 1)
+    alone.
+    """
     fam = assemble_galerkin(Interval(alpha, beta), n)
-    for kappa in (0.0, 1.0, 100.0, 1000.0, 5000.0):
-        got = lowest_pencil_eigenvalues(fam.operator_band(kappa), fam.mass_band, 22)
-        dense = 1.0 / pencil_eigenvalues(fam.mass(), fam.operator(kappa))[::-1][:22]
-        assert np.max(np.abs(got - dense) / dense) <= bound
+    kappas = [0.0, 1.0, 100.0, 1000.0, 5000.0]
+    if beta - alpha <= 2.0:
+        kappas.append(1e5)
+    for kappa in kappas:
+        dense = 1.0 / pencil_eigenvalues(fam.mass(), fam.operator(kappa))[::-1]
+        for k in (1, 22, 150):
+            got = lowest_pencil_eigenvalues(fam.operator_band(kappa), fam.mass_band, k)
+            assert np.max(np.abs(got - dense[:k]) / dense[:k]) <= bound
+
+
+def test_lowest_pencil_free_spectrum():
+    """At kappa 0 on (-1, 1) the 100 lowest values are (j pi / 2)^2, with no dense solve."""
+    fam = assemble_galerkin(Interval(-1.0, 1.0), 400)
+    got = lowest_pencil_eigenvalues(fam.operator_band(0.0), fam.mass_band, 100)
+    exact = (np.arange(1, 101) * math.pi / 2.0) ** 2
+    assert np.max(np.abs(got - exact) / exact) <= 1e-13
 
 
 def test_lowest_pencil_failures(monkeypatch):
