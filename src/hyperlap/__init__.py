@@ -37,7 +37,6 @@ from .discretize import (
 )
 from .eigen import (
     lowest_pencil_eigenvalues,
-    pencil_eigenvalues,
     sturm_count,
     tridiag_eigenvalues,
 )
@@ -63,10 +62,7 @@ from .lt_verify import (
 )
 from .sl_family import (
     EigenTable,
-    lambda_from_nu,
-    nu_from_lambda,
     solve_certified,
-    solve_problem,
     sweep,
     table_rows_from_csv,
 )
@@ -101,13 +97,10 @@ __all__ = [
     "gamma_fn",
     "hyperbolic_volume",
     "kinetic_constant",
-    "lambda_from_nu",
     "lowest_pencil_eigenvalues",
     "lt_best_known",
     "lt_check",
     "lt_classical",
-    "nu_from_lambda",
-    "pencil_eigenvalues",
     "polya_rhs",
     "polya_rows",
     "potential_integral",
@@ -117,7 +110,6 @@ __all__ = [
     "ratio_rows",
     "sobolev_check",
     "solve_certified",
-    "solve_problem",
     "sturm_count",
     "sweep",
     "table_rows_from_csv",

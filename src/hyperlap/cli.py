@@ -27,7 +27,7 @@ from .lt_verify import (
     sobolev_check,
     trial_profile,
 )
-from .sl_family import solve_problem, sweep
+from .sl_family import solve_certified, sweep
 from .svgplot import line_plot
 
 
@@ -165,9 +165,8 @@ def cmd_ratio(args):
 
 
 def cmd_eig(args):
-    nus = solve_problem(
-        Interval(args.alpha, args.beta), PotentialSpec(ell=args.ell),
-        n=args.n, cutoff=args.cutoff,
+    nus = solve_certified(
+        Interval(args.alpha, args.beta), PotentialSpec(ell=args.ell), args.cutoff, n=args.n
     )
     if args.csv:
         rows = [(args.ell, k, float(nu)) for k, nu in enumerate(nus, start=1)]
@@ -317,20 +316,20 @@ def build_parser():
 
     p = subs.add_parser(
         "eig",
-        help="one family member, plain solve",
-        description="All n-1 Galerkin eigenvalues of one mode, uncertified. "
-        "Without --cutoff roughly the top 40% of them are unresolved "
-        "discretization artifacts; use sweep for certified values.",
+        help="one family member, certified",
+        description="The Galerkin eigenvalues <= cutoff of one mode, each "
+        "certified like a sweep's: resolutions n and 2n agree to 1e-10 "
+        "relative and on the count below a gap probe, and the "
+        "finite-difference Sturm count at the probe matches.",
     )
     p.add_argument("--ell", type=int, default=0)
     _interval_args(p)
     p.add_argument(
-        "--n", type=int, default=400, help="resolution n: Galerkin order n-1"
+        "--n", type=int, default=400,
+        help="resolution n: Galerkin orders n-1 and 2n-1 are compared",
     )
     p.add_argument(
-        "--cutoff", type=float, default=None,
-        help="keep the eigenvalues <= cutoff (default: all n-1, the top "
-        "~40%% unresolved)",
+        "--cutoff", type=float, required=True, help="keep the eigenvalues <= cutoff"
     )
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")

@@ -1,9 +1,9 @@
 """Discretizations of -d^2/dt^2 + q(t) with Dirichlet ends.
 
 Two routes: the Shen-Legendre Galerkin family (symmetric banded matrices
-built once per interval, mode by mode only the coupling changes; plain
-solves and the certified sweep use it) and second-order central finite
-differences (symmetric tridiagonal, used as the cross-checking oracle).
+built once per interval, mode by mode only the coupling changes; every
+certified solve uses it) and second-order central finite differences
+(symmetric tridiagonal, used as the cross-checking oracle).
 Every Galerkin matrix is built in closed form, without quadrature: the
 exp(2t) mass from the Legendre expansion of the exponential and the
 Adams-Neumann integral of three Legendre polynomials.
@@ -15,8 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-# largest Galerkin resolution n: a plain solve (solve_problem) holds two
-# dense matrices of order n - 1, about 134 MB each at 4096
+# largest Galerkin resolution n.  The certified solves also solve at 2n, so
+# they take n <= _MAX_N // 2; a mode that asks for nearly all of its values
+# makes ARPACK keep about that many Lanczos vectors, a dense basis of order
+# 4095 (about 134 MB) at the limit
 _MAX_N = 4096
 
 
@@ -78,17 +80,6 @@ class PotentialSpec:
         return q
 
 
-def _band_to_dense(band):
-    """The dense, Fortran-ordered symmetric matrix of a LAPACK lower band."""
-    order = band.shape[1]
-    a = np.zeros((order, order), order="F")
-    i = np.arange(order)
-    for d, row in enumerate(band):
-        a[i[d:], i[: order - d]] = row[: order - d]
-        a[i[: order - d], i[d:]] = row[: order - d]
-    return a
-
-
 @dataclass(frozen=True)
 class GalerkinFamily:
     """Shen-Legendre Galerkin matrices of -psi'' + kappa exp(2t) psi on an interval.
@@ -119,16 +110,6 @@ class GalerkinFamily:
     @property
     def order(self):
         return self.stiffness.size
-
-    def mass(self):
-        """B as a new dense Fortran-ordered matrix."""
-        return _band_to_dense(self.mass_band)
-
-    def operator(self, kappa):
-        """K + kappa M as a new dense Fortran-ordered matrix."""
-        a = kappa * _band_to_dense(self.weight_band)
-        a[np.diag_indices(self.order)] += self.stiffness
-        return a
 
     def operator_band(self, kappa):
         """K + kappa M as a new lower band."""
@@ -166,22 +147,47 @@ def _exp_coefficients(length):
     c_m = (2m + 1) exp(-length) i_m(length), with i_m the modified
     spherical Bessel functions.  Miller's backward recurrence gives the
     ratios r_m = i_m / i_{m-1} from 1 / r_m = (2m + 1) / length + r_{m+1},
-    and exp(-length) i_0 = (1 - exp(-2 length)) / (2 length) normalizes
-    them, so nothing overflows at any length.
+    starting from r = 0 at degree N + 1, and exp(-length) i_0 =
+    (1 - exp(-2 length)) / (2 length) normalizes them, so nothing
+    overflows at any length.
 
-    Every r_m is below 1, and past m = e length / 2 below
-    length / (2m + 1) < 1/e, so from there c_m falls by more than e per
-    degree and is below eps max c within 40 degrees.  The recurrence
-    starts from r = 0 thirty degrees further up: each step down multiplies
-    the relative error of r by r_m r_{m+1} < e^-2 there and by less than 1
-    below, so less than e^-60 of the start error reaches the degrees kept.
+    With L = length, every ratio obeys, for m >= 1,
+
+        1 - (m + 1/2) / L  <=  r_m  <=  1 / (1 + (m - 1/2) / L),
+
+    a loosened form of Amos's bounds on I_{v+1} / I_v (Math. Comp. 28,
+    1974).  Proof: r_m falls as r_{m+1} grows, so the lower bound at m + 1
+    gives the upper one at m, and with a = (m + 1/2) / L the upper bound at
+    m + 1 gives r_m >= (1 + a) / (1 + 2a + 2a^2) >= 1 - a, because
+    (1 - a)(1 + 2a + 2a^2) = 1 + a - 2a^3.  Both hold for m >= L, where the
+    lower bound is negative, and the induction runs down from there.  So
+    past its peak near sqrt(L), c_m falls like exp(-m^2 / (2L)).
+
+    The computed ratios r~_m carry relative errors e_m = r~_m / r_m - 1
+    with e_m = -r~_m r_{m+1} e_{m+1} and e_{N+1} = -1, so |e_m| is the
+    product of r~_j over j = m .. N and of r_j over j = m + 1 .. N + 1; a
+    kept c_m sums the errors of its m ratios.  N lies 70 degrees past the
+    smaller of two points:
+
+    - e L / 2 (the smaller up to length 108): past it every r_j and r~_j is
+      below L / (2j + 1) < 1/e, so c_m falls by more than e per degree, is
+      below eps max c within 40 degrees, and the last 30 degrees shrink
+      the start error by e^-60.
+    - sqrt(200 L): the cut grows like sqrt(L) (cut^2 is about 77 L).  The
+      pairs r~_j r~_{j+1} = 1 - (2j + 1) r~_j / L are below 1, so the first
+      product is at most max(1, L / (2N + 1)), and by the upper bound the
+      second is about exp(-((N + 1)^2 - m^2) / (2L)).  For cut |e_cut| to
+      stay below eps / 2 this exponent must pass
+      ln(2 cut L / ((2N + 1) eps)), 49 at length 1e6, so N^2 >= 77 L + 98 L;
+      200 L meets the exact products at every length up to 1e9, in
+      O(sqrt(L)) steps.
 
     The coefficients are cut at the first degree past the largest one
     where c_m < eps max c: the cut depends on the length only (19 at
     length 2, 27 at 6, 279 at 1000), and every degree from it on is
     rounding against the ones kept.
     """
-    start = int(math.e * length / 2.0) + 70
+    start = min(int(math.e * length / 2.0), int(math.sqrt(200.0 * length))) + 70
     ratios = np.ones(start + 1)
     r = 0.0
     for m in range(start, 0, -1):

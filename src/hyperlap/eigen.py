@@ -1,18 +1,16 @@
 """Eigenvalue backends.
 
-The pencil routes solve the Galerkin family: LAPACK's dense
-symmetric-definite solver gives the full spectrum of plain solves, and
-spectral-transformation Lanczos on the banded pencil gives the few lowest
-eigenvalues the certified sweep needs.  Lanczos stops at a residual of
-1e-9 relative, not at rounding: a Ritz value's error is quadratic in its
-residual, so the values stay within about 1e-16 relative.  The
-tridiagonal route is a self-contained Sturm-sequence bisection, kept free
-of LAPACK on purpose so it never shares a failure mode with the pencil.
-Every route returns its eigenvalues as a plain ascending float64 array.
+The pencil route solves the Galerkin family: spectral-transformation
+Lanczos on the banded pencil gives the few lowest eigenvalues that the
+certified solves need.  Lanczos stops at a residual of 1e-9 relative, not
+at rounding: a Ritz value's error is quadratic in its residual, so the
+values stay within about 1e-16 relative.  The tridiagonal route is a
+self-contained Sturm-sequence bisection, kept free of LAPACK on purpose so
+it never shares a failure mode with the pencil.  Every route returns its
+eigenvalues as a plain ascending float64 array.
 """
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
@@ -31,20 +29,6 @@ _MAX_SWEEPS = 200
 # certification tolerance, with a quarter to a third fewer operator
 # applications than a residual at rounding level needs.
 _RESIDUAL_TOL = 1e-9
-
-
-def pencil_eigenvalues(a, b):
-    """Eigenvalues mu of the pencil a x = mu b x, sorted ascending.
-
-    ``a`` is symmetric and ``b`` symmetric positive definite; LAPACK reads
-    their lower triangles and overwrites both, so pass Fortran-ordered
-    matrices the caller no longer needs.  A failed factorization of ``b``
-    or a failed iteration raises ConvergenceError.
-    """
-    try:
-        return eigh(a, b, eigvals_only=True, overwrite_a=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric-definite eigensolve failed: {exc}") from exc
 
 
 def lowest_pencil_eigenvalues(a_band, b_band, k):

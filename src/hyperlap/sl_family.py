@@ -12,10 +12,10 @@ eigenvalues, by banded Lanczos, until a ground state clears the cutoff:
 that mode is the table's ell_max, so the mode search costs no solve of
 its own.  It certifies each retained eigenvalue against the doubled
 resolution and cross-checks every mode's count against the
-finite-difference Sturm oracle in one batched pass.
-Plain solves (solve_problem) take the full dense spectrum of one Galerkin
-family at resolution n.  Single-mode solves take the interval and the
-PotentialSpec of the mode and return plain ascending float64 arrays.
+finite-difference Sturm oracle in one batched pass.  A single-mode solve
+(solve_certified) runs the same certification for one mode: it takes the
+interval, the PotentialSpec of the mode and a cutoff, and returns a plain
+ascending float64 array.  No route returns an uncertified value.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import _MAX_N, Interval, PotentialSpec, assemble_fd, assemble_galerkin
-from .eigen import _sturm_counts, lowest_pencil_eigenvalues, pencil_eigenvalues
+from .eigen import _sturm_counts, lowest_pencil_eigenvalues
 from .errors import CertificationError, IncompleteTableError
 
 # relative padding of a table above its cutoff
@@ -36,48 +36,11 @@ _MODE_LIMIT = 1 << 22
 _FD_SHARE = 0.125
 
 
-def lambda_from_nu(nu, dim=2):
-    """Full eigenvalue from the shifted one: lambda = (d-1)^2/4 + nu."""
-    return (dim - 1) ** 2 / 4.0 + nu
-
-
-def nu_from_lambda(lam, dim=2):
-    return lam - (dim - 1) ** 2 / 4.0
-
-
-def solve_problem(interval, pot, n=400, cutoff=None):
-    """Plain Galerkin eigenvalues of mode ``pot`` at resolution n (order n - 1), dense.
-
-    Optionally truncated at ``cutoff``.  Without one, all n - 1 Ritz values
-    are returned, and only the lower part of them is resolved: roughly the
-    top 40 % are discretization artifacts (at n = 400, ell = 70, the first
-    228 of 399 are trustworthy).  No certification: use solve_certified
-    when the values feed a bound.
-    """
-    if cutoff is not None and not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    values = _spectrum(assemble_galerkin(interval, n), pot.coupling)
-    if cutoff is not None:
-        values = values[: np.searchsorted(values, float(cutoff), side="right")]
-    return values
-
-
 def _check_tol(tol):
     if not (math.isfinite(tol) and tol >= 1e-13):
         raise ValueError(
             f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
         )
-
-
-def _spectrum(family, coupling):
-    """All Galerkin eigenvalues nu of one mode, ascending, by a dense solve.
-
-    Solved as the inverse pencil B x = mu (K + kappa M) x with nu = 1/mu:
-    factoring the well-conditioned K + kappa M instead of B keeps the
-    large-order solves accurate to rounding.
-    """
-    mu = pencil_eigenvalues(family.mass(), family.operator(coupling))
-    return 1.0 / mu[::-1]
 
 
 def _lowest(family, coupling, k):

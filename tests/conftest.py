@@ -1,11 +1,38 @@
 import time
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from hyperlap import Interval, sweep
 
 # (number, description, passed, detail) tuples filled by the acceptance tests
 CRITERION_RESULTS = []
+
+
+def band_to_dense(band):
+    """The dense symmetric matrix of a LAPACK lower band."""
+    order = band.shape[1]
+    a = np.zeros((order, order))
+    i = np.arange(order)
+    for d, row in enumerate(band):
+        a[i[d:], i[: order - d]] = row[: order - d]
+        a[i[: order - d], i[d:]] = row[: order - d]
+    return a
+
+
+def dense_spectrum(family, coupling):
+    """All n - 1 Galerkin eigenvalues nu of one mode, ascending, by a dense solve.
+
+    The reference that keeps tests of the banded Lanczos route and the
+    sweep independent of them: the bands become dense matrices, and LAPACK
+    solves the inverse pencil B x = mu (K + kappa M) x with nu = 1/mu.
+    Factoring the well-conditioned K + kappa M instead of B keeps the
+    large-order solves accurate to rounding.
+    """
+    a = coupling * band_to_dense(family.weight_band) + np.diag(family.stiffness)
+    mu = scipy.linalg.eigh(band_to_dense(family.mass_band), a, eigvals_only=True)
+    return 1.0 / mu[::-1]
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from hyperlap import (
     lt_classical,
     product_riesz_rhs,
     sobolev_check,
-    solve_problem,
+    solve_certified,
     sturm_count,
     trial_profile,
     tridiag_eigenvalues,
@@ -35,13 +35,15 @@ IV = Interval(-1.0, 1.0)
 STRIP_VOLUME = math.pi * (math.e - 1.0 / math.e)
 
 
-def _nu1(ell, n=400):
-    return float(solve_problem(IV, PotentialSpec(ell), n=n)[0])
+def _nu1(ell):
+    # every ground state in question lies below 1100
+    return float(solve_certified(IV, PotentialSpec(ell), 1100.0, n=400)[0])
 
 
 def test_criterion_1_spectral_accuracy(criterion):
     t0 = time.time()
-    spec = solve_problem(IV, PotentialSpec(0), n=400)
+    # the cutoff sits 0.1 % above the 150th exact value
+    spec = solve_certified(IV, PotentialSpec(0), (150 * math.pi / 2.0) ** 2 * 1.001, n=400)
     elapsed = time.time() - t0
     k = np.arange(1, 151)
     exact = (k * math.pi / 2.0) ** 2
@@ -116,18 +118,19 @@ def _richardson_pair(pot, hi, m):
     return (fine[:k] * h1**2 - coarse[:k] * h2**2) / (h1**2 - h2**2)
 
 
-def test_criterion_4_oracle_cross_validation(criterion):
+def test_criterion_4_oracle_cross_validation(criterion, full_table):
+    table, _ = full_table
     worst = 0.0
     for ell in (1, 5, 10):
         pot = PotentialSpec(ell)
-        w = solve_problem(IV, pot, n=400)[:20]
+        # 1500 lies above the 20th eigenvalue of each of these modes
+        w = solve_certified(IV, pot, 1500.0, n=400)[:20]
         extrap = _richardson_pair(pot, float(w[-1]) * 1.05 + 5.0, m=2000)[:20]
         worst = max(worst, float(np.max(np.abs(w - extrap) / np.abs(extrap))))
     mismatches = []
     for ell in range(1, 51):
         pot = PotentialSpec(ell)
-        w = solve_problem(IV, pot, n=400)
-        c_gal = int(np.sum(w < 1000.0))
+        c_gal = int(np.sum(table.mode_values(ell) < 1000.0))
         c_fd = sturm_count(assemble_fd(IV, pot, m=8000), 1000.0)
         if c_fd != c_gal:
             mismatches.append((ell, c_gal, c_fd))

@@ -31,6 +31,19 @@ def test_public_names_resolve_and_retired_ones_are_gone():
     # the FD oracle sizes its own grid from the gaps
     for fn in (hyperlap.sweep, hyperlap.solve_certified):
         assert "oracle_m" not in inspect.signature(fn).parameters
+    # every returned eigenvalue is certified: the dense plain solve, its
+    # dense matrices and the unused eigenvalue shifts are gone
+    for module, name in (
+        (hyperlap.sl_family, "solve_problem"),
+        (hyperlap.eigen, "pencil_eigenvalues"),
+        (hyperlap.sl_family, "lambda_from_nu"),
+        (hyperlap.sl_family, "nu_from_lambda"),
+    ):
+        assert name not in names
+        assert not hasattr(hyperlap, name)
+        assert not hasattr(module, name)
+    for name in ("mass", "operator"):
+        assert not hasattr(hyperlap.GalerkinFamily, name)
 
 
 def test_import_does_not_load_sparse_linalg():

@@ -135,6 +135,20 @@ def test_eig_nonfinite_cutoff_exits_two(cutoff, capsys):
     assert "cutoff must be finite" in capsys.readouterr().err
 
 
+def test_eig_needs_a_cutoff(capsys):
+    # every value eig prints is certified, and certification needs a cutoff
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--ell", "3"])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+
+
+def test_eig_unresolvable_exits_three(capsys):
+    # n = 12 resolves mode 1 below 60 too coarsely to agree with n = 24
+    assert main(["eig", "--ell", "1", "--cutoff", "60", "--n", "12"]) == 3
+    assert "differs between resolutions 12 and 24" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol, code", [("1e-10", 3), ("nan", 2), ("inf", 2)])
 def test_sweep_tol_must_be_finite(tol, code, capsys):
     # n = 12 cannot certify cutoff 60; a tolerance that every error
@@ -211,14 +225,13 @@ def test_resolution_past_the_limit_exits_two_at_once(capsys):
     assert "got 100000000" in capsys.readouterr().err
     # certified commands also solve at 2n, so they stop at n = 2048
     for argv in (
+        ["eig", "--cutoff", "30"],
         ["sweep", "--cutoff", "30"],
         ["polya", "--cutoff", "30"],
         ["ltcheck", "--gamma", "1", "--cutoff", "20"],
     ):
         assert main([*argv, "--n", "2049"]) == 2
         assert "need 4 <= n <= 2048, got 2049" in capsys.readouterr().err
-    assert main(["eig", "--n", "4097"]) == 2
-    assert "got 4097" in capsys.readouterr().err
 
 
 def test_polya_outputs(tmp_path):

@@ -13,10 +13,11 @@ from hyperlap import (
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
-    pencil_eigenvalues,
 )
-from hyperlap.discretize import _band_to_dense, _exp_coefficients
+from hyperlap.discretize import _exp_coefficients
 from hyperlap.lt_verify import _gauss_legendre
+
+from conftest import band_to_dense
 
 
 def _shen_values(n, x):
@@ -91,8 +92,7 @@ def test_galerkin_family_structure():
     fam = assemble_galerkin(Interval(-3.0, 2.0), 16)
     assert fam.order == 15
     assert fam.mass_band.shape == (3, 15) and fam.mass_band.flags.f_contiguous
-    b = fam.mass()
-    assert b.flags.f_contiguous and np.array_equal(b, b.T)
+    b = band_to_dense(fam.mass_band)
     assert np.count_nonzero(b) == 15 + 2 * 13
     # Shen's closed-form B is the Gram matrix of the basis
     x, w = _gauss_legendre(20)
@@ -100,11 +100,9 @@ def test_galerkin_family_structure():
     assert np.allclose((phi * w) @ phi.T, b, rtol=0.0, atol=1e-14)
     # length 5 keeps offsets through 26, more than order 15 has
     assert fam.weight_band.shape == (15, 15) and fam.weight_band.flags.f_contiguous
-    m = _band_to_dense(fam.weight_band)
-    assert m.flags.f_contiguous and np.array_equal(m, m.T)
+    m = band_to_dense(fam.weight_band)
     assert np.all(np.linalg.eigvalsh(m) > 0.0)
-    a = fam.operator(2.0)
-    assert np.array_equal(a, 2.0 * m + np.diag(fam.stiffness))
+    a = 2.0 * m + np.diag(fam.stiffness)
     band = fam.operator_band(2.0)
     for d in range(band.shape[0]):
         assert np.array_equal(band[d, : 15 - d], np.diag(a, -d))
@@ -133,7 +131,7 @@ def test_weight_band_drops_only_rounding(alpha, beta, n):
     kept = offset <= width
     scale = np.abs(dense).max()
     assert np.abs(dense[~kept]).max() <= 4.0 * eps * scale
-    assert np.abs(_band_to_dense(fam.weight_band) - dense)[kept].max() <= 8.0 * eps * scale
+    assert np.abs(band_to_dense(fam.weight_band) - dense)[kept].max() <= 8.0 * eps * scale
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +172,7 @@ def test_weight_band_matches_exact_integrals(alpha, beta):
     band = assemble_galerkin(iv, n).weight_band
     offset = np.abs(np.subtract.outer(np.arange(n - 1), np.arange(n - 1)))
     kept = offset < band.shape[0]
-    error = np.abs(_band_to_dense(band) - exact)[kept].max()
+    error = np.abs(band_to_dense(band) - exact)[kept].max()
     assert error <= 4.0 * np.finfo(float).eps * np.abs(exact).max()
 
 
@@ -261,13 +259,35 @@ def test_band_cut_against_exact_coefficients(length):
     assert exact[cut] < eps * exact.max()
 
 
-def test_cheb_free_laplacian_spectrum():
-    """With q = 0 on (-1, 1) the eigenvalues are (k pi / 2)^2."""
-    # the name predates the Galerkin family; the check is unchanged
-    fam = assemble_galerkin(Interval(-1.0, 1.0), 48)
-    w = pencil_eigenvalues(fam.operator(0.0), fam.mass())
-    exact = (np.arange(1, 9) * math.pi / 2.0) ** 2
-    assert np.max(np.abs(w[:8] - exact) / exact) <= 1e-10
+def _coefficients_from_the_old_start(length):
+    """_exp_coefficients as first written: Miller's recurrence from e length / 2 + 70."""
+    start = int(math.e * length / 2.0) + 70
+    ratios = np.ones(start + 1)
+    r = 0.0
+    for m in range(start, 0, -1):
+        r = 1.0 / ((2 * m + 1) / length + r)
+        ratios[m] = r
+    i0 = -math.expm1(-2.0 * length) / (2.0 * length)
+    c = (2.0 * np.arange(start + 1) + 1.0) * (i0 * np.cumprod(ratios))
+    peak = int(np.argmax(c))
+    return c[: peak + int(np.argmax(c[peak:] < np.finfo(float).eps * c[peak]))]
+
+
+@pytest.mark.parametrize("length", [1e-3, 0.1, 2.0, 20.0, 100.0, 300.0, 1e3, 1e4, 1e5, 1e6])
+def test_exp_coefficients_start_grows_like_the_root_of_the_length(length):
+    """The start near sqrt(200 length) loses nothing against the start at e length / 2.
+
+    The coefficients are bitwise those of the old start, and their ratios
+    r_m = c_m (2m - 1) / (c_{m-1} (2m + 1)) keep the proven bounds
+    1 - (m + 1/2) / length <= r_m <= 1 / (1 + (m - 1/2) / length).
+    """
+    c = _exp_coefficients(length)
+    assert np.array_equal(c, _coefficients_from_the_old_start(length))
+    m = np.arange(1, c.size)
+    r = c[1:] * (2.0 * m - 1.0) / (c[:-1] * (2.0 * m + 1.0))
+    slack = 2.0 * (m + 1) * np.finfo(float).eps
+    assert np.all(r >= (1.0 - (m + 0.5) / length) * (1.0 - slack))
+    assert np.all(r <= (1.0 + slack) / (1.0 + (m - 0.5) / length))
 
 
 def test_galerkin_rejects_bad_input():

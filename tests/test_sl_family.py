@@ -17,59 +17,51 @@ from hyperlap import (
     PotentialSpec,
     assemble_fd,
     assemble_galerkin,
-    lambda_from_nu,
     lowest_pencil_eigenvalues,
-    nu_from_lambda,
     solve_certified,
-    solve_problem,
     sweep,
     table_rows_from_csv,
     tridiag_eigenvalues,
 )
 from hyperlap import sl_family
+from hyperlap.cli import main
+
+from conftest import dense_spectrum
 
 IV = Interval(-1.0, 1.0)
 COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
 
 
-def test_lambda_shift():
-    assert lambda_from_nu(10.0) == 10.25
-    assert lambda_from_nu(10.0, dim=3) == 11.0
-    assert nu_from_lambda(lambda_from_nu(7.5)) == 7.5
+def _dense(interval, pot, n):
+    """All n - 1 Galerkin eigenvalues of mode ``pot``, by the dense reference solve."""
+    return dense_spectrum(assemble_galerkin(interval, n), pot.coupling)
+
+
+# The uncertified plain solve (solve_problem) is gone.  The tests below keep
+# its names: single-mode behaviour is checked on solve_certified, and where
+# all n - 1 values serve as a reference, on the dense solve of the tests.
 
 
 def test_solve_problem_free_spectrum():
-    spec = solve_problem(IV, PotentialSpec(0), n=64, cutoff=100.0)
+    spec = solve_certified(IV, PotentialSpec(0), 100.0, n=64)
     exact = (np.arange(1, 7) * math.pi / 2.0) ** 2
     assert len(spec) == 6
     assert np.max(np.abs(spec - exact) / exact) <= 1e-10
 
 
-def test_solve_problem_without_cutoff():
-    spec = solve_problem(IV, PotentialSpec(0), n=32)
-    assert len(spec) == 31
-
-
 def test_solve_problem_rejects_bad_input():
     with pytest.raises(ValueError):
-        solve_problem(IV, PotentialSpec(0), n=3)
+        solve_certified(IV, PotentialSpec(0), 10.0, n=3)
     for cutoff in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            solve_problem(IV, PotentialSpec(0), n=16, cutoff=cutoff)
-
-
-def test_solve_problem_is_the_certified_discretization():
-    # plain and certified solves share the Galerkin family at resolution n
-    plain = solve_problem(IV, PotentialSpec(3), n=64, cutoff=200.0)
-    cert = solve_certified(IV, PotentialSpec(3), 200.0, n=64)
-    assert plain.size == cert.size > 0
-    assert np.allclose(plain, cert, rtol=1e-13, atol=0.0)
+            solve_certified(IV, PotentialSpec(0), cutoff, n=16)
 
 
 def test_solve_problem_uses_the_strip_width():
     # coupling (2 pi / (2 pi))^2 = 1 = 1^2, exactly
-    wide = solve_problem(IV, PotentialSpec(2, width=2.0 * math.pi), n=32)
-    assert np.array_equal(wide, solve_problem(IV, PotentialSpec(1), n=32))
+    wide = solve_certified(IV, PotentialSpec(2, width=2.0 * math.pi), 200.0, n=32)
+    assert wide.size > 0
+    assert np.array_equal(wide, solve_certified(IV, PotentialSpec(1), 200.0, n=32))
 
 
 def test_solve_problem_ground_states_match_collocation_table():
@@ -78,19 +70,20 @@ def test_solve_problem_ground_states_match_collocation_table():
     ground = {ell: nu for ell, k, nu in rows if k == 1}
     assert sorted(ground) == list(range(1, 71))
     for ell, nu in ground.items():
-        got = solve_problem(IV, PotentialSpec(ell), n=128, cutoff=1050.0)[0]
+        got = solve_certified(IV, PotentialSpec(ell), 1050.0, n=128)[0]
         assert abs(got - nu) <= 1e-11 * nu
 
 
 def test_solve_problem_translation_invariance_free_case():
-    wa = solve_problem(Interval(-1.0, 1.0), PotentialSpec(0), n=24)
-    wb = solve_problem(Interval(3.0, 5.0), PotentialSpec(0), n=24)
+    wa = solve_certified(Interval(-1.0, 1.0), PotentialSpec(0), 100.0, n=24)
+    wb = solve_certified(Interval(3.0, 5.0), PotentialSpec(0), 100.0, n=24)
+    assert wa.size == wb.size == 6
     assert np.allclose(wa[:6], wb[:6], rtol=1e-9)
 
 
 def test_solve_problem_ground_state_bracketed():
     """Constant-potential comparison pins the ell = 1 ground state."""
-    nu1 = solve_problem(IV, PotentialSpec(1), n=64)[0]
+    nu1 = solve_certified(IV, PotentialSpec(1), 10.0, n=64)[0]
     base = math.pi**2 / 4.0
     assert base + math.exp(-2.0) < nu1 < base + math.exp(2.0)
 
@@ -102,9 +95,9 @@ def test_solve_problem_refinement_is_spectral():
     is where the decay shows: the first six relative errors fall from up
     to 0.6 to at most 2e-6.
     """
-    ref = solve_problem(IV, PotentialSpec(1), n=256)[:6]
-    err8 = np.abs(solve_problem(IV, PotentialSpec(1), n=8)[:6] - ref)
-    err16 = np.abs(solve_problem(IV, PotentialSpec(1), n=16)[:6] - ref)
+    ref = _dense(IV, PotentialSpec(1), 256)[:6]
+    err8 = np.abs(_dense(IV, PotentialSpec(1), 8)[:6] - ref)
+    err16 = np.abs(_dense(IV, PotentialSpec(1), 16)[:6] - ref)
     floor = 5e-12 * np.maximum(1.0, np.abs(ref))
     assert np.all(err16 <= np.maximum(1e-3 * err8, floor))
 
@@ -154,7 +147,7 @@ def test_galerkin_matches_collocation(n):
     rows = table_rows_from_csv(COLLOCATION_1000.read_text())
     for ell in (1, 30, 70):
         coll = np.array([nu for e, _, nu in rows if e == ell])
-        gal = sl_family._spectrum(assemble_galerkin(IV, n), float(ell**2))
+        gal = _dense(IV, PotentialSpec(ell), n)
         err = np.abs(gal[: coll.size] - coll) / np.maximum(1.0, coll)
         assert coll.size > 0 and gal[coll.size] > 1050.0
         assert np.max(err) <= 1e-11
@@ -191,8 +184,8 @@ def test_find_ell_max_defining_property():
     table = sweep(IV, cutoff, n=64)
     lm = table.ell_max
     assert lm >= 2
-    above = solve_problem(IV, PotentialSpec(lm), n=64)[0]
-    below = solve_problem(IV, PotentialSpec(lm - 1), n=64)[0]
+    above = _dense(IV, PotentialSpec(lm), 64)[0]
+    below = _dense(IV, PotentialSpec(lm - 1), 64)[0]
     assert above > cutoff >= below
     # ell_max is the first excluded mode: the table ends at the one before
     assert max(ell for ell, _, _ in table.entries) == lm - 1
@@ -200,7 +193,7 @@ def test_find_ell_max_defining_property():
 
 def test_find_ell_max_tiny_cutoff():
     # even the first mode clears 2, so nothing is retained
-    assert solve_problem(IV, PotentialSpec(1), n=64)[0] > 2.0
+    assert _dense(IV, PotentialSpec(1), 64)[0] > 2.0
     assert sweep(IV, 2.0, n=64).ell_max == 1
 
 
@@ -235,7 +228,7 @@ def test_sweep_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
 
     def nu1(ell):
         pot = PotentialSpec(ell, width=width)
-        return solve_problem(interval, pot, n=n)[0]
+        return _dense(interval, pot, n)[0]
 
     ell = 1
     while nu1(ell) <= cutoff:
@@ -272,14 +265,16 @@ def test_families_take_the_coarse_family_from_the_fine_one(n):
             fine.leading(bad)
 
 
-def test_sweep_makes_no_dense_solves(monkeypatch):
+def test_sweep_makes_no_dense_solves(monkeypatch, capsys):
     def refused(*args, **kwargs):
-        raise AssertionError("dense solve in the sweep")
+        raise AssertionError("dense solve")
 
-    monkeypatch.setattr(sl_family, "pencil_eigenvalues", refused)
+    monkeypatch.setattr(scipy.linalg, "eigh", refused)
     table = sweep(IV, 40.0, n=64)
     assert table.ell_max > 1
     assert solve_certified(IV, PotentialSpec(3), 200.0, n=64).size > 0
+    assert main(["eig", "--ell", "3", "--cutoff", "200", "--n", "64"]) == 0
+    assert "eigenvalues <= cutoff" in capsys.readouterr().out
 
 
 def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
@@ -406,7 +401,7 @@ def test_sweep_certification_error_prints_plain_floats():
     i = info.value.index
     for text, n in zip(found.groups(), (8, 16)):
         assert float(text) == pytest.approx(
-            solve_problem(IV, PotentialSpec(1), n=n)[i], rel=1e-12
+            _dense(IV, PotentialSpec(1), n)[i], rel=1e-12
         )
 
 
@@ -437,7 +432,7 @@ def test_oracle_grid_meets_the_sizing_rule(monkeypatch):
     gaps = []
     for ell in table.modes():
         k = table.mode_values(ell).size
-        w = solve_problem(IV, PotentialSpec(ell), n=64)
+        w = _dense(IV, PotentialSpec(ell), 64)
         gaps.append((w[k], 0.5 * (w[k - 1] + w[k])))
 
     def meets(points):
