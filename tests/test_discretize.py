@@ -13,6 +13,7 @@ from hyperlap import (
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
+    lowest_pencil_eigenvalues,
 )
 from hyperlap.discretize import _exp_coefficients
 from hyperlap.lt_verify import _gauss_legendre
@@ -288,6 +289,15 @@ def test_exp_coefficients_start_grows_like_the_root_of_the_length(length):
     slack = 2.0 * (m + 1) * np.finfo(float).eps
     assert np.all(r >= (1.0 - (m + 0.5) / length) * (1.0 - slack))
     assert np.all(r <= (1.0 + slack) / (1.0 + (m - 0.5) / length))
+
+
+def test_cheb_free_laplacian_spectrum():
+    """With q = 0 on (-1, 1) the eigenvalues are (k pi / 2)^2."""
+    # the name predates the Galerkin family; the check is unchanged
+    fam = assemble_galerkin(Interval(-1.0, 1.0), 48)
+    w = lowest_pencil_eigenvalues(fam.operator_band(0.0), fam.mass_band, 8)
+    exact = (np.arange(1, 9) * math.pi / 2.0) ** 2
+    assert np.max(np.abs(w - exact) / exact) <= 1e-10
 
 
 def test_galerkin_rejects_bad_input():

@@ -85,12 +85,11 @@ def test_lowest_pencil_matches_dense(alpha, beta, bound, n):
 
 
 def test_lowest_pencil_free_spectrum():
-    """At kappa 0 on (-1, 1) the k lowest values are (j pi / 2)^2, with no dense solve."""
-    for n, k, bound in ((48, 8, 1e-10), (400, 100, 1e-13)):
-        fam = assemble_galerkin(Interval(-1.0, 1.0), n)
-        got = lowest_pencil_eigenvalues(fam.operator_band(0.0), fam.mass_band, k)
-        exact = (np.arange(1, k + 1) * math.pi / 2.0) ** 2
-        assert np.max(np.abs(got - exact) / exact) <= bound
+    """At kappa 0 on (-1, 1) the 100 lowest values are (j pi / 2)^2, with no dense solve."""
+    fam = assemble_galerkin(Interval(-1.0, 1.0), 400)
+    got = lowest_pencil_eigenvalues(fam.operator_band(0.0), fam.mass_band, 100)
+    exact = (np.arange(1, 101) * math.pi / 2.0) ** 2
+    assert np.max(np.abs(got - exact) / exact) <= 1e-13
 
 
 def test_lowest_pencil_failures(monkeypatch):
