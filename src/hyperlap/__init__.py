@@ -10,7 +10,6 @@ from .constants import (
     EXCESS,
     constant_ratio,
     counting_constant,
-    gamma_fn,
     kinetic_constant,
     lt_best_known,
     lt_classical,
@@ -30,7 +29,6 @@ from .counting import (
 from .discretize import (
     GalerkinFamily,
     Interval,
-    PotentialSpec,
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
@@ -81,7 +79,6 @@ __all__ = [
     "IncompleteTableError",
     "Interval",
     "LTReport",
-    "PotentialSpec",
     "ProductDomain",
     "QuadratureError",
     "SobolevReport",
@@ -94,7 +91,6 @@ __all__ = [
     "counting_constant",
     "counting_rhs",
     "family_table",
-    "gamma_fn",
     "hyperbolic_volume",
     "kinetic_constant",
     "lowest_pencil_eigenvalues",

@@ -12,7 +12,7 @@ import sys
 
 from .constants import EXCESS, _check_excess, lt_best_known, lt_classical
 from .counting import CountingFunction, polya_rows, ratio_rows, verify_bound
-from .discretize import Interval, PotentialSpec
+from .discretize import Interval
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -61,12 +61,13 @@ def _apply_config(args, argv):
 
     Each value must have its option's type: an int may stand for a float,
     a bool never stands for a number, and options without a type take
-    strings.
+    strings.  Required flags are checked after the overlay, so the config
+    may supply them too.
     """
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        data = json.load(fh)
+    data = {}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     argv = argv or []
@@ -86,6 +87,9 @@ def _apply_config(args, argv):
                 f"config key {key!r} must be of type {want.__name__}, got {value!r}"
             )
         setattr(args, dest, value)
+    missing = [flag for dest, flag in args.required.items() if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
 
 
 def _interval_args(sub):
@@ -165,8 +169,10 @@ def cmd_ratio(args):
 
 
 def cmd_eig(args):
+    if args.ell < 0:
+        raise ValueError(f"mode index must be a nonnegative integer, got {args.ell}")
     nus = solve_certified(
-        Interval(args.alpha, args.beta), PotentialSpec(ell=args.ell), args.cutoff, n=args.n
+        Interval(args.alpha, args.beta), float(args.ell) ** 2, args.cutoff, n=args.n
     )
     if args.csv:
         rows = [(args.ell, k, float(nu)) for k, nu in enumerate(nus, start=1)]
@@ -226,16 +232,14 @@ def cmd_polya(args):
     table = _run_sweep(args)
     volume = _strip_volume(args.alpha, args.beta)
     cf = CountingFunction.from_table(table, volume)
-    report = verify_bound(
-        cf, "polya", args.cutoff, grid=args.grid, scale=args.constant_scale
-    )
+    report = verify_bound(cf, "polya", args.cutoff, grid=args.grid)
     rows = polya_rows(cf, args.cutoff)
     if args.csv:
         _emit(_csv_text("lambda,count,bound", rows), args.csv)
     if args.svg:
         lam = [r[0] for r in rows]
         cnt = [float(r[1]) for r in rows]
-        bnd = [r[2] * args.constant_scale for r in rows]
+        bnd = [r[2] for r in rows]
         _emit(
             line_plot(
                 [("counting function", lam, cnt), ("semiclassical line", lam, bnd)],
@@ -348,12 +352,6 @@ def build_parser():
     _interval_args(p)
     _solver_args(p)
     p.add_argument("--grid", type=int, default=10000)
-    p.add_argument(
-        "--constant-scale",
-        type=float,
-        default=1.0,
-        help="multiply the bound (values < 1 manufacture violations)",
-    )
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--svg", metavar="PATH")
@@ -385,8 +383,14 @@ def build_parser():
         sub.add_argument(
             "--config", metavar="PATH", help="JSON file of long-flag defaults"
         )
+        required = [a for a in sub._actions if a.required]
+        for action in required:
+            # checked after the config overlay (see _apply_config)
+            action.required = False
+            action.help = f"{action.help or ''} (required here or in --config)".lstrip()
         sub.set_defaults(
-            option_types={a.dest: a.type or str for a in sub._actions if a.dest != "help"}
+            option_types={a.dest: a.type or str for a in sub._actions if a.dest != "help"},
+            required={a.dest: a.option_strings[0] for a in required},
         )
     return parser
 

@@ -1,63 +1,16 @@
 """Closed-form constants for spectral eigenvalue bounds.
 
-Everything here is exact arithmetic on top of the Gamma function: the
+Everything here is arithmetic on top of the standard library's Gamma: the
 semiclassical constants, their best known multiples, and the derived
 coefficients used by the counting and kinetic-energy inequalities.
 """
 
 import math
+import sys
 
 # Best known excess over the semiclassical value for the one-dimensional
 # gamma = 1 bound (operator-valued lifting keeps it dimension-free).
 EXCESS = 1.456
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Lanczos approximation, g = 7, 9 terms.  Relative error ~1e-14 on the
-# positive real axis, comfortably inside the 1e-12 contract on (0, 50].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x):
-    """Gamma function on the positive real axis.
-
-    Integer and half-integer arguments short-circuit to exact recurrences
-    (factorial, resp. sqrt(pi) times a rising product), so the identities
-    between constants below hold to rounding.  Everything else goes through
-    a Lanczos approximation.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma_fn requires a finite positive argument, got {x!r}")
-    if x == math.floor(x) and x <= 171.0:
-        return float(math.factorial(int(x) - 1))
-    if 2.0 * x == math.floor(2.0 * x) and x < 171.0:
-        # x = m + 1/2 with integer m >= 0
-        val = math.sqrt(math.pi)
-        m = int(x - 0.5)
-        for j in range(m):
-            val *= j + 0.5
-        return val
-    if x < 0.5:
-        # reflection keeps the series argument away from the pole side
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def _check_dim(dim, minimum=1):
@@ -74,14 +27,24 @@ def _check_excess(excess):
 
 
 def lt_classical(gamma, dim):
-    """Semiclassical constant Gamma(g+1) / ((4 pi)^(d/2) Gamma(g + d/2 + 1))."""
+    """Semiclassical constant Gamma(g+1) / ((4 pi)^(d/2) Gamma(g + d/2 + 1)).
+
+    ValueError where no normal double holds it or its parts: Gamma overflows
+    near gamma + d/2 = 170, and at gamma = 1 the value underflows from d = 225.
+    """
     gamma = float(gamma)
     if not math.isfinite(gamma) or gamma < 0.0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     _check_dim(dim)
-    return gamma_fn(gamma + 1.0) / (
-        (4.0 * math.pi) ** (dim / 2.0) * gamma_fn(gamma + dim / 2.0 + 1.0)
-    )
+    try:
+        value = math.gamma(gamma + 1.0) / (
+            (4.0 * math.pi) ** (dim / 2.0) * math.gamma(gamma + dim / 2.0 + 1.0)
+        )
+    except OverflowError:
+        value = 0.0
+    if value < sys.float_info.min:
+        raise ValueError(f"the constant at gamma={gamma}, d={dim} is out of floating-point range")
+    return value
 
 
 def lt_best_known(gamma, dim, excess=EXCESS):

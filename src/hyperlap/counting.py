@@ -159,21 +159,18 @@ class BoundReport:
         }
 
 
-def verify_bound(cf, kind, lam_max, grid=1000, gamma=None, scale=1.0):
+def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
     """Check one bound against the counting data on (0, lam_max].
 
     The evaluation set is a uniform grid joined with every jump of the
     staircase; counts are taken inclusively at each point, which is the
-    worst case for an upper bound.  ``scale`` multiplies the bound (scale
-    < 1 manufactures violations for exercising the reporting path).
+    worst case for an upper bound.
     """
     lam_max = float(lam_max)
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise ValueError(f"lam_max must be positive and finite, got {lam_max!r}")
     if grid < 1:
         raise ValueError(f"grid must have at least one point, got {grid}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive, got {scale!r}")
     if kind not in _BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}, expected one of {_BOUND_KINDS}")
     if kind == "riesz":
@@ -195,14 +192,14 @@ def verify_bound(cf, kind, lam_max, grid=1000, gamma=None, scale=1.0):
         bounds = _COUNT_RHS[kind](lambdas, cf.dim, cf.domain_volume)
         label = kind
 
-    margins = scale * bounds - values
+    margins = bounds - values
     i = int(np.argmin(margins))
     return BoundReport(
         bound_kind=label,
         lam_max=lam_max,
         lambda_grid=lambdas,
         n_values=values,
-        bound_values=scale * bounds,
+        bound_values=bounds,
         min_margin=float(margins[i]),
         argmin_lambda=float(lambdas[i]),
         violated=bool(margins[i] < 0.0),

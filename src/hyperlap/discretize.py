@@ -1,9 +1,11 @@
-"""Discretizations of -d^2/dt^2 + q(t) with Dirichlet ends.
+"""Discretizations of -d^2/dt^2 + kappa exp(2t) with Dirichlet ends.
 
-Two routes: the Shen-Legendre Galerkin family (symmetric banded matrices
-built once per interval, mode by mode only the coupling changes; every
-certified solve uses it) and second-order central finite differences
-(symmetric tridiagonal, used as the cross-checking oracle).
+The coupling kappa >= 0, a float, is the only parameter (mode ell of a
+strip of width w has kappa = (ell pi / w)^2).  Two routes: the
+Shen-Legendre Galerkin family (symmetric banded matrices built once per
+interval, mode by mode only the coupling changes; every certified solve
+uses it) and second-order central finite differences (symmetric
+tridiagonal, used as the cross-checking oracle).
 Every Galerkin matrix is built in closed form, without quadrature: the
 exp(2t) mass from the Legendre expansion of the exponential and the
 Adams-Neumann integral of three Legendre polynomials.
@@ -45,39 +47,6 @@ class Interval:
         """Affine image of reference coordinates x in [-1, 1]."""
         x = np.asarray(x, dtype=float)
         return self.alpha + (self.beta - self.alpha) * (x + 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Potential q(t) = coupling * exp(2 t), coupling = (ell pi / width)^2.
-
-    ``ell`` indexes the transverse modes of the separated strip problem of
-    the given ``width``, whose transverse eigenvalues are the couplings;
-    width pi gives exactly ell^2.
-    """
-
-    ell: int = 0
-    width: float = math.pi
-
-    def __post_init__(self):
-        if self.ell != int(self.ell) or self.ell < 0:
-            raise ValueError(
-                f"mode index must be a nonnegative integer, got {self.ell!r}"
-            )
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValueError(
-                f"strip width must be positive and finite, got {self.width!r}"
-            )
-
-    @property
-    def coupling(self):
-        return float(self.ell) ** 2 * (math.pi / self.width) ** 2
-
-    def evaluate(self, t):
-        q = self.coupling * np.exp(2.0 * np.asarray(t, dtype=float))
-        if not np.all(np.isfinite(q)):
-            raise ValueError("potential evaluates to a non-finite value on the grid")
-        return q
 
 
 @dataclass(frozen=True)
@@ -320,17 +289,27 @@ class TridiagOperator:
         return a
 
 
-def assemble_fd(interval, pot, m=2000):
+def _check_coupling(coupling):
+    coupling = float(coupling)
+    if not (math.isfinite(coupling) and coupling >= 0.0):
+        raise ValueError(f"coupling must be finite and >= 0, got {coupling!r}")
+    return coupling
+
+
+def assemble_fd(interval, coupling, m=2000):
     """Central-difference discretization with m interior points, spacing h.
 
-    diag_i = 2/h^2 + q(t_i) on the ascending uniform interior grid,
-    offdiag = -1/h^2.  Second-order accurate; meant for Richardson
+    diag_i = 2/h^2 + coupling exp(2 t_i) on the ascending uniform interior
+    grid, offdiag = -1/h^2.  Second-order accurate; meant for Richardson
     extrapolation and Sturm counting, not for production eigenvalues.
     """
+    coupling = _check_coupling(coupling)
     if m < 3:
         raise ValueError(f"need m >= 3 interior points, got {m}")
     h = interval.length / (m + 1)
     t = interval.alpha + h * np.arange(1, m + 1)
-    diag = 2.0 / h ** 2 + pot.evaluate(t)
+    diag = 2.0 / h ** 2 + coupling * np.exp(2.0 * t)
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("potential evaluates to a non-finite value on the grid")
     offdiag = np.full(m - 1, -1.0 / h ** 2)
     return TridiagOperator(diag=diag, offdiag=offdiag, h=h, nodes=t)

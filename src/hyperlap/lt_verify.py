@@ -16,7 +16,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .constants import EXCESS, kinetic_constant, lt_best_known
 from .counting import CountingFunction
-from .discretize import Interval, PotentialSpec
+from .discretize import Interval
 from .errors import QuadratureError
 from . import sl_family
 
@@ -39,12 +39,6 @@ class ProductDomain:
     def interval(self):
         """The t = log y interval."""
         return Interval(math.log(self.a), math.log(self.b))
-
-    def transverse(self, ell):
-        """Transverse Dirichlet eigenvalue (ell pi / x_length)^2."""
-        if ell != int(ell) or ell < 1:
-            raise ValueError(f"transverse index must be a positive integer: {ell!r}")
-        return PotentialSpec(ell, width=self.x_length).coupling
 
 
 def hyperbolic_volume(domain):

@@ -14,7 +14,7 @@ its own.  It certifies each retained eigenvalue against the doubled
 resolution and cross-checks every mode's count against the
 finite-difference Sturm oracle in one batched pass.  A single-mode solve
 (solve_certified) runs the same certification for one mode: it takes the
-interval, the PotentialSpec of the mode and a cutoff, and returns a plain
+interval, the coupling kappa of the mode and a cutoff, and returns a plain
 ascending float64 array.  No route returns an uncertified value.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import _MAX_N, Interval, PotentialSpec, assemble_fd, assemble_galerkin
+from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
 from .eigen import _sturm_counts, lowest_pencil_eigenvalues
 from .errors import CertificationError, IncompleteTableError
 
@@ -125,7 +125,7 @@ def _mode_values(families, coupling, cutoff, tol, w):
 def _check_oracle(interval, modes):
     """Finite-difference Sturm counts at every mode's gap probe, in one pass.
 
-    ``modes`` are (ell, coupling, probe, count, above) tuples; the counts
+    ``modes`` are (name, coupling, probe, count, above) tuples; the counts
     must equal the FD counts strictly below the probes, on the fewest grid
     points m >= 3 (no parameter) where every h^2 above^2 / 12 is at most
     _FD_SHARE of above - probe.  The FD diagonal of mode kappa is
@@ -133,32 +133,34 @@ def _check_oracle(interval, modes):
     """
     if not modes:
         return
-    ells, couplings, probes, counts, aboves = zip(*modes)
+    names, couplings, probes, counts, aboves = zip(*modes)
     above = np.array(aboves)
     points = interval.length * above / np.sqrt(12.0 * _FD_SHARE * (above - probes))
-    fd = assemble_fd(interval, PotentialSpec(0), max(3, math.ceil(points.max()) - 1))
+    fd = assemble_fd(interval, 0.0, max(3, math.ceil(points.max()) - 1))
     diag = fd.diag[:, None] + np.outer(np.exp(2.0 * fd.nodes), couplings)
     fd_counts = _sturm_counts(diag, fd.offdiag ** 2, probes)
-    for ell, probe, count, fd_count in zip(ells, probes, counts, fd_counts):
+    for name, probe, count, fd_count in zip(names, probes, counts, fd_counts):
         if fd_count != count:
             raise CertificationError(
-                f"mode {ell}: finite-difference count below {probe} is "
+                f"{name}: finite-difference count below {probe} is "
                 f"{fd_count}, Galerkin says {count}",
                 index=-1,
             )
 
 
-def solve_certified(interval, pot, cutoff, tol=1e-10, n=400):
-    """Eigenvalues <= cutoff of mode ``pot``, certified by two resolutions and a
-    count on the FD grid that _check_oracle sizes from the gap (no parameter)."""
+def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
+    """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified by two
+    resolutions and a count on the FD grid that _check_oracle sizes from the gap."""
+    coupling = _check_coupling(coupling)
     _check_tol(tol)
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     families = _families(interval, n)
-    w = _lowest(families[0], pot.coupling, _count_bound(interval, cutoff) + 1)
-    values, probe, above = _mode_values(families, pot.coupling, cutoff, tol, w)
-    _check_oracle(interval, [(pot.ell, pot.coupling, probe, values.size, above)])
+    w = _lowest(families[0], coupling, _count_bound(interval, cutoff) + 1)
+    values, probe, above = _mode_values(families, coupling, cutoff, tol, w)
+    name = f"coupling {coupling!r}"
+    _check_oracle(interval, [(name, coupling, probe, values.size, above)])
     return values
 
 
@@ -268,9 +270,13 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     _check_tol(tol)
-    if PotentialSpec(_MODE_LIMIT, width=width).coupling * math.exp(
-        2.0 * interval.alpha
-    ) <= cutoff:
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"strip width must be positive and finite, got {width!r}")
+
+    def coupling(ell):
+        return float(ell) ** 2 * (math.pi / width) ** 2
+
+    if coupling(_MODE_LIMIT) * math.exp(2.0 * interval.alpha) <= cutoff:
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
     families = _families(interval, n)
@@ -280,12 +286,12 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     modes = []
     ell = 1
     while True:
-        coupling = PotentialSpec(ell, width=width).coupling
-        w = _lowest(families[0], coupling, count + 1)
+        kappa = coupling(ell)
+        w = _lowest(families[0], kappa, count + 1)
         if w[0] > cutoff:
             break
-        values, probe, above = _mode_values(families, coupling, retain, tol, w)
-        modes.append((ell, coupling, probe, values.size, above))
+        values, probe, above = _mode_values(families, kappa, retain, tol, w)
+        modes.append((f"mode {ell}", kappa, probe, values.size, above))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))
         count = values.size

@@ -15,7 +15,6 @@ from hyperlap import (
     BoxPotential,
     CountingFunction,
     Interval,
-    PotentialSpec,
     ProductDomain,
     TRIAL_NAMES,
     assemble_fd,
@@ -37,13 +36,13 @@ STRIP_VOLUME = math.pi * (math.e - 1.0 / math.e)
 
 def _nu1(ell):
     # every ground state in question lies below 1100
-    return float(solve_certified(IV, PotentialSpec(ell), 1100.0, n=400)[0])
+    return float(solve_certified(IV, ell ** 2, 1100.0, n=400)[0])
 
 
 def test_criterion_1_spectral_accuracy(criterion):
     t0 = time.time()
     # the cutoff sits 0.1 % above the 150th exact value
-    spec = solve_certified(IV, PotentialSpec(0), (150 * math.pi / 2.0) ** 2 * 1.001, n=400)
+    spec = solve_certified(IV, 0.0, (150 * math.pi / 2.0) ** 2 * 1.001, n=400)
     elapsed = time.time() - t0
     k = np.arange(1, 151)
     exact = (k * math.pi / 2.0) ** 2
@@ -88,8 +87,8 @@ def test_criterion_3_mode_truncation_at_fifty(criterion, full_table):
     nu1_50 = _nu1(50)
     nu1_70 = _nu1(70)
     nu1_71 = _nu1(71)
-    fd_70 = sturm_count(assemble_fd(IV, PotentialSpec(70), m=8000), 1000.0)
-    fd_71 = sturm_count(assemble_fd(IV, PotentialSpec(71), m=8000), 1000.0)
+    fd_70 = sturm_count(assemble_fd(IV, 4900.0, m=8000), 1000.0)
+    fd_71 = sturm_count(assemble_fd(IV, 5041.0, m=8000), 1000.0)
     ok = (
         table.ell_max == 71
         and nu1_70 <= 1000.0 < nu1_71
@@ -108,9 +107,9 @@ def test_criterion_3_mode_truncation_at_fifty(criterion, full_table):
     )
 
 
-def _richardson_pair(pot, hi, m):
-    coarse_op = assemble_fd(IV, pot, m=m)
-    fine_op = assemble_fd(IV, pot, m=2 * m)
+def _richardson_pair(coupling, hi, m):
+    coarse_op = assemble_fd(IV, coupling, m=m)
+    fine_op = assemble_fd(IV, coupling, m=2 * m)
     coarse = tridiag_eigenvalues(coarse_op, 0.0, hi)
     fine = tridiag_eigenvalues(fine_op, 0.0, hi)
     h1, h2 = coarse_op.h, fine_op.h
@@ -122,16 +121,14 @@ def test_criterion_4_oracle_cross_validation(criterion, full_table):
     table, _ = full_table
     worst = 0.0
     for ell in (1, 5, 10):
-        pot = PotentialSpec(ell)
         # 1500 lies above the 20th eigenvalue of each of these modes
-        w = solve_certified(IV, pot, 1500.0, n=400)[:20]
-        extrap = _richardson_pair(pot, float(w[-1]) * 1.05 + 5.0, m=2000)[:20]
+        w = solve_certified(IV, ell ** 2, 1500.0, n=400)[:20]
+        extrap = _richardson_pair(ell ** 2, float(w[-1]) * 1.05 + 5.0, m=2000)[:20]
         worst = max(worst, float(np.max(np.abs(w - extrap) / np.abs(extrap))))
     mismatches = []
     for ell in range(1, 51):
-        pot = PotentialSpec(ell)
         c_gal = int(np.sum(table.mode_values(ell) < 1000.0))
-        c_fd = sturm_count(assemble_fd(IV, pot, m=8000), 1000.0)
+        c_fd = sturm_count(assemble_fd(IV, ell ** 2, m=8000), 1000.0)
         if c_fd != c_gal:
             mismatches.append((ell, c_gal, c_fd))
     ok = worst <= 1e-8 and not mismatches

@@ -44,6 +44,15 @@ def test_public_names_resolve_and_retired_ones_are_gone():
         assert not hasattr(module, name)
     for name in ("mass", "operator"):
         assert not hasattr(hyperlap.GalerkinFamily, name)
+    # the solvers take the coupling kappa, and Gamma is the standard library's
+    for module, name in (
+        (hyperlap.discretize, "PotentialSpec"),
+        (hyperlap.constants, "gamma_fn"),
+    ):
+        assert name not in names
+        assert not hasattr(hyperlap, name)
+        assert not hasattr(module, name)
+    assert not hasattr(hyperlap.ProductDomain, "transverse")
 
 
 def test_import_does_not_load_sparse_linalg():

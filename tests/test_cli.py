@@ -54,6 +54,21 @@ def test_constants_invalid_gamma_exits_two():
     assert main(["constants", "--gamma", "-1", "--dim", "2"]) == 2
 
 
+def test_gamma_overflow_exits_two(monkeypatch, capsys):
+    # Gamma(201) and Gamma(401) overflow a double, and so does the
+    # denominator of the constant from about d = 225: that is bad input
+    # (exit 2), not a violated bound (exit 1).  ltcheck stops before it
+    # sweeps anything.
+    monkeypatch.setattr(hyperlap.sl_family, "sweep", None)
+    for argv in (
+        ["constants", "--gamma", "200", "--dim", "2"],
+        ["ltcheck", "--gamma", "400", "--cutoff", "20", "--n", "64"],
+        ["ratio", "--dmax", "400"],
+    ):
+        assert main(argv) == 2
+        assert "out of floating-point range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("excess", ["nan", "inf", "0", "-5"])
 def test_invalid_excess_exits_two(excess, capsys):
     for argv in (
@@ -137,10 +152,14 @@ def test_eig_nonfinite_cutoff_exits_two(cutoff, capsys):
 
 def test_eig_needs_a_cutoff(capsys):
     # every value eig prints is certified, and certification needs a cutoff
-    with pytest.raises(SystemExit) as exc:
-        main(["eig", "--ell", "3"])
-    assert exc.value.code == 2
-    assert "--cutoff" in capsys.readouterr().err
+    assert main(["eig", "--ell", "3"]) == 2
+    assert "required: --cutoff" in capsys.readouterr().err
+
+
+def test_eig_negative_ell_exits_two(capsys):
+    # the coupling is ell^2, so -1 would pass as mode 1 without this check
+    assert main(["eig", "--ell", "-1", "--cutoff", "50", "--n", "64"]) == 2
+    assert "mode index must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_eig_unresolvable_exits_three(capsys):
@@ -258,14 +277,14 @@ def test_polya_outputs(tmp_path):
     assert "lambda" in svg
 
 
-def test_polya_scale_manufactures_violation(tmp_path):
-    jpath = tmp_path / "bad.json"
-    rc = main(
-        [
-            "polya", *FAST_SWEEP, "--grid", "200",
-            "--constant-scale", "0.001", "--json", str(jpath),
-        ]
+def test_polya_scale_manufactures_violation(tmp_path, monkeypatch):
+    # a bound scaled down 1000-fold is violated: polya exits 1
+    polya_rhs = hyperlap.counting.polya_rhs
+    monkeypatch.setitem(
+        hyperlap.counting._COUNT_RHS, "polya", lambda *args: 1e-3 * polya_rhs(*args)
     )
+    jpath = tmp_path / "bad.json"
+    rc = main(["polya", *FAST_SWEEP, "--grid", "200", "--json", str(jpath)])
     assert rc == 1
     assert json.loads(jpath.read_text())["violated"] is True
 
@@ -302,6 +321,20 @@ def test_config_file_supplies_defaults(tmp_path):
     rc = main(["sweep", "--config", str(cfg), "--json", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["cutoff"] == 30.0
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gamma": 1, "dim": 2}))
+    assert main(["constants", "--config", str(cfg), "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["classical"] == lt_classical(1.0, 2)
+    cfg.write_text(json.dumps({"cutoff": 50, "n": 64}))
+    assert main(["eig", "--config", str(cfg)]) == 0
+    assert "4 eigenvalues <= cutoff" in capsys.readouterr().out
+    # a flag missing from both the command line and the config is named
+    cfg.write_text(json.dumps({"gamma": 1}))
+    assert main(["constants", "--config", str(cfg)]) == 2
+    assert "required: --dim" in capsys.readouterr().err
 
 
 def test_config_flag_wins_over_config_file(tmp_path):

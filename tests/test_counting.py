@@ -205,17 +205,18 @@ def test_verify_polya_on_free_table():
 
 def test_verify_includes_jumps():
     # grid alone misses the violation; the jump point catches it
-    cf = CountingFunction(sorted_nus=np.array([0.37]), domain_volume=4.0 * math.pi)
-    report = verify_bound(cf, "polya", 1.0, grid=2, scale=2.2)
+    # the bound is 2.2 lambda on this volume
+    cf = CountingFunction(sorted_nus=np.array([0.37]), domain_volume=2.2 * 4.0 * math.pi)
+    report = verify_bound(cf, "polya", 1.0, grid=2)
     assert report.violated
     assert report.argmin_lambda == pytest.approx(0.37)
     assert report.min_margin == pytest.approx(2.2 * 0.37 - 1.0)
 
 
 def test_verify_scale_manufactures_violation():
-    cf = _free_cf(kmax=40)
-    ok = verify_bound(cf, "polya", 100.0, grid=200)
-    bad = verify_bound(cf, "polya", 100.0, grid=200, scale=1e-3)
+    # the same eigenvalues on a domain 1000 times smaller break the bound
+    ok = verify_bound(_free_cf(kmax=40), "polya", 100.0, grid=200)
+    bad = verify_bound(_free_cf(kmax=40, volume=1e-3 * STRIP_VOLUME), "polya", 100.0, grid=200)
     assert not ok.violated and bad.violated
     assert bad.min_margin < 0.0
 
@@ -244,8 +245,6 @@ def test_verify_argument_validation():
         verify_bound(cf, "frobnicate", 10.0)
     with pytest.raises(ValueError):
         verify_bound(cf, "polya", 10.0, grid=0)
-    with pytest.raises(ValueError):
-        verify_bound(cf, "polya", 10.0, scale=0.0)
     with pytest.raises(ValueError):
         verify_bound(cf, "polya", -1.0)
 

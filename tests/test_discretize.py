@@ -9,12 +9,13 @@ import pytest
 
 from hyperlap import (
     Interval,
-    PotentialSpec,
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
     lowest_pencil_eigenvalues,
+    sweep,
 )
+from hyperlap import sl_family
 from hyperlap.discretize import _exp_coefficients
 from hyperlap.lt_verify import _gauss_legendre
 
@@ -60,24 +61,33 @@ def test_interval_mapping():
 
 
 def test_potential_validation():
-    with pytest.raises(ValueError):
-        PotentialSpec(ell=-1)
-    q = PotentialSpec(ell=3)
-    t = np.array([-1.0, 0.0, 0.5])
-    assert np.allclose(q.evaluate(t), 9.0 * np.exp(2.0 * t))
+    # the FD diagonal of coupling kappa is 2/h^2 + kappa exp(2t)
+    op = assemble_fd(Interval(-1.0, 1.0), 9.0, m=3)
+    assert np.array_equal(op.diag, 8.0 + 9.0 * np.exp(2.0 * op.nodes))
+    for coupling in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="coupling must be finite and >= 0"):
+            assemble_fd(Interval(-1.0, 1.0), coupling, m=3)
+    # a finite coupling whose potential overflows on the grid
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        assemble_fd(Interval(399.0, 401.0), 1.0, m=3)
 
 
-def test_potential_width():
-    t = np.array([-1.0, 0.0, 1.0])
-    # coupling (2 pi / (2 pi))^2 = 1, exactly
-    q = PotentialSpec(2, width=2.0 * np.pi)
-    assert np.array_equal(q.evaluate(t), np.exp(2.0 * t))
-    assert PotentialSpec(3).coupling == 9.0
-    for width in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            PotentialSpec(1, width=width)
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
-        PotentialSpec(1).evaluate([400.0])
+def test_potential_width(monkeypatch):
+    """Mode ell of a width-w sweep has coupling ell^2 (pi / w)^2.
+
+    At width 2 pi that is (ell / 2)^2 exactly.  The widths a sweep refuses
+    are checked in test_sl_family.test_sweep_width_validation.
+    """
+    couplings = []
+
+    def recorded(family, coupling, k):
+        couplings.append(coupling)
+        return lowest(family, coupling, k)
+
+    lowest = sl_family._lowest
+    monkeypatch.setattr(sl_family, "_lowest", recorded)
+    table = sweep(Interval(-1.0, 1.0), 40.0, n=64, width=2.0 * np.pi)
+    assert sorted(set(couplings)) == [ell * ell / 4.0 for ell in range(1, table.ell_max + 1)]
 
 
 @pytest.mark.parametrize("q", [20, 400, 900])
@@ -311,7 +321,7 @@ def test_galerkin_rejects_bad_input():
 
 def test_fd_matrix_entries():
     iv = Interval(-1.0, 1.0)
-    op = assemble_fd(iv, PotentialSpec(0), m=3)
+    op = assemble_fd(iv, 0.0, m=3)
     assert op.h == pytest.approx(0.5)
     assert np.allclose(op.nodes, [-0.5, 0.0, 0.5])
     assert np.allclose(op.diag, 8.0)
@@ -321,7 +331,7 @@ def test_fd_matrix_entries():
 def test_fd_free_closed_form():
     """q = 0 eigenvalues are (4/h^2) sin^2(k pi / (2 (m+1)))."""
     m = 3
-    op = assemble_fd(Interval(-1.0, 1.0), PotentialSpec(0), m=m)
+    op = assemble_fd(Interval(-1.0, 1.0), 0.0, m=m)
     w = np.sort(np.linalg.eigvalsh(op.to_dense()))
     k = np.arange(1, m + 1)
     exact = (4.0 / op.h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
@@ -333,9 +343,8 @@ def test_fd_second_order_and_richardson():
     """Error drops like h^2, and the 2-grid combination like h^4."""
     exact = math.pi**2 / 4.0
     iv = Interval(-1.0, 1.0)
-    pot = PotentialSpec(0)
-    lo = np.sort(np.linalg.eigvalsh(assemble_fd(iv, pot, m=50).to_dense()))[0]
-    hi = np.sort(np.linalg.eigvalsh(assemble_fd(iv, pot, m=101).to_dense()))[0]
+    lo = np.sort(np.linalg.eigvalsh(assemble_fd(iv, 0.0, m=50).to_dense()))[0]
+    hi = np.sort(np.linalg.eigvalsh(assemble_fd(iv, 0.0, m=101).to_dense()))[0]
     err_lo = abs(lo - exact)
     err_hi = abs(hi - exact)
     # m = 101 halves h relative to m = 50
@@ -346,7 +355,7 @@ def test_fd_second_order_and_richardson():
 
 def test_fd_rejects_tiny_m():
     with pytest.raises(ValueError):
-        assemble_fd(Interval(-1.0, 1.0), PotentialSpec(0), m=2)
+        assemble_fd(Interval(-1.0, 1.0), 0.0, m=2)
 
 
 def test_tridiag_synthetic_construction():

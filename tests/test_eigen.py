@@ -10,7 +10,6 @@ from hyperlap.eigen import _sturm_counts
 from hyperlap import (
     ConvergenceError,
     Interval,
-    PotentialSpec,
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
@@ -23,7 +22,7 @@ from conftest import dense_spectrum
 
 
 def _fd_op(m, ell=0):
-    return assemble_fd(Interval(-1.0, 1.0), PotentialSpec(ell), m=m)
+    return assemble_fd(Interval(-1.0, 1.0), ell ** 2, m=m)
 
 
 def _fd_exact(m, h):

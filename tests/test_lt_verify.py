@@ -48,17 +48,6 @@ def test_domain_validation():
         ProductDomain(b=float("inf"))
 
 
-def test_transverse_eigenvalues():
-    assert MODEL.transverse(1) == pytest.approx(1.0)
-    assert MODEL.transverse(3) == pytest.approx(9.0)
-    wide = ProductDomain(x_length=2.0 * math.pi)
-    assert wide.transverse(2) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        MODEL.transverse(0)
-    with pytest.raises(ValueError):
-        MODEL.transverse(1.5)
-
-
 def test_hyperbolic_volume_examples():
     assert hyperbolic_volume(MODEL) == pytest.approx(math.pi * (math.e - 1.0 / math.e))
     assert hyperbolic_volume(ProductDomain(x_length=1.0, a=1.0, b=2.0)) == 0.5

@@ -14,7 +14,6 @@ from hyperlap import (
     EigenTable,
     IncompleteTableError,
     Interval,
-    PotentialSpec,
     assemble_fd,
     assemble_galerkin,
     lowest_pencil_eigenvalues,
@@ -32,9 +31,9 @@ IV = Interval(-1.0, 1.0)
 COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
 
 
-def _dense(interval, pot, n):
-    """All n - 1 Galerkin eigenvalues of mode ``pot``, by the dense reference solve."""
-    return dense_spectrum(assemble_galerkin(interval, n), pot.coupling)
+def _dense(interval, coupling, n):
+    """All n - 1 Galerkin eigenvalues of one mode, by the dense reference solve."""
+    return dense_spectrum(assemble_galerkin(interval, n), coupling)
 
 
 # The uncertified plain solve (solve_problem) is gone.  The tests below keep
@@ -43,7 +42,7 @@ def _dense(interval, pot, n):
 
 
 def test_solve_problem_free_spectrum():
-    spec = solve_certified(IV, PotentialSpec(0), 100.0, n=64)
+    spec = solve_certified(IV, 0.0, 100.0, n=64)
     exact = (np.arange(1, 7) * math.pi / 2.0) ** 2
     assert len(spec) == 6
     assert np.max(np.abs(spec - exact) / exact) <= 1e-10
@@ -51,17 +50,21 @@ def test_solve_problem_free_spectrum():
 
 def test_solve_problem_rejects_bad_input():
     with pytest.raises(ValueError):
-        solve_certified(IV, PotentialSpec(0), 10.0, n=3)
+        solve_certified(IV, 0.0, 10.0, n=3)
     for cutoff in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            solve_certified(IV, PotentialSpec(0), cutoff, n=16)
+            solve_certified(IV, 0.0, cutoff, n=16)
+    for coupling in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="coupling must be finite and >= 0"):
+            solve_certified(IV, coupling, 10.0, n=16)
 
 
 def test_solve_problem_uses_the_strip_width():
-    # coupling (2 pi / (2 pi))^2 = 1 = 1^2, exactly
-    wide = solve_certified(IV, PotentialSpec(2, width=2.0 * math.pi), 200.0, n=32)
-    assert wide.size > 0
-    assert np.array_equal(wide, solve_certified(IV, PotentialSpec(1), 200.0, n=32))
+    # mode 2 of the width-2 pi strip has coupling (2 pi / (2 pi))^2 = 1, exactly
+    wide = sweep(IV, 200.0, n=32, width=2.0 * math.pi).mode_values(2)
+    single = solve_certified(IV, 1.0, 200.0, n=32)
+    assert single.size > 0
+    np.testing.assert_allclose(wide[: single.size], single, rtol=1e-12)
 
 
 def test_solve_problem_ground_states_match_collocation_table():
@@ -70,20 +73,20 @@ def test_solve_problem_ground_states_match_collocation_table():
     ground = {ell: nu for ell, k, nu in rows if k == 1}
     assert sorted(ground) == list(range(1, 71))
     for ell, nu in ground.items():
-        got = solve_certified(IV, PotentialSpec(ell), 1050.0, n=128)[0]
+        got = solve_certified(IV, ell ** 2, 1050.0, n=128)[0]
         assert abs(got - nu) <= 1e-11 * nu
 
 
 def test_solve_problem_translation_invariance_free_case():
-    wa = solve_certified(Interval(-1.0, 1.0), PotentialSpec(0), 100.0, n=24)
-    wb = solve_certified(Interval(3.0, 5.0), PotentialSpec(0), 100.0, n=24)
+    wa = solve_certified(Interval(-1.0, 1.0), 0.0, 100.0, n=24)
+    wb = solve_certified(Interval(3.0, 5.0), 0.0, 100.0, n=24)
     assert wa.size == wb.size == 6
     assert np.allclose(wa[:6], wb[:6], rtol=1e-9)
 
 
 def test_solve_problem_ground_state_bracketed():
     """Constant-potential comparison pins the ell = 1 ground state."""
-    nu1 = solve_certified(IV, PotentialSpec(1), 10.0, n=64)[0]
+    nu1 = solve_certified(IV, 1.0, 10.0, n=64)[0]
     base = math.pi**2 / 4.0
     assert base + math.exp(-2.0) < nu1 < base + math.exp(2.0)
 
@@ -95,15 +98,15 @@ def test_solve_problem_refinement_is_spectral():
     is where the decay shows: the first six relative errors fall from up
     to 0.6 to at most 2e-6.
     """
-    ref = _dense(IV, PotentialSpec(1), 256)[:6]
-    err8 = np.abs(_dense(IV, PotentialSpec(1), 8)[:6] - ref)
-    err16 = np.abs(_dense(IV, PotentialSpec(1), 16)[:6] - ref)
+    ref = _dense(IV, 1.0, 256)[:6]
+    err8 = np.abs(_dense(IV, 1.0, 8)[:6] - ref)
+    err16 = np.abs(_dense(IV, 1.0, 16)[:6] - ref)
     floor = 5e-12 * np.maximum(1.0, np.abs(ref))
     assert np.all(err16 <= np.maximum(1e-3 * err8, floor))
 
 
 def test_certified_free_spectrum():
-    spec = solve_certified(IV, PotentialSpec(0), 1000.0, tol=1e-10, n=400)
+    spec = solve_certified(IV, 0.0, 1000.0, tol=1e-10, n=400)
     exact = (np.arange(1, 21) * math.pi / 2.0) ** 2
     assert len(spec) == 20
     assert np.max(np.abs(spec - exact) / exact) <= 1e-10
@@ -111,25 +114,25 @@ def test_certified_free_spectrum():
 
 def test_certified_against_richardson_oracle():
     """Mode 1 eigenvalues cross-checked with the extrapolated FD values."""
-    spec = solve_certified(IV, PotentialSpec(1), 100.0, tol=1e-10, n=128)
+    spec = solve_certified(IV, 1.0, 100.0, tol=1e-10, n=128)
     assert len(spec) >= 5
     hi = float(spec[-1]) * 1.2
-    coarse = tridiag_eigenvalues(assemble_fd(IV, PotentialSpec(1), m=2000), 0.0, hi)
-    fine = tridiag_eigenvalues(assemble_fd(IV, PotentialSpec(1), m=4001), 0.0, hi)
+    coarse = tridiag_eigenvalues(assemble_fd(IV, 1.0, m=2000), 0.0, hi)
+    fine = tridiag_eigenvalues(assemble_fd(IV, 1.0, m=4001), 0.0, hi)
     k = len(spec)
     extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
     assert np.max(np.abs(spec - extrap) / extrap) <= 1e-8
 
 
 def test_certified_empty_below_ground_state():
-    spec = solve_certified(IV, PotentialSpec(0), 2.0, n=64)
+    spec = solve_certified(IV, 0.0, 2.0, n=64)
     assert len(spec) == 0
 
 
 def test_certified_rejects_unresolvable_request():
     # resolution 8 cannot certify anything near 500
     with pytest.raises(CertificationError):
-        solve_certified(IV, PotentialSpec(0), 500.0, tol=1e-10, n=8)
+        solve_certified(IV, 0.0, 500.0, tol=1e-10, n=8)
 
 
 @pytest.mark.parametrize("n", [400, 800])
@@ -147,7 +150,7 @@ def test_galerkin_matches_collocation(n):
     rows = table_rows_from_csv(COLLOCATION_1000.read_text())
     for ell in (1, 30, 70):
         coll = np.array([nu for e, _, nu in rows if e == ell])
-        gal = _dense(IV, PotentialSpec(ell), n)
+        gal = _dense(IV, ell ** 2, n)
         err = np.abs(gal[: coll.size] - coll) / np.maximum(1.0, coll)
         assert coll.size > 0 and gal[coll.size] > 1050.0
         assert np.max(err) <= 1e-11
@@ -156,21 +159,21 @@ def test_galerkin_matches_collocation(n):
 def test_certified_tol_floor():
     for tol in (1e-14, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            solve_certified(IV, PotentialSpec(0), 10.0, tol=tol)
+            solve_certified(IV, 0.0, 10.0, tol=tol)
     with pytest.raises(ValueError):
         sweep(IV, 2.0, tol=float("nan"), n=64)  # no mode is solved at all
 
 
 def test_certified_rejects_nonfinite_cutoff():
     with pytest.raises(ValueError):
-        solve_certified(IV, PotentialSpec(0), float("inf"))
+        solve_certified(IV, 0.0, float("inf"))
 
 
 def test_certified_paths_refuse_n_past_half_the_limit(monkeypatch):
     # they also assemble 2n, so n = 2049 is refused before anything is built
     monkeypatch.setattr(sl_family, "assemble_galerkin", None)
     with pytest.raises(ValueError, match="need 4 <= n <= 2048, got 2049"):
-        solve_certified(IV, PotentialSpec(0), 10.0, n=2049)
+        solve_certified(IV, 0.0, 10.0, n=2049)
     with pytest.raises(ValueError, match="need 4 <= n <= 2048, got 2049"):
         sweep(IV, 10.0, n=2049)
 
@@ -184,8 +187,8 @@ def test_find_ell_max_defining_property():
     table = sweep(IV, cutoff, n=64)
     lm = table.ell_max
     assert lm >= 2
-    above = _dense(IV, PotentialSpec(lm), 64)[0]
-    below = _dense(IV, PotentialSpec(lm - 1), 64)[0]
+    above = _dense(IV, lm ** 2, 64)[0]
+    below = _dense(IV, (lm - 1) ** 2, 64)[0]
     assert above > cutoff >= below
     # ell_max is the first excluded mode: the table ends at the one before
     assert max(ell for ell, _, _ in table.entries) == lm - 1
@@ -193,7 +196,7 @@ def test_find_ell_max_defining_property():
 
 def test_find_ell_max_tiny_cutoff():
     # even the first mode clears 2, so nothing is retained
-    assert _dense(IV, PotentialSpec(1), 64)[0] > 2.0
+    assert _dense(IV, 1.0, 64)[0] > 2.0
     assert sweep(IV, 2.0, n=64).ell_max == 1
 
 
@@ -227,8 +230,7 @@ def test_sweep_ell_max_matches_ground_state_scan(interval, cutoff, n, width):
         n = 140
 
     def nu1(ell):
-        pot = PotentialSpec(ell, width=width)
-        return _dense(interval, pot, n)[0]
+        return _dense(interval, float(ell) ** 2 * (math.pi / width) ** 2, n)[0]
 
     ell = 1
     while nu1(ell) <= cutoff:
@@ -272,7 +274,7 @@ def test_sweep_makes_no_dense_solves(monkeypatch, capsys):
     monkeypatch.setattr(scipy.linalg, "eigh", refused)
     table = sweep(IV, 40.0, n=64)
     assert table.ell_max > 1
-    assert solve_certified(IV, PotentialSpec(3), 200.0, n=64).size > 0
+    assert solve_certified(IV, 9.0, 200.0, n=64).size > 0
     assert main(["eig", "--ell", "3", "--cutoff", "200", "--n", "64"]) == 0
     assert "eigenvalues <= cutoff" in capsys.readouterr().out
 
@@ -376,10 +378,9 @@ def test_sweep_matches_richardson_oracle():
     table = sweep(IV, 40.0, n=64)
     for ell in table.modes():
         vals = table.mode_values(ell)
-        pot = PotentialSpec(ell)
         hi = float(vals[-1]) * 1.2
-        coarse = tridiag_eigenvalues(assemble_fd(IV, pot, m=1000), 0.0, hi)
-        fine = tridiag_eigenvalues(assemble_fd(IV, pot, m=2001), 0.0, hi)
+        coarse = tridiag_eigenvalues(assemble_fd(IV, ell ** 2, m=1000), 0.0, hi)
+        fine = tridiag_eigenvalues(assemble_fd(IV, ell ** 2, m=2001), 0.0, hi)
         k = vals.size
         extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
         assert np.max(np.abs(vals - extrap) / extrap) <= 1e-8
@@ -401,7 +402,7 @@ def test_sweep_certification_error_prints_plain_floats():
     i = info.value.index
     for text, n in zip(found.groups(), (8, 16)):
         assert float(text) == pytest.approx(
-            _dense(IV, PotentialSpec(1), n)[i], rel=1e-12
+            _dense(IV, 1.0, n)[i], rel=1e-12
         )
 
 
@@ -417,13 +418,23 @@ def test_sweep_oracle_mismatch_names_the_mode(monkeypatch):
         sweep(IV, 40.0, n=64)
 
 
+def test_single_solve_oracle_mismatch_names_the_coupling(monkeypatch):
+    def off_by_one(diag, off2, lams):
+        return sturm_counts(diag, off2, lams) + 1
+
+    sturm_counts = sl_family._sturm_counts
+    monkeypatch.setattr(sl_family, "_sturm_counts", off_by_one)
+    with pytest.raises(CertificationError, match="coupling 2.25:"):
+        solve_certified(IV, 2.25, 40.0, n=64)
+
+
 def test_oracle_grid_meets_the_sizing_rule(monkeypatch):
     """The FD grid is the fewest points with h^2 above^2 / 12 <= (above - probe) / 8."""
     grids = []
 
-    def recorded(interval, pot, m=2000):
+    def recorded(interval, coupling, m=2000):
         grids.append(m)
-        return assemble_fd(interval, pot, m)
+        return assemble_fd(interval, coupling, m)
 
     monkeypatch.setattr(sl_family, "assemble_fd", recorded)
     table = sweep(IV, 40.0, n=64)
@@ -432,7 +443,7 @@ def test_oracle_grid_meets_the_sizing_rule(monkeypatch):
     gaps = []
     for ell in table.modes():
         k = table.mode_values(ell).size
-        w = _dense(IV, PotentialSpec(ell), 64)
+        w = _dense(IV, ell ** 2, 64)
         gaps.append((w[k], 0.5 * (w[k - 1] + w[k])))
 
     def meets(points):
@@ -446,7 +457,7 @@ def test_oracle_grid_meets_the_sizing_rule(monkeypatch):
 
 def test_certified_mode_at_cutoff_three_hundred_thousand():
     # a fixed 4000-point FD grid counts 349 below the probe here
-    values = solve_certified(IV, PotentialSpec(1), 3e5, n=1100)
+    values = solve_certified(IV, 1.0, 3e5, n=1100)
     assert values.size == 348
     assert values[-1] <= 3e5
 
@@ -476,7 +487,7 @@ def test_sweep_width_pi_matches_default():
 
 def test_sweep_width_validation():
     for width in (0.0, -math.pi, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strip width must be positive and finite"):
             sweep(IV, 40.0, n=64, width=width)
 
 
