@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-# largest Galerkin resolution n.  The certified solves also solve at 2n, so
-# they take n <= _MAX_N // 2; a mode that asks for nearly all of its values
-# makes ARPACK keep about that many Lanczos vectors, a dense basis of order
-# 4095 (about 134 MB) at the limit
+# largest Galerkin resolution n.  The certified solves solve at 2n, so they
+# take n <= _MAX_N // 2; a mode that asks for nearly all of its values makes
+# Lanczos keep up to one vector per order, a dense basis of order 4095
+# (about 134 MB) at the limit
 _MAX_N = 4096
 
 

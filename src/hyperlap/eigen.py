@@ -1,27 +1,33 @@
 """Eigenvalue backends.
 
 The pencil route solves the Galerkin family: spectral-transformation
-Lanczos on the banded pencil gives the few lowest eigenvalues that the
-certified solves need.  Lanczos stops at a residual of 1e-9 relative, not
-at rounding: a Ritz value's error is quadratic in its residual, so the
+Lanczos on the banded pencil gives the few lowest eigenpairs that the
+certified solves need, with B-orthonormal Ritz vectors.  It is written
+here on the banded LAPACK factorizations, with full reorthogonalization
+and no implicit restarts.  Lanczos stops at a residual of 1e-9 relative, not at
+rounding: a Ritz value's error is quadratic in its residual, so the
 values stay within about 1e-16 relative.  The tridiagonal route is a
 self-contained Sturm-sequence bisection, kept free of LAPACK on purpose so
 it never shares a failure mode with the pencil.  Every route returns its
 eigenvalues as a plain ascending float64 array.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstein, dsterf, dtbtrs
 
 from .errors import ConvergenceError
 
 # bisection sweeps before ConvergenceError; each one halves every bracket
 _MAX_SWEEPS = 200
 
-# Lanczos stops once every wanted Ritz value theta has a residual
-# ||r|| <= _RESIDUAL_TOL * |theta|.  The nearest eigenvalue mu then obeys
-# |theta - mu| <= ||r||^2 / delta (Kato-Temple; Parlett, The Symmetric
+# Lanczos stops once every wanted Ritz pair (theta, x) of the transformed
+# operator has a residual ||r||_b <= _RESIDUAL_TOL * theta, with
+# r = a^-1 b x - theta x and x b-normalized (the Euclidean residual of
+# R^T a^-1 R, see lowest_pencil_eigenpairs).  The operator is self-adjoint
+# in the b inner product, so the nearest eigenvalue mu obeys
+# |theta - mu| <= ||r||_b^2 / delta (Kato-Temple; Parlett, The Symmetric
 # Eigenvalue Problem, 11.7), delta the gap from theta to the rest of the
 # spectrum.  For one 1D mode the wanted mu_j = 1 / nu_j (j <= 200) have
 # relative gaps delta / theta >= 1e-2, so each value is within
@@ -29,46 +35,152 @@ _MAX_SWEEPS = 200
 # certification tolerance, with a quarter to a third fewer operator
 # applications than a residual at rounding level needs.
 _RESIDUAL_TOL = 1e-9
+# the first convergence check comes this many steps past k: no mode of
+# the sweeps converges sooner (k + 13 to k + 19 for the modes of the
+# benchmark tables, k + 18 to k + 68 on (0.5, 6.5) to cutoff 1000)
+_CHECK_LEAD = 12
+# Daniel-Gragg-Kaufman-Stewart: a Gram-Schmidt pass that keeps less than
+# this share of the norm is repeated, and a repeat that keeps less again
+# leaves rounding only, an invariant subspace
+_DGKS = 1.0 / math.sqrt(2.0)
 
 
-def lowest_pencil_eigenvalues(a_band, b_band, k):
-    """The k smallest eigenvalues nu of a x = nu b x, ascending, for banded a and b.
+def _ritz_pairs(alpha, beta, lo, hi):
+    """Eigenvalues lo..hi (1-based, ascending) of the Lanczos tridiagonal, and eigenvectors.
+
+    Root-free QL (dsterf) finds the values, to about eps relative on these
+    graded matrices, and inverse iteration (dstein) only the vectors
+    wanted: O(m) work per vector, where all of them would cost O(m^3).
+    """
+    m = alpha.size
+    mu, info = dsterf(alpha, beta)
+    if info == 0:
+        split = np.zeros(m, dtype=np.int32)
+        split[0] = m
+        s, info = dstein(alpha, beta, mu[lo - 1 : hi], np.ones(m, dtype=np.int32), split)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal Ritz solve failed (info {info})")
+    return mu[lo - 1 : hi], s
+
+
+def lowest_pencil_eigenpairs(a_band, b_band, k):
+    """The k smallest eigenvalues nu of a x = nu b x, ascending, and their Ritz vectors.
 
     ``a_band`` and ``b_band`` are the LAPACK lower bands of symmetric
-    positive definite matrices (row d holds offset d).  With a = L L^T
-    from the banded Cholesky, ARPACK's Lanczos finds the k greatest
-    eigenvalues mu of L^-1 b L^-T, and nu = 1 / mu (Ericsson and Ruhe's
-    spectral transformation): O(order * bandwidth) work per step.  It
-    stops once every wanted Ritz value theta has ||r|| <= 1e-9 |theta|,
-    so |theta - mu| <= ||r||^2 / delta keeps it within about 1e-16
-    relative (see _RESIDUAL_TOL).  The start vector is fixed, so
-    repeated runs give identical values.  A failed factorization or a
-    Lanczos run that does not converge raises ConvergenceError.
-    """
-    # deferred: scipy.sparse.linalg is heavy, and importing hyperlap needs none of it
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    positive definite matrices (row d holds offset d).  With b = R R^T
+    from the banded Cholesky, Lanczos finds the k greatest eigenvalues mu
+    of R^T a^-1 R, and nu = 1 / mu (Ericsson and Ruhe's spectral
+    transformation): each step is one banded solve with a, by its banded
+    Cholesky (dpbtrs), and two products with the narrow R.  The basis is
+    reorthogonalized in full (classical Gram-Schmidt, repeated by the
+    DGKS rule) and never exceeds order vectors (134 MB at order 4095).
+    It stops once every wanted Ritz value theta has a residual
+    <= 1e-9 theta (see _RESIDUAL_TOL), which keeps it within about 1e-16
+    relative; the check runs on the one pair least converged, and on all
+    k only once that one passes.  A breakdown (an
+    invariant subspace) goes on from a fresh start vector, and a basis of
+    the full order gives the exact values.  The start vector sin(1 + i)
+    is fixed, so repeated runs are bitwise equal.
 
+    Returns (nu, x): x holds the Ritz vectors as columns, x^T b x = I to
+    rounding.  A failed factorization raises ConvergenceError.
+    """
     order = a_band.shape[1]
     if not 1 <= k < order:
         raise ValueError(f"need 1 <= k < order {order}, got {k}")
     chol, info = dpbtrf(a_band, lower=1)
     if info != 0:
         raise ConvergenceError(f"banded Cholesky failed at leading minor {info}")
-    b_width = b_band.shape[0] - 1
+    root, info = dpbtrf(b_band, lower=1)
+    if info != 0:
+        raise ConvergenceError(f"banded Cholesky of b failed at leading minor {info}")
+    diag = root[0]
+    offsets = [(d, root[d, :-d]) for d in range(1, root.shape[0]) if np.any(root[d])]
 
-    def apply(x):
-        y = dtbtrs(chol, x, uplo="L", trans="T")[0]
-        return dtbtrs(chol, dsbmv(b_width, 1.0, b_band, y, lower=1), uplo="L")[0]
+    def apply(q):
+        """R^T a^-1 R q."""
+        u = diag * q
+        for d, row in offsets:
+            u[d:] += row * q[:-d]
+        u = dpbtrs(chol, u, lower=1, overwrite_b=1)[0]
+        v = diag * u
+        for d, row in offsets:
+            v[:-d] += row * u[d:]
+        return v
 
-    op = LinearOperator((order, order), matvec=apply, dtype=float)
-    try:
-        mu = eigsh(
-            op, k=k, which="LA", tol=_RESIDUAL_TOL, v0=np.sin(1.0 + np.arange(order)),
-            return_eigenvectors=False,
-        )
-    except ArpackError as exc:
-        raise ConvergenceError(f"Lanczos eigensolve failed: {exc}") from exc
-    return np.sort(1.0 / mu)
+    # rows are the Lanczos vectors; numpy maps pages as the rows are written
+    basis = np.empty((order, order))
+    alpha = np.empty(order)
+    beta = np.zeros(order)
+    start = np.sin(1.0 + np.arange(order))
+    basis[0] = start / math.sqrt(start @ start)
+    restarts = 0
+    watch = 0  # the pair checked: 0 is the k-th greatest
+    check = k + _CHECK_LEAD  # the next step that checks
+    m = 0
+    while True:
+        r = apply(basis[m])
+        prev = math.sqrt(r @ r)
+        alpha[m] = 0.0
+        span = basis[: m + 1]
+        for _ in range(2):
+            h = span @ r
+            r -= h @ span
+            alpha[m] += h[m]
+            norm = math.sqrt(r @ r)
+            if norm > _DGKS * prev:
+                break
+            prev = norm
+        else:
+            norm = 0.0
+        m += 1
+        if m == order:
+            break
+        if norm == 0.0:
+            # an invariant subspace: go on from a fresh vector orthogonal to
+            # it, one that keeps more than 1e-8 of its norm
+            beta[m - 1] = 0.0
+            while norm <= 1e-8 * math.sqrt(order):
+                restarts += 1
+                if restarts > order:
+                    raise ConvergenceError("Lanczos found no vector outside its basis")
+                r = np.sin(1.0 + (restarts + 1) * np.arange(order))
+                for _ in range(2):
+                    r -= (basis[:m] @ r) @ basis[:m]
+                norm = math.sqrt(r @ r)
+            basis[m] = r / norm
+            continue
+        beta[m - 1] = norm
+        basis[m] = r / norm
+        if m < check:
+            continue
+        lo = m - k + 1 + watch
+        mu, s = _ritz_pairs(alpha[:m], beta[: m - 1], lo, lo)
+        excess = norm * abs(s[-1, 0]) / (_RESIDUAL_TOL * mu[0])
+        if excess <= 1.0:
+            mu, s = _ritz_pairs(alpha[:m], beta[: m - 1], m - k + 1, m)
+            excesses = norm * np.abs(s[-1]) / (_RESIDUAL_TOL * mu)
+            if np.all(excesses <= 1.0):
+                break
+            watch = int(np.argmax(excesses))
+            excess = excesses[watch]
+        # a stalled residual takes many steps to fall, and one that falls
+        # loses at most about a decade a step (0.5 to 1.4 in the sweeps'
+        # modes): checking sooner seldom pays
+        check = m + max(1, int(math.log10(excess)))
+    if m == order:
+        mu, s = _ritz_pairs(alpha, beta[: order - 1], order - k + 1, order)
+    y = basis[:m].T @ s
+    x = dtbtrs(root, y, uplo="L", trans="T")[0]
+    return 1.0 / mu[::-1], x[:, ::-1]
+
+
+def lowest_pencil_eigenvalues(a_band, b_band, k):
+    """The k smallest eigenvalues nu of a x = nu b x, ascending, for banded a and b.
+
+    The values of lowest_pencil_eigenpairs, which see.
+    """
+    return lowest_pencil_eigenpairs(a_band, b_band, k)[0]
 
 
 def _sturm_counts(diag, off2, lams):

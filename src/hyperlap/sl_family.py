@@ -7,12 +7,16 @@ problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
 The modes differ only in that scalar, so the sweep builds the banded
 Legendre-Galerkin matrices K, B and M once, at order 2n - 1, and takes
 the order n - 1 family as their leading block.  Mode by mode it solves
-the symmetric pencil K + kappa M against B for only the few lowest
-eigenvalues, by banded Lanczos, until a ground state clears the cutoff:
-that mode is the table's ell_max, so the mode search costs no solve of
-its own.  It certifies each retained eigenvalue against the doubled
-resolution and cross-checks every mode's count against the
-finite-difference Sturm oracle in one batched pass.  A single-mode solve
+the symmetric pencil K + kappa M against B once, at order 2n - 1, for
+only the few lowest eigenpairs, by banded Lanczos, until a ground state
+clears the cutoff: that mode is the table's ell_max, so the mode search
+costs no solve of its own.  The values at resolution n are the
+Rayleigh-Ritz values of the order n - 1 pencil on the leading rows of
+those Ritz vectors, and interlacing brackets each true value at n
+between the value at 2n and that Rayleigh-Ritz value.  A retained
+eigenvalue is certified when the bracket is narrower than the tolerance,
+and every mode's count is cross-checked against the finite-difference
+Sturm oracle in one batched pass.  A single-mode solve
 (solve_certified) runs the same certification for one mode: it takes the
 interval, the coupling kappa of the mode and a cutoff, and returns a plain
 ascending float64 array.  No route returns an uncertified value.
@@ -22,9 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dsygv
 
 from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
-from .eigen import _sturm_counts, lowest_pencil_eigenvalues
+from .eigen import _sturm_counts, lowest_pencil_eigenpairs
 from .errors import CertificationError, IncompleteTableError
 
 # relative padding of a table above its cutoff
@@ -43,14 +49,48 @@ def _check_tol(tol):
         )
 
 
-def _lowest(family, coupling, k):
-    """The k lowest Galerkin eigenvalues nu of one mode, by banded Lanczos.
+def _lowest(families, coupling, k):
+    """The k lowest Galerkin eigenvalues of one mode at resolution 2n, and their
+    B-orthonormal Ritz vectors, by banded Lanczos.
 
-    k is capped at order - 2, so a resolution too small for the cutoff
-    shows as every computed value lying below it.
+    k is capped at the order of resolution n less 2, so a resolution too
+    small for the cutoff shows as every computed value lying below it.
     """
-    k = min(k, family.order - 2)
-    return lowest_pencil_eigenvalues(family.operator_band(coupling), family.mass_band, k)
+    coarse, fine = families
+    k = min(k, coarse.order - 2)
+    return lowest_pencil_eigenpairs(fine.operator_band(coupling), fine.mass_band, k)
+
+
+def _rayleigh_ritz(family, coupling, x):
+    """Rayleigh-Ritz values of the mode's pencil at ``family``'s resolution on the
+    leading rows of the Ritz vectors ``x`` of a finer one, ascending.
+
+    Two k x k Gram matrices, from one banded product (dsbmv) per vector,
+    and two small generalized eigensolves, no eigenvectors.  Gram matrices
+    that are not positive definite (the truncated vectors are numerically
+    dependent: the resolution is far too small) raise CertificationError.
+    """
+    y = x[: family.order]
+    stiff, mass = (
+        y.T @ np.column_stack([dsbmv(band.shape[0] - 1, 1.0, band, v, lower=1) for v in y.T])
+        for band in (family.operator_band(coupling), family.mass_band)
+    )
+    # a dense eigensolve is accurate to eps times its largest eigenvalue
+    # only (8.8e-13 relative at the second of 150 free values): solving for
+    # theta is accurate to eps relative at the high end, solving the
+    # reversed pencil for 1 / theta at the low end, and values below the
+    # geometric mean of the extremes come from the second
+    high, _, info = dsygv(stiff, mass, jobz="N")
+    if info == 0:
+        inverse, _, info = dsygv(mass, stiff, jobz="N")
+    if info != 0:
+        raise CertificationError(
+            f"resolution {family.n} cannot hold the Ritz vectors of {2 * family.n}: "
+            f"their Gram matrices are not positive definite; raise n",
+            index=0,
+        )
+    low = 1.0 / inverse[::-1]
+    return np.where(low < math.sqrt(low[0] * high[-1]), low, high)
 
 
 def _count_bound(interval, cutoff):
@@ -72,36 +112,42 @@ def _families(interval, n):
     """
     if not 4 <= n <= _MAX_N // 2:
         raise ValueError(
-            f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification also solves at 2n"
+            f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification solves at 2n"
         )
     fine = assemble_galerkin(interval, 2 * n)
     return [fine.leading(n), fine]
 
 
-def _mode_values(families, coupling, cutoff, tol, w):
+def _mode_values(families, coupling, cutoff, tol, w2, x):
     """Eigenvalues <= cutoff of one mode, the gap probe, and the first value above it.
 
     ``families`` are the Galerkin families of the interval at resolutions
-    n and 2n, and ``w`` are the lowest eigenvalues at resolution n, at
-    least one more than lie at or below the cutoff.  The 2n values must
-    agree entrywise to ``tol`` (relative) and on the count below the gap
-    probe; the finite-difference count at the probe is the caller's to
-    check (see _check_oracle).  The probe lies halfway between the last
-    value kept (or a point below the first) and the first value above the
-    cutoff, far (relative to discretization error) from both, so counts by
+    n and 2n; ``w2`` are the lowest eigenvalues at 2n, at least one more
+    than lie at or below the cutoff, and ``x`` their Ritz vectors.  The
+    values at n are the Rayleigh-Ritz values theta of the n pencil on the
+    leading rows of x: the n family is the leading block of the 2n one, so
+    Cauchy interlacing and the Poincare bound (Parlett, The Symmetric
+    Eigenvalue Problem, 10.1 and 11.5) give w2_j <= nu_j(n) <= theta_j,
+    and theta_j - w2_j within ``tol`` (relative) brackets nu_j(n) as
+    tightly.  The counts of theta and w2 below the gap probe must agree
+    too, and then so does the count of nu(n), by interlacing; the
+    finite-difference count at the probe is the caller's to check (see
+    _check_oracle).  The probe lies halfway between the last value kept
+    (or a point below the first) and the first value above the cutoff,
+    far (relative to discretization error) from both, so counts by
     independent methods agree at it.
     """
     n = families[0].n
-    k_star = int(np.searchsorted(w, cutoff, side="right"))
-    if k_star == w.size:
+    theta = _rayleigh_ritz(families[0], coupling, x)
+    k_star = int(np.searchsorted(theta, cutoff, side="right"))
+    if k_star == theta.size:
         raise CertificationError(
             f"cutoff {cutoff} lies beyond the highest resolved eigenvalue "
-            f"{w[-1]}; raise n",
+            f"{theta[-1]}; raise n",
             index=k_star,
         )
-    lower = w[k_star - 1] if k_star else w[0] - max(1.0, abs(w[0]))
-    lam_star = 0.5 * (lower + w[k_star])
-    w2 = _lowest(families[1], coupling, k_star + 1)
+    lower = theta[k_star - 1] if k_star else theta[0] - max(1.0, abs(theta[0]))
+    lam_star = 0.5 * (lower + theta[k_star])
     k2 = int(np.searchsorted(w2, lam_star, side="left"))
     if k2 != k_star:
         raise CertificationError(
@@ -110,16 +156,17 @@ def _mode_values(families, coupling, cutoff, tol, w):
             index=min(k_star, k2),
         )
     if k_star:
-        err = np.abs(w[:k_star] - w2[:k_star])
-        bad = err > tol * np.maximum(1.0, np.abs(w[:k_star]))
+        # absolute: theta - w2 reaches -1e-12 from rounding where exp(2t) spans e^12
+        err = np.abs(theta[:k_star] - w2[:k_star])
+        bad = err > tol * np.maximum(1.0, np.abs(theta[:k_star]))
         if np.any(bad):
             i = int(np.nonzero(bad)[0][0])
             raise CertificationError(
                 f"eigenvalue {i} differs between resolutions {n} and {2 * n}: "
-                f"{w[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
+                f"{theta[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
                 index=i,
             )
-    return w[:k_star].copy(), lam_star, w[k_star]
+    return theta[:k_star], lam_star, theta[k_star]
 
 
 def _check_oracle(interval, modes):
@@ -149,16 +196,17 @@ def _check_oracle(interval, modes):
 
 
 def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
-    """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified by two
-    resolutions and a count on the FD grid that _check_oracle sizes from the gap."""
+    """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified by the
+    bracket between resolutions 2n and n (see _mode_values) and a count on the
+    FD grid that _check_oracle sizes from the gap."""
     coupling = _check_coupling(coupling)
     _check_tol(tol)
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     families = _families(interval, n)
-    w = _lowest(families[0], coupling, _count_bound(interval, cutoff) + 1)
-    values, probe, above = _mode_values(families, coupling, cutoff, tol, w)
+    w2, x = _lowest(families, coupling, _count_bound(interval, cutoff) + 1)
+    values, probe, above = _mode_values(families, coupling, cutoff, tol, w2, x)
     name = f"coupling {coupling!r}"
     _check_oracle(interval, [(name, coupling, probe, values.size, above)])
     return values
@@ -255,12 +303,15 @@ def table_rows_from_csv(text):
 def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     """Certified eigenvalue table of every family with ground state <= cutoff.
 
-    Modes are solved in order, each for one more eigenvalue than it can
-    hold below the retention limit: mode 1 by the count bound of the
-    interval, later modes by the previous mode's count, since a count
-    cannot grow with the coupling.  The first mode whose ground state at
-    resolution n clears the cutoff ends the sweep and is the table's
-    ``ell_max``.  ``width`` is the strip width: mode ell has the coupling
+    Modes are solved in order, each once at resolution 2n and for one
+    more eigenvalue than it can hold below the retention limit: mode 1 by
+    the count bound of the interval, later modes by the previous mode's
+    count, since a count cannot grow with the coupling.  The first mode
+    whose ground state at resolution 2n clears the cutoff ends the sweep
+    and is the table's ``ell_max``; by interlacing its ground state at n
+    clears the cutoff too.  A stop on the values at n would differ only if
+    nu_1(2n) <= cutoff < nu_1(n), a window below 1e-14 relative wherever
+    the table certifies.  ``width`` is the strip width: mode ell has the coupling
     (ell pi / width)^2, so the default pi gives ell^2.  Every mode keeps
     its values through cutoff * (1 + margin), so the first value it
     discards lies above the cutoff by construction.  One FD Sturm count
@@ -287,10 +338,10 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     ell = 1
     while True:
         kappa = coupling(ell)
-        w = _lowest(families[0], kappa, count + 1)
-        if w[0] > cutoff:
+        w2, x = _lowest(families, kappa, count + 1)
+        if w2[0] > cutoff:
             break
-        values, probe, above = _mode_values(families, kappa, retain, tol, w)
+        values, probe, above = _mode_values(families, kappa, retain, tol, w2, x)
         modes.append((f"mode {ell}", kappa, probe, values.size, above))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))

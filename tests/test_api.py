@@ -56,10 +56,15 @@ def test_public_names_resolve_and_retired_ones_are_gone():
 
 
 def test_import_does_not_load_sparse_linalg():
-    # the Lanczos solver imports scipy.sparse.linalg on first use only
+    # the Lanczos solver runs on scipy.linalg's LAPACK and BLAS alone: neither
+    # importing hyperlap nor a sweep or a certified solve loads scipy.sparse
     root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    code = "import sys, hyperlap; print('scipy.sparse.linalg' in sys.modules)"
+    code = (
+        "import sys, hyperlap; iv = hyperlap.Interval(-1.0, 1.0); "
+        "hyperlap.sweep(iv, 40.0, n=64); hyperlap.solve_certified(iv, 1.0, 100.0, n=64); "
+        "print('scipy.sparse' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

@@ -75,19 +75,20 @@ def test_potential_validation():
 def test_potential_width(monkeypatch):
     """Mode ell of a width-w sweep has coupling ell^2 (pi / w)^2.
 
-    At width 2 pi that is (ell / 2)^2 exactly.  The widths a sweep refuses
-    are checked in test_sl_family.test_sweep_width_validation.
+    At width 2 pi that is (ell / 2)^2 exactly, and each mode is solved
+    once, at resolution 2n.  The widths a sweep refuses are checked in
+    test_sl_family.test_sweep_width_validation.
     """
     couplings = []
 
-    def recorded(family, coupling, k):
+    def recorded(families, coupling, k):
         couplings.append(coupling)
-        return lowest(family, coupling, k)
+        return lowest(families, coupling, k)
 
     lowest = sl_family._lowest
     monkeypatch.setattr(sl_family, "_lowest", recorded)
     table = sweep(Interval(-1.0, 1.0), 40.0, n=64, width=2.0 * np.pi)
-    assert sorted(set(couplings)) == [ell * ell / 4.0 for ell in range(1, table.ell_max + 1)]
+    assert couplings == [ell * ell / 4.0 for ell in range(1, table.ell_max + 1)]
 
 
 @pytest.mark.parametrize("q", [20, 400, 900])

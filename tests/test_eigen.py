@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
-from hyperlap.eigen import _sturm_counts
+from hyperlap import eigen
+from hyperlap.eigen import _sturm_counts, lowest_pencil_eigenpairs
 from hyperlap import (
     ConvergenceError,
     Interval,
@@ -18,7 +18,7 @@ from hyperlap import (
     tridiag_eigenvalues,
 )
 
-from conftest import dense_spectrum
+from conftest import band_to_dense, dense_spectrum
 
 
 def _fd_op(m, ell=0):
@@ -49,9 +49,59 @@ def test_lowest_pencil_matches_fd_closed_form():
 
 def test_lowest_pencil_is_deterministic():
     fam = assemble_galerkin(Interval(-1.0, 1.0), 128)
-    runs = [lowest_pencil_eigenvalues(fam.operator_band(50.0), fam.mass_band, 9)
+    runs = [lowest_pencil_eigenpairs(fam.operator_band(50.0), fam.mass_band, 9)
             for _ in range(3)]
-    assert all(np.array_equal(runs[0], r) for r in runs[1:])
+    for nu, x in runs[1:]:
+        assert np.array_equal(runs[0][0], nu) and np.array_equal(runs[0][1], x)
+    values = lowest_pencil_eigenvalues(fam.operator_band(50.0), fam.mass_band, 9)
+    assert np.array_equal(runs[0][0], values)
+
+
+def test_lowest_pencil_full_order_is_exact():
+    """k = order - 1 runs the basis to the full order, so every value is exact."""
+    fam = assemble_galerkin(Interval(-1.0, 1.0), 13)
+    assert fam.order == 12
+    for kappa in (0.0, 3.0, 400.0):
+        got = lowest_pencil_eigenvalues(fam.operator_band(kappa), fam.mass_band, 11)
+        dense = dense_spectrum(fam, kappa)
+        assert np.max(np.abs(got - dense[:11]) / dense[:11]) <= 1e-13
+
+
+def test_lowest_pencil_breakdown_finds_repeated_values():
+    """Two copies of one FD block: every eigenvalue is double, and each Krylov
+    space holds one copy, so Lanczos breaks down and goes on from a fresh vector."""
+    op, a, b = _fd_band(10)
+    twice = np.zeros((2, 20), order="F")
+    twice[0] = np.tile(a[0], 2)
+    twice[1, :9] = twice[1, 10:19] = a[1, :9]
+    exact = np.repeat(_fd_exact(10, op.h), 2)
+    for k in (3, 6, 19):
+        nu, x = lowest_pencil_eigenpairs(twice, np.ones((1, 20), order="F"), k)
+        assert np.max(np.abs(nu - exact[:k]) / exact[:k]) <= 1e-13
+        assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, n, kappa, k",
+    [(-1.0, 1.0, 400, 50.0, 9), (-1.0, 1.0, 800, 1000.0, 30), (0.5, 6.5, 200, 100.0, 12)],
+)
+def test_lowest_pencil_ritz_vectors(alpha, beta, n, kappa, k):
+    """The Ritz vectors are b-orthonormal and meet the stopping rule.
+
+    The rule bounds the residual of the transformed operator,
+    ||a^-1 b x - x / nu||_b <= 1e-9 / nu: that is nu b x - a x in the norm
+    ||a^-1 . ||_b, at most 1e-9 ||x||_b.  The plain residual
+    ||a x - nu b x|| is not bounded so: the next Lanczos vector is rich in
+    the high modes, which a amplifies (up to 3e-7 nu ||b x|| here).
+    """
+    fam = assemble_galerkin(Interval(alpha, beta), n)
+    a = band_to_dense(fam.operator_band(kappa))
+    b = band_to_dense(fam.mass_band)
+    nu, x = lowest_pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, k)
+    assert x.shape == (fam.order, k)
+    assert np.max(np.abs(x.T @ b @ x - np.eye(k))) <= 1e-12
+    r = np.linalg.solve(a, b @ x) - x / nu
+    assert np.all(np.sqrt(np.sum(r * (b @ r), axis=0)) <= 1e-9 / nu)
 
 
 @pytest.mark.parametrize(
@@ -99,12 +149,14 @@ def test_lowest_pencil_failures(monkeypatch):
         lowest_pencil_eigenvalues(a, b, 0)
     with pytest.raises(ConvergenceError):
         lowest_pencil_eigenvalues(-a, b, 3)  # not positive definite
+    with pytest.raises(ConvergenceError, match="Cholesky of b"):
+        lowest_pencil_eigenvalues(a, -b, 3)
 
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), None)
+    def no_convergence(*args):
+        return np.empty((args[0].size, args[2].size)), 1
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(ConvergenceError, match="Lanczos"):
+    monkeypatch.setattr(eigen, "dstein", no_convergence)
+    with pytest.raises(ConvergenceError, match="Ritz solve failed"):
         lowest_pencil_eigenvalues(a, b, 3)
 
 

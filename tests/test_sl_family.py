@@ -16,13 +16,13 @@ from hyperlap import (
     Interval,
     assemble_fd,
     assemble_galerkin,
-    lowest_pencil_eigenvalues,
     solve_certified,
     sweep,
     table_rows_from_csv,
     tridiag_eigenvalues,
 )
 from hyperlap import sl_family
+from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.cli import main
 
 from conftest import dense_spectrum
@@ -280,28 +280,59 @@ def test_sweep_makes_no_dense_solves(monkeypatch, capsys):
 
 
 def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
-    """k rule: count bound + 1 for mode 1, then the last count + 1."""
+    """One Lanczos solve per mode, at 2n, with the k rule: count bound + 1 for
+    mode 1, then the last count + 1."""
     asked = []
 
     def recorded(a_band, b_band, k):
-        values = lowest_pencil_eigenvalues(a_band, b_band, k)
-        asked.append((a_band.shape[1], k, values))
-        return values
+        nu, x = lowest_pencil_eigenpairs(a_band, b_band, k)
+        asked.append((a_band.shape[1], k, nu))
+        return nu, x
 
-    monkeypatch.setattr(sl_family, "lowest_pencil_eigenvalues", recorded)
+    monkeypatch.setattr(sl_family, "lowest_pencil_eigenpairs", recorded)
     cutoff = 40.0
     table = sweep(IV, cutoff, n=64)
     retain = cutoff * 1.05
-    coarse = [(k, values) for order, k, values in asked if order == 63]
-    fine = [(k, values) for order, k, values in asked if order == 127]
-    # one coarse solve per mode swept plus the one that stops the sweep
-    assert len(coarse) == table.ell_max and len(fine) == table.ell_max - 1
-    assert coarse[0][0] == math.floor(2.0 * math.sqrt(retain) / math.pi) + 1
-    for ell, (k, values) in enumerate(coarse[1:], start=2):
+    # every solve is at order 2n - 1: one per mode swept plus the one that stops the sweep
+    assert [order for order, _, _ in asked] == [127] * table.ell_max
+    assert asked[0][1] == math.floor(2.0 * math.sqrt(retain) / math.pi) + 1
+    for ell, (_, k, values) in enumerate(asked[1:], start=2):
         assert k == table.mode_values(ell - 1).size + 1
         assert values[-1] > retain  # the bound held: nothing was cut off
-    for ell, (k, _) in enumerate(fine, start=1):
-        assert k == table.mode_values(ell).size + 1
+    assert asked[-1][2][0] > cutoff  # the stopping mode's 2n ground state
+
+
+@pytest.mark.parametrize(
+    "interval, n, k, bound",
+    [
+        (IV, 400, 40, 1e-13),
+        # exp(2t) spans e^12: the dense reference is good to about 4e-11 here
+        (Interval(0.5, 6.5), 200, 15, 4e-11),
+    ],
+)
+@pytest.mark.parametrize("kappa", [1.0, 100.0, 1000.0])
+def test_rayleigh_ritz_brackets_the_coarse_values(interval, n, k, bound, kappa):
+    """nu_j(2n) <= nu_j(n) <= theta_j, theta the Rayleigh-Ritz values of the n
+    pencil on the leading rows of the 2n Ritz vectors, and theta is nu(n)."""
+    families = sl_family._families(interval, n)
+    w2, x = sl_family._lowest(families, kappa, k)
+    theta = sl_family._rayleigh_ritz(families[0], kappa, x)
+    coarse = _dense(interval, kappa, n)[:k]
+    fine = _dense(interval, kappa, 2 * n)[:k]
+    slack = bound * coarse
+    assert np.all(fine <= coarse + slack) and np.all(coarse <= theta + slack)
+    assert np.max(np.abs(theta - coarse) / coarse) <= bound
+    assert np.max(np.abs(w2 - fine) / fine) <= bound
+
+
+def test_rayleigh_ritz_refuses_dependent_vectors():
+    """A Gram matrix of B that is not positive definite is a CertificationError."""
+    families = sl_family._families(IV, 16)
+    _, x = sl_family._lowest(families, 1.0, 4)
+    x = x.copy()
+    x[:, 1] = 0.0
+    with pytest.raises(CertificationError, match="not positive definite"):
+        sl_family._rayleigh_ritz(families[0], 1.0, x)
 
 
 def _p1_ritz_ground_state(ell, alpha=-1.0, beta=1.0, m=400):
@@ -387,8 +418,9 @@ def test_sweep_matches_richardson_oracle():
 
 
 def test_sweep_rejects_unresolvable_request():
-    with pytest.raises(CertificationError):
-        sweep(IV, 200.0, n=8)
+    for cutoff, n in ((200.0, 8), (1e4, 64)):
+        with pytest.raises(CertificationError):
+            sweep(IV, cutoff, n=n)
 
 
 def test_sweep_certification_error_prints_plain_floats():
@@ -400,10 +432,11 @@ def test_sweep_certification_error_prints_plain_floats():
     found = re.search(r"resolutions 8 and 16: (\S+) vs (\S+) \(tol", message)
     assert found, message
     i = info.value.index
-    for text, n in zip(found.groups(), (8, 16)):
-        assert float(text) == pytest.approx(
-            _dense(IV, 1.0, n)[i], rel=1e-12
-        )
+    theta, w2 = (float(text) for text in found.groups())
+    coarse, fine = _dense(IV, 1.0, 8)[i], _dense(IV, 1.0, 16)[i]
+    # the value at n is the Rayleigh-Ritz bound theta >= nu(8), within rounding
+    assert coarse * (1.0 - 1e-14) <= theta == pytest.approx(coarse, rel=1e-11)
+    assert w2 == pytest.approx(fine, rel=1e-12)
 
 
 def test_sweep_oracle_mismatch_names_the_mode(monkeypatch):
@@ -475,7 +508,7 @@ def test_sweep_validation(monkeypatch):
             sweep(IV, cutoff)
     # nu1(kappa) >= kappa exp(2 alpha) cannot place ell_max below 2^22:
     # refused up front, without a solve
-    monkeypatch.setattr(sl_family, "lowest_pencil_eigenvalues", None)
+    monkeypatch.setattr(sl_family, "lowest_pencil_eigenpairs", None)
     with pytest.raises(ValueError, match="past"):
         sweep(IV, 1e30, n=64)
 
