@@ -33,11 +33,6 @@ from .discretize import (
     assemble_fd,
     assemble_galerkin,
 )
-from .eigen import (
-    lowest_pencil_eigenvalues,
-    sturm_count,
-    tridiag_eigenvalues,
-)
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -93,7 +88,6 @@ __all__ = [
     "family_table",
     "hyperbolic_volume",
     "kinetic_constant",
-    "lowest_pencil_eigenvalues",
     "lt_best_known",
     "lt_check",
     "lt_classical",
@@ -106,10 +100,8 @@ __all__ = [
     "ratio_rows",
     "sobolev_check",
     "solve_certified",
-    "sturm_count",
     "sweep",
     "table_rows_from_csv",
     "trial_profile",
-    "tridiag_eigenvalues",
     "verify_bound",
 ]

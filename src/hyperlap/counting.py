@@ -42,6 +42,8 @@ class CountingFunction:
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("eigenvalues must be finite")
         object.__setattr__(self, "sorted_nus", vals)
+        if math.isnan(self.cutoff):
+            raise ValueError("cutoff must not be NaN")
         if not (np.isfinite(self.domain_volume) and self.domain_volume > 0.0):
             raise ValueError(f"volume must be positive, got {self.domain_volume!r}")
 

@@ -67,7 +67,9 @@ class GalerkinFamily:
     Both bands are LAPACK lower bands, Fortran-ordered: row d holds the
     entries (j + d, j) in its first order - d columns.  The basis is
     hierarchical and every entry is independent of n, so the family at a
-    lower resolution is the leading block of this one (see ``leading``).
+    lower resolution m is the leading block of this one: LAPACK band
+    routines of order m - 1 given the first m - 1 columns of these bands
+    read only entries inside that block.
     """
 
     interval: Interval
@@ -85,29 +87,6 @@ class GalerkinFamily:
         a = kappa * self.weight_band
         a[0] += self.stiffness
         return a
-
-    def leading(self, n):
-        """The family at resolution n <= self.n: bitwise assemble_galerkin(interval, n)."""
-        if not 4 <= n <= self.n:
-            raise ValueError(f"need 4 <= n <= {self.n}, got {n}")
-        order = n - 1
-        return GalerkinFamily(
-            interval=self.interval,
-            n=n,
-            stiffness=self.stiffness[:order],
-            mass_band=_leading_band(self.mass_band, order, 3),
-            weight_band=_leading_band(
-                self.weight_band, order, min(self.weight_band.shape[0], order)
-            ),
-        )
-
-
-def _leading_band(band, order, rows):
-    """The first ``rows`` rows of a lower band, cut to its leading block of ``order``."""
-    block = np.zeros((rows, order), order="F")
-    for d in range(rows):
-        block[d, : order - d] = band[d, : order - d]
-    return block
 
 
 def _exp_coefficients(length):
@@ -221,7 +200,7 @@ def assemble_galerkin(interval, n=400):
     70 and 1600 eps max|M| at lengths 20, 100 and 1000.  The width depends
     on the length only and no entry depends on n, so the family at n is
     bitwise the leading block of the family at any larger n (see
-    GalerkinFamily.leading).
+    GalerkinFamily).
     """
     if not 4 <= n <= _MAX_N:
         raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
@@ -280,13 +259,6 @@ class TridiagOperator:
     @property
     def m(self):
         return self.diag.size
-
-    def to_dense(self):
-        a = np.diag(self.diag)
-        idx = np.arange(self.m - 1)
-        a[idx, idx + 1] = self.offdiag
-        a[idx + 1, idx] = self.offdiag
-        return a
 
 
 def _check_coupling(coupling):

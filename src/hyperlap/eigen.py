@@ -6,10 +6,10 @@ certified solves need, with B-orthonormal Ritz vectors.  It is written
 here on the banded LAPACK factorizations, with full reorthogonalization
 and no implicit restarts.  Lanczos stops at a residual of 1e-9 relative, not at
 rounding: a Ritz value's error is quadratic in its residual, so the
-values stay within about 1e-16 relative.  The tridiagonal route is a
-self-contained Sturm-sequence bisection, kept free of LAPACK on purpose so
-it never shares a failure mode with the pencil.  Every route returns its
-eigenvalues as a plain ascending float64 array.
+values stay within about 1e-16 relative.  The certified solves' oracle
+is a Sturm-sequence count on the finite-difference tridiagonal, batched
+over matrices that share an off-diagonal and kept free of LAPACK on
+purpose so it never shares a failure mode with the pencil.
 """
 
 import math
@@ -18,9 +18,6 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dstein, dsterf, dtbtrs
 
 from .errors import ConvergenceError
-
-# bisection sweeps before ConvergenceError; each one halves every bracket
-_MAX_SWEEPS = 200
 
 # Lanczos stops once every wanted Ritz pair (theta, x) of the transformed
 # operator has a residual ||r||_b <= _RESIDUAL_TOL * theta, with
@@ -175,14 +172,6 @@ def lowest_pencil_eigenpairs(a_band, b_band, k):
     return 1.0 / mu[::-1], x[:, ::-1]
 
 
-def lowest_pencil_eigenvalues(a_band, b_band, k):
-    """The k smallest eigenvalues nu of a x = nu b x, ascending, for banded a and b.
-
-    The values of lowest_pencil_eigenpairs, which see.
-    """
-    return lowest_pencil_eigenpairs(a_band, b_band, k)[0]
-
-
 def _sturm_counts(diag, off2, lams):
     """Number of eigenvalues strictly below each value in ``lams``.
 
@@ -207,53 +196,3 @@ def _sturm_counts(diag, off2, lams):
             d = np.where(d == 0.0, tiny, d)
             count += d < 0.0
     return count
-
-
-def sturm_count(op, lam):
-    """Number of eigenvalues of a TridiagOperator strictly below lam."""
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
-    off2 = op.offdiag ** 2
-    return int(_sturm_counts(op.diag, off2, np.array([lam]))[0])
-
-
-def tridiag_eigenvalues(op, lo, hi):
-    """Eigenvalues of a TridiagOperator in (lo, hi], ascending, by Sturm bisection.
-
-    Each eigenvalue is bracketed to width 1e-12 * max(1, |value|).
-    Deliberately independent of the pencil route.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    off2 = op.offdiag ** 2
-    radius = np.zeros(op.m)
-    radius[:-1] += np.abs(op.offdiag)
-    radius[1:] += np.abs(op.offdiag)
-    gmin = float(np.min(op.diag - radius))
-    gmax = float(np.max(op.diag + radius))
-
-    n_lo = int(_sturm_counts(op.diag, off2, np.array([np.nextafter(lo, np.inf)]))[0])
-    n_hi = int(_sturm_counts(op.diag, off2, np.array([np.nextafter(hi, np.inf)]))[0])
-    k = n_hi - n_lo
-    if k == 0:
-        return np.empty(0)
-
-    lows = np.full(k, max(lo, gmin - 1.0))
-    highs = np.full(k, min(hi, gmax + 1.0))
-    # global 1-based indices of the wanted eigenvalues
-    targets = np.arange(n_lo + 1, n_hi + 1)
-    for _ in range(_MAX_SWEEPS):
-        mids = 0.5 * (lows + highs)
-        tol = 1e-12 * np.maximum(1.0, np.abs(mids))
-        if np.all(highs - lows <= tol):
-            break
-        counts = _sturm_counts(op.diag, off2, mids)
-        go_right = counts < targets
-        lows = np.where(go_right, mids, lows)
-        highs = np.where(go_right, highs, mids)
-    else:
-        raise ConvergenceError(f"bisection failed to localize after {_MAX_SWEEPS} sweeps")
-    return 0.5 * (lows + highs)

@@ -5,10 +5,10 @@ interval in t = log y turns the hyperbolic Dirichlet problem into the
 family -psi'' + kappa exp(2t) psi = nu psi with Dirichlet ends, one
 problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
 The modes differ only in that scalar, so the sweep builds the banded
-Legendre-Galerkin matrices K, B and M once, at order 2n - 1, and takes
-the order n - 1 family as their leading block.  Mode by mode it solves
-the symmetric pencil K + kappa M against B once, at order 2n - 1, for
-only the few lowest eigenpairs, by banded Lanczos, until a ground state
+Legendre-Galerkin matrices K, B and M once, at order 2n - 1, and reads
+the order n - 1 family from their first n - 1 columns.  Mode by mode it
+solves the symmetric pencil K + kappa M against B once, at order 2n - 1,
+for only the few lowest eigenpairs, by banded Lanczos, until a ground state
 clears the cutoff: that mode is the table's ell_max, so the mode search
 costs no solve of its own.  The values at resolution n are the
 Rayleigh-Ritz values of the order n - 1 pencil on the leading rows of
@@ -49,31 +49,36 @@ def _check_tol(tol):
         )
 
 
-def _lowest(families, coupling, k):
-    """The k lowest Galerkin eigenvalues of one mode at resolution 2n, and their
-    B-orthonormal Ritz vectors, by banded Lanczos.
+def _lowest(family, coupling, k):
+    """The k lowest Galerkin eigenvalues of one mode at ``family``'s resolution 2n
+    and their B-orthonormal Ritz vectors, by banded Lanczos, plus the mode's
+    operator band K + kappa M.
 
     k is capped at the order of resolution n less 2, so a resolution too
     small for the cutoff shows as every computed value lying below it.
     """
-    coarse, fine = families
-    k = min(k, coarse.order - 2)
-    return lowest_pencil_eigenpairs(fine.operator_band(coupling), fine.mass_band, k)
+    band = family.operator_band(coupling)
+    k = min(k, family.n // 2 - 3)
+    return (*lowest_pencil_eigenpairs(band, family.mass_band, k), band)
 
 
-def _rayleigh_ritz(family, coupling, x):
-    """Rayleigh-Ritz values of the mode's pencil at ``family``'s resolution on the
-    leading rows of the Ritz vectors ``x`` of a finer one, ascending.
+def _rayleigh_ritz(family, band, x):
+    """Rayleigh-Ritz values of the mode's pencil at resolution n on the leading
+    n - 1 rows of the Ritz vectors ``x`` at ``family``'s resolution 2n, ascending.
 
-    Two k x k Gram matrices, from one banded product (dsbmv) per vector,
-    and two small generalized eigensolves, no eigenvectors.  Gram matrices
-    that are not positive definite (the truncated vectors are numerically
-    dependent: the resolution is far too small) raise CertificationError.
+    ``band`` is the mode's operator band at 2n.  Two k x k Gram matrices,
+    from one banded product (dsbmv) per vector, and two small generalized
+    eigensolves, no eigenvectors.  The products run on the first n - 1
+    columns of the 2n bands: at order n - 1 they read only the leading
+    block, which is the n pencil.  Gram matrices that are not positive
+    definite (the truncated vectors are numerically dependent: the
+    resolution is far too small) raise CertificationError.
     """
-    y = x[: family.order]
+    order = family.n // 2 - 1
+    y = x[:order]
     stiff, mass = (
-        y.T @ np.column_stack([dsbmv(band.shape[0] - 1, 1.0, band, v, lower=1) for v in y.T])
-        for band in (family.operator_band(coupling), family.mass_band)
+        y.T @ np.column_stack([dsbmv(b.shape[0] - 1, 1.0, b[:, :order], v, lower=1) for v in y.T])
+        for b in (band, family.mass_band)
     )
     # a dense eigensolve is accurate to eps times its largest eigenvalue
     # only (8.8e-13 relative at the second of 150 free values): solving for
@@ -85,7 +90,7 @@ def _rayleigh_ritz(family, coupling, x):
         inverse, _, info = dsygv(mass, stiff, jobz="N")
     if info != 0:
         raise CertificationError(
-            f"resolution {family.n} cannot hold the Ritz vectors of {2 * family.n}: "
+            f"resolution {order + 1} cannot hold the Ritz vectors of {family.n}: "
             f"their Gram matrices are not positive definite; raise n",
             index=0,
         )
@@ -105,40 +110,39 @@ def _count_bound(interval, cutoff):
     )
 
 
-def _families(interval, n):
-    """Galerkin families at resolutions n and 2n, for certification.
+def _family(interval, n):
+    """The Galerkin family at resolution 2n, for certification at n.
 
-    Only the 2n family is assembled: the n family is its leading block.
+    The n family is its leading block (see _rayleigh_ritz).
     """
     if not 4 <= n <= _MAX_N // 2:
         raise ValueError(
             f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification solves at 2n"
         )
-    fine = assemble_galerkin(interval, 2 * n)
-    return [fine.leading(n), fine]
+    return assemble_galerkin(interval, 2 * n)
 
 
-def _mode_values(families, coupling, cutoff, tol, w2, x):
+def _mode_values(family, band, cutoff, tol, w2, x):
     """Eigenvalues <= cutoff of one mode, the gap probe, and the first value above it.
 
-    ``families`` are the Galerkin families of the interval at resolutions
-    n and 2n; ``w2`` are the lowest eigenvalues at 2n, at least one more
-    than lie at or below the cutoff, and ``x`` their Ritz vectors.  The
-    values at n are the Rayleigh-Ritz values theta of the n pencil on the
-    leading rows of x: the n family is the leading block of the 2n one, so
-    Cauchy interlacing and the Poincare bound (Parlett, The Symmetric
-    Eigenvalue Problem, 10.1 and 11.5) give w2_j <= nu_j(n) <= theta_j,
-    and theta_j - w2_j within ``tol`` (relative) brackets nu_j(n) as
-    tightly.  The counts of theta and w2 below the gap probe must agree
-    too, and then so does the count of nu(n), by interlacing; the
-    finite-difference count at the probe is the caller's to check (see
-    _check_oracle).  The probe lies halfway between the last value kept
-    (or a point below the first) and the first value above the cutoff,
+    ``family`` is the Galerkin family of the interval at resolution 2n and
+    ``band`` the mode's operator band in it; ``w2`` are the lowest
+    eigenvalues at 2n, at least one more than lie at or below the cutoff,
+    and ``x`` their Ritz vectors.  The values at n are the Rayleigh-Ritz
+    values theta of the n pencil on the leading rows of x: the n family is
+    the leading block of the 2n one, so Cauchy interlacing and the Poincare
+    bound (Parlett, The Symmetric Eigenvalue Problem, 10.1 and 11.5) give
+    w2_j <= nu_j(n) <= theta_j, and theta_j - w2_j within ``tol`` (relative)
+    brackets nu_j(n) as tightly.  The counts of theta and w2 below the gap
+    probe must agree too, and then so does the count of nu(n), by
+    interlacing; the finite-difference count at the probe is the caller's to
+    check (see _check_oracle).  The probe lies halfway between the last value
+    kept (or a point below the first) and the first value above the cutoff,
     far (relative to discretization error) from both, so counts by
     independent methods agree at it.
     """
-    n = families[0].n
-    theta = _rayleigh_ritz(families[0], coupling, x)
+    n = family.n // 2
+    theta = _rayleigh_ritz(family, band, x)
     k_star = int(np.searchsorted(theta, cutoff, side="right"))
     if k_star == theta.size:
         raise CertificationError(
@@ -204,9 +208,9 @@ def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    families = _families(interval, n)
-    w2, x = _lowest(families, coupling, _count_bound(interval, cutoff) + 1)
-    values, probe, above = _mode_values(families, coupling, cutoff, tol, w2, x)
+    family = _family(interval, n)
+    w2, x, band = _lowest(family, coupling, _count_bound(interval, cutoff) + 1)
+    values, probe, above = _mode_values(family, band, cutoff, tol, w2, x)
     name = f"coupling {coupling!r}"
     _check_oracle(interval, [(name, coupling, probe, values.size, above)])
     return values
@@ -234,6 +238,8 @@ class EigenTable:
     width: float | None = None
 
     def __post_init__(self):
+        if math.isnan(self.cutoff):
+            raise ValueError("cutoff must not be NaN")
         limit = self.cutoff * (1.0 + self.margin)
         by_mode = {}
         last = None
@@ -275,6 +281,8 @@ class EigenTable:
         if through is None:
             return vals
         through = float(through)
+        if not math.isfinite(through):
+            raise ValueError(f"through must be finite, got {through!r}")
         if through > self.cutoff:
             raise IncompleteTableError(
                 f"table complete only through {self.cutoff}, asked for {through}"
@@ -290,7 +298,7 @@ class EigenTable:
 
 def table_rows_from_csv(text):
     """Parse the to_csv format back into (ell, k, nu) triples."""
-    lines = [ln for ln in text.strip().split("\n") if ln]
+    lines = [ln for ln in text.strip().split("\n") if ln] or [""]
     if lines[0] != "ell,k,nu":
         raise ValueError(f"unexpected header {lines[0]!r}")
     out = []
@@ -330,7 +338,7 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     if coupling(_MODE_LIMIT) * math.exp(2.0 * interval.alpha) <= cutoff:
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
-    families = _families(interval, n)
+    family = _family(interval, n)
     retain = cutoff * (1.0 + _MARGIN)
     count = _count_bound(interval, retain)
     entries = []
@@ -338,10 +346,10 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     ell = 1
     while True:
         kappa = coupling(ell)
-        w2, x = _lowest(families, kappa, count + 1)
+        w2, x, band = _lowest(family, kappa, count + 1)
         if w2[0] > cutoff:
             break
-        values, probe, above = _mode_values(families, kappa, retain, tol, w2, x)
+        values, probe, above = _mode_values(family, band, retain, tol, w2, x)
         modes.append((f"mode {ell}", kappa, probe, values.size, above))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))

@@ -21,6 +21,14 @@ def band_to_dense(band):
     return a
 
 
+def tridiag_band(op):
+    """A TridiagOperator as a two-row LAPACK lower band."""
+    band = np.zeros((2, op.m), order="F")
+    band[0] = op.diag
+    band[1, :-1] = op.offdiag
+    return band
+
+
 def dense_spectrum(family, coupling):
     """All n - 1 Galerkin eigenvalues nu of one mode, ascending, by a dense solve.
 
@@ -33,6 +41,23 @@ def dense_spectrum(family, coupling):
     a = coupling * band_to_dense(family.weight_band) + np.diag(family.stiffness)
     mu = scipy.linalg.eigh(band_to_dense(family.mass_band), a, eigvals_only=True)
     return 1.0 / mu[::-1]
+
+
+def fd_eigenvalues(op, lo, hi):
+    """Eigenvalues of a finite-difference TridiagOperator in (lo, hi], ascending.
+
+    The Richardson reference of the tests: LAPACK's Sturm bisection
+    (stebz) at its tightest tolerance, independent of the Galerkin and
+    Lanczos route and of the sweep's own Sturm counts.
+    """
+    return scipy.linalg.eigvalsh_tridiagonal(
+        op.diag,
+        op.offdiag,
+        select="v",
+        select_range=(lo, hi),
+        lapack_driver="stebz",
+        tol=2 * np.finfo(float).tiny,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -24,11 +24,12 @@ from hyperlap import (
     product_riesz_rhs,
     sobolev_check,
     solve_certified,
-    sturm_count,
     trial_profile,
-    tridiag_eigenvalues,
     verify_bound,
 )
+from hyperlap.eigen import _sturm_counts
+
+from conftest import fd_eigenvalues
 
 IV = Interval(-1.0, 1.0)
 STRIP_VOLUME = math.pi * (math.e - 1.0 / math.e)
@@ -37,6 +38,13 @@ STRIP_VOLUME = math.pi * (math.e - 1.0 / math.e)
 def _nu1(ell):
     # every ground state in question lies below 1100
     return float(solve_certified(IV, ell ** 2, 1100.0, n=400)[0])
+
+
+def _fd_counts(couplings, probe, m=8000):
+    """FD Sturm counts strictly below ``probe``, one per coupling, in one batched pass."""
+    ops = [assemble_fd(IV, coupling, m=m) for coupling in couplings]
+    diag = np.stack([op.diag for op in ops], axis=1)
+    return _sturm_counts(diag, ops[0].offdiag ** 2, np.full(len(ops), probe))
 
 
 def test_criterion_1_spectral_accuracy(criterion):
@@ -87,8 +95,7 @@ def test_criterion_3_mode_truncation_at_fifty(criterion, full_table):
     nu1_50 = _nu1(50)
     nu1_70 = _nu1(70)
     nu1_71 = _nu1(71)
-    fd_70 = sturm_count(assemble_fd(IV, 4900.0, m=8000), 1000.0)
-    fd_71 = sturm_count(assemble_fd(IV, 5041.0, m=8000), 1000.0)
+    fd_70, fd_71 = _fd_counts([4900.0, 5041.0], 1000.0)
     ok = (
         table.ell_max == 71
         and nu1_70 <= 1000.0 < nu1_71
@@ -110,8 +117,8 @@ def test_criterion_3_mode_truncation_at_fifty(criterion, full_table):
 def _richardson_pair(coupling, hi, m):
     coarse_op = assemble_fd(IV, coupling, m=m)
     fine_op = assemble_fd(IV, coupling, m=2 * m)
-    coarse = tridiag_eigenvalues(coarse_op, 0.0, hi)
-    fine = tridiag_eigenvalues(fine_op, 0.0, hi)
+    coarse = fd_eigenvalues(coarse_op, 0.0, hi)
+    fine = fd_eigenvalues(fine_op, 0.0, hi)
     h1, h2 = coarse_op.h, fine_op.h
     k = min(coarse.size, fine.size)
     return (fine[:k] * h1**2 - coarse[:k] * h2**2) / (h1**2 - h2**2)
@@ -125,12 +132,12 @@ def test_criterion_4_oracle_cross_validation(criterion, full_table):
         w = solve_certified(IV, ell ** 2, 1500.0, n=400)[:20]
         extrap = _richardson_pair(ell ** 2, float(w[-1]) * 1.05 + 5.0, m=2000)[:20]
         worst = max(worst, float(np.max(np.abs(w - extrap) / np.abs(extrap))))
+    fd_counts = _fd_counts([ell ** 2 for ell in range(1, 51)], 1000.0)
     mismatches = []
-    for ell in range(1, 51):
+    for ell, c_fd in enumerate(fd_counts, start=1):
         c_gal = int(np.sum(table.mode_values(ell) < 1000.0))
-        c_fd = sturm_count(assemble_fd(IV, ell ** 2, m=8000), 1000.0)
         if c_fd != c_gal:
-            mismatches.append((ell, c_gal, c_fd))
+            mismatches.append((ell, c_gal, int(c_fd)))
     ok = worst <= 1e-8 and not mismatches
     criterion(
         4,

@@ -53,6 +53,22 @@ def test_public_names_resolve_and_retired_ones_are_gone():
         assert not hasattr(hyperlap, name)
         assert not hasattr(module, name)
     assert not hasattr(hyperlap.ProductDomain, "transverse")
+    # the Python bisection, the wrapper solvers and the copied coarse family
+    # are gone: tests take their FD reference from LAPACK, and the sweep
+    # reads the n pencil from the leading columns of the 2n bands
+    for module, name in (
+        (hyperlap.eigen, "tridiag_eigenvalues"),
+        (hyperlap.eigen, "sturm_count"),
+        (hyperlap.eigen, "lowest_pencil_eigenvalues"),
+        (hyperlap.eigen, "_MAX_SWEEPS"),
+        (hyperlap.discretize, "_leading_band"),
+        (hyperlap.sl_family, "_families"),
+    ):
+        assert name not in names
+        assert not hasattr(hyperlap, name)
+        assert not hasattr(module, name)
+    assert not hasattr(hyperlap.TridiagOperator, "to_dense")
+    assert not hasattr(hyperlap.GalerkinFamily, "leading")
 
 
 def test_import_does_not_load_sparse_linalg():

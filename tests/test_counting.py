@@ -84,6 +84,9 @@ def test_cutoff_guard():
         cf.riesz_mean(6.0, 1.0)
     with pytest.raises(IncompleteTableError):
         cf.jumps(7.0)
+    # a NaN cutoff compares past no query: it would switch the guard off
+    with pytest.raises(ValueError, match="cutoff must not be NaN"):
+        CountingFunction(sorted_nus=nus, domain_volume=1.0, cutoff=float("nan"))
 
 
 def test_array_queries_match_scalar_queries():

@@ -12,14 +12,14 @@ from hyperlap import (
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
-    lowest_pencil_eigenvalues,
     sweep,
 )
 from hyperlap import sl_family
 from hyperlap.discretize import _exp_coefficients
+from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.lt_verify import _gauss_legendre
 
-from conftest import band_to_dense
+from conftest import band_to_dense, tridiag_band
 
 
 def _shen_values(n, x):
@@ -81,9 +81,9 @@ def test_potential_width(monkeypatch):
     """
     couplings = []
 
-    def recorded(families, coupling, k):
+    def recorded(family, coupling, k):
         couplings.append(coupling)
-        return lowest(families, coupling, k)
+        return lowest(family, coupling, k)
 
     lowest = sl_family._lowest
     monkeypatch.setattr(sl_family, "_lowest", recorded)
@@ -306,7 +306,7 @@ def test_cheb_free_laplacian_spectrum():
     """With q = 0 on (-1, 1) the eigenvalues are (k pi / 2)^2."""
     # the name predates the Galerkin family; the check is unchanged
     fam = assemble_galerkin(Interval(-1.0, 1.0), 48)
-    w = lowest_pencil_eigenvalues(fam.operator_band(0.0), fam.mass_band, 8)
+    w = lowest_pencil_eigenpairs(fam.operator_band(0.0), fam.mass_band, 8)[0]
     exact = (np.arange(1, 9) * math.pi / 2.0) ** 2
     assert np.max(np.abs(w - exact) / exact) <= 1e-10
 
@@ -333,7 +333,7 @@ def test_fd_free_closed_form():
     """q = 0 eigenvalues are (4/h^2) sin^2(k pi / (2 (m+1)))."""
     m = 3
     op = assemble_fd(Interval(-1.0, 1.0), 0.0, m=m)
-    w = np.sort(np.linalg.eigvalsh(op.to_dense()))
+    w = np.linalg.eigvalsh(band_to_dense(tridiag_band(op)))
     k = np.arange(1, m + 1)
     exact = (4.0 / op.h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
     assert np.allclose(w, exact, rtol=1e-13)
@@ -344,8 +344,10 @@ def test_fd_second_order_and_richardson():
     """Error drops like h^2, and the 2-grid combination like h^4."""
     exact = math.pi**2 / 4.0
     iv = Interval(-1.0, 1.0)
-    lo = np.sort(np.linalg.eigvalsh(assemble_fd(iv, 0.0, m=50).to_dense()))[0]
-    hi = np.sort(np.linalg.eigvalsh(assemble_fd(iv, 0.0, m=101).to_dense()))[0]
+    lo, hi = (
+        np.linalg.eigvalsh(band_to_dense(tridiag_band(assemble_fd(iv, 0.0, m=m))))[0]
+        for m in (50, 101)
+    )
     err_lo = abs(lo - exact)
     err_hi = abs(hi - exact)
     # m = 101 halves h relative to m = 50
@@ -362,7 +364,7 @@ def test_fd_rejects_tiny_m():
 def test_tridiag_synthetic_construction():
     op = TridiagOperator(diag=np.array([2.0, 2.0, 2.0]), offdiag=np.array([1.0, 1.0]))
     assert op.m == 3
-    dense = op.to_dense()
+    dense = band_to_dense(tridiag_band(op))
     assert np.allclose(dense, dense.T)
     assert dense[0, 1] == 1.0 and dense[2, 1] == 1.0 and dense[0, 2] == 0.0
 

@@ -1,4 +1,4 @@
-"""Tests for the symmetric pencil and tridiagonal eigenvalue backends."""
+"""Tests for the banded pencil solver and the Sturm counts of the FD oracle."""
 
 import math
 
@@ -13,12 +13,9 @@ from hyperlap import (
     TridiagOperator,
     assemble_fd,
     assemble_galerkin,
-    lowest_pencil_eigenvalues,
-    sturm_count,
-    tridiag_eigenvalues,
 )
 
-from conftest import band_to_dense, dense_spectrum
+from conftest import band_to_dense, dense_spectrum, fd_eigenvalues, tridiag_band
 
 
 def _fd_op(m, ell=0):
@@ -30,21 +27,18 @@ def _fd_exact(m, h):
     return (4.0 / h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
 
 
-def _fd_band(m):
-    """The FD operator of _fd_op(m) as a lower band, with the identity as b."""
-    op = _fd_op(m)
-    a = np.zeros((2, m), order="F")
-    a[0] = op.diag
-    a[1, :-1] = op.offdiag
-    return op, a, np.ones((1, m), order="F")
+def _fd_band(m, ell=0):
+    """The FD operator of _fd_op(m, ell) as a lower band, with the identity as b."""
+    op = _fd_op(m, ell)
+    return op, tridiag_band(op), np.ones((1, m), order="F")
 
 
 def test_lowest_pencil_matches_fd_closed_form():
     op, a, b = _fd_band(50)
-    w = lowest_pencil_eigenvalues(a, b, 6)
+    w = lowest_pencil_eigenpairs(a, b, 6)[0]
     assert np.allclose(w, _fd_exact(50, op.h)[:6], rtol=1e-13, atol=0.0)
     # a b scaled by 2 halves every eigenvalue
-    assert np.allclose(lowest_pencil_eigenvalues(a, 2.0 * b, 6), 0.5 * w, rtol=1e-13)
+    assert np.allclose(lowest_pencil_eigenpairs(a, 2.0 * b, 6)[0], 0.5 * w, rtol=1e-13)
 
 
 def test_lowest_pencil_is_deterministic():
@@ -53,8 +47,6 @@ def test_lowest_pencil_is_deterministic():
             for _ in range(3)]
     for nu, x in runs[1:]:
         assert np.array_equal(runs[0][0], nu) and np.array_equal(runs[0][1], x)
-    values = lowest_pencil_eigenvalues(fam.operator_band(50.0), fam.mass_band, 9)
-    assert np.array_equal(runs[0][0], values)
 
 
 def test_lowest_pencil_full_order_is_exact():
@@ -62,7 +54,7 @@ def test_lowest_pencil_full_order_is_exact():
     fam = assemble_galerkin(Interval(-1.0, 1.0), 13)
     assert fam.order == 12
     for kappa in (0.0, 3.0, 400.0):
-        got = lowest_pencil_eigenvalues(fam.operator_band(kappa), fam.mass_band, 11)
+        got = lowest_pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, 11)[0]
         dense = dense_spectrum(fam, kappa)
         assert np.max(np.abs(got - dense[:11]) / dense[:11]) <= 1e-13
 
@@ -129,14 +121,14 @@ def test_lowest_pencil_matches_dense(alpha, beta, bound, n):
     for kappa in kappas:
         dense = dense_spectrum(fam, kappa)
         for k in (1, 22, 150):
-            got = lowest_pencil_eigenvalues(fam.operator_band(kappa), fam.mass_band, k)
+            got = lowest_pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, k)[0]
             assert np.max(np.abs(got - dense[:k]) / dense[:k]) <= bound
 
 
 def test_lowest_pencil_free_spectrum():
     """At kappa 0 on (-1, 1) the 100 lowest values are (j pi / 2)^2, with no dense solve."""
     fam = assemble_galerkin(Interval(-1.0, 1.0), 400)
-    got = lowest_pencil_eigenvalues(fam.operator_band(0.0), fam.mass_band, 100)
+    got = lowest_pencil_eigenpairs(fam.operator_band(0.0), fam.mass_band, 100)[0]
     exact = (np.arange(1, 101) * math.pi / 2.0) ** 2
     assert np.max(np.abs(got - exact) / exact) <= 1e-13
 
@@ -144,52 +136,47 @@ def test_lowest_pencil_free_spectrum():
 def test_lowest_pencil_failures(monkeypatch):
     op, a, b = _fd_band(20)
     with pytest.raises(ValueError):
-        lowest_pencil_eigenvalues(a, b, 20)  # Lanczos needs k < order
+        lowest_pencil_eigenpairs(a, b, 20)  # Lanczos needs k < order
     with pytest.raises(ValueError):
-        lowest_pencil_eigenvalues(a, b, 0)
+        lowest_pencil_eigenpairs(a, b, 0)
     with pytest.raises(ConvergenceError):
-        lowest_pencil_eigenvalues(-a, b, 3)  # not positive definite
+        lowest_pencil_eigenpairs(-a, b, 3)  # not positive definite
     with pytest.raises(ConvergenceError, match="Cholesky of b"):
-        lowest_pencil_eigenvalues(a, -b, 3)
+        lowest_pencil_eigenpairs(a, -b, 3)
 
     def no_convergence(*args):
         return np.empty((args[0].size, args[2].size)), 1
 
     monkeypatch.setattr(eigen, "dstein", no_convergence)
     with pytest.raises(ConvergenceError, match="Ritz solve failed"):
-        lowest_pencil_eigenvalues(a, b, 3)
+        lowest_pencil_eigenpairs(a, b, 3)
 
 
 def test_sturm_identity_counts():
-    op = TridiagOperator(diag=np.ones(7), offdiag=np.zeros(6))
-    assert sturm_count(op, 2.0) == 7
-    assert sturm_count(op, 0.5) == 0
-    assert sturm_count(op, 1.0) == 0  # strict
+    counts = _sturm_counts(np.ones(7), np.zeros(6), [2.0, 0.5, 1.0])
+    assert list(counts) == [7, 0, 0]  # strict at 1
 
 
 def test_sturm_fd_example():
     op = _fd_op(3)
     # eigenvalues 2.343, 8, 13.657
-    assert sturm_count(op, 9.0) == 2
-    assert sturm_count(op, 8.0) == 1
-    assert sturm_count(op, 100.0) == 3
+    assert list(_sturm_counts(op.diag, op.offdiag ** 2, [9.0, 8.0, 100.0])) == [2, 1, 3]
 
 
 def test_sturm_survives_zero_pivot():
     # analytic spectrum {2 - sqrt(3), 2, 2 + sqrt(3)}; lam = 1 zeroes the
     # first pivot and lam = 2 is an exact eigenvalue hitting a later pivot
-    op = TridiagOperator(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.array([1.0, 1.0]))
-    assert sturm_count(op, 1.0) == 1
-    assert sturm_count(op, 2.0) == 1
-    assert sturm_count(op, 3.0) == 2
+    counts = _sturm_counts(np.array([1.0, 2.0, 3.0]), np.ones(2), [1.0, 2.0, 3.0])
+    assert list(counts) == [1, 1, 2]
 
 
 def test_sturm_count_random_cross_check():
     rng = np.random.default_rng(20260814)
-    op = _fd_op(200, ell=1)
-    w = np.sort(np.linalg.eigvalsh(op.to_dense()))
-    for lam in rng.uniform(0.0, float(w[-1]) * 1.1, size=20):
-        assert sturm_count(op, float(lam)) == int(np.sum(w < lam))
+    op, a, _ = _fd_band(200, ell=1)
+    w = np.linalg.eigvalsh(band_to_dense(a))
+    lams = rng.uniform(0.0, float(w[-1]) * 1.1, size=20)
+    counts = _sturm_counts(op.diag, op.offdiag ** 2, lams)
+    assert list(counts) == [int(np.sum(w < lam)) for lam in lams]
 
 
 def test_sturm_batched_matches_per_matrix():
@@ -200,8 +187,7 @@ def test_sturm_batched_matches_per_matrix():
              (synthetic[0], 3.0)]
     diag = np.stack([d for d, _ in cases], axis=1)
     got = _sturm_counts(diag, np.ones(2), [lam for _, lam in cases])
-    want = [sturm_count(TridiagOperator(diag=d, offdiag=np.ones(2)), lam)
-            for d, lam in cases]
+    want = [_sturm_counts(d, np.ones(2), [lam])[0] for d, lam in cases]
     assert list(got) == want == [1, 1, 1, 2]
 
     rng = np.random.default_rng(5)
@@ -209,68 +195,21 @@ def test_sturm_batched_matches_per_matrix():
     lams = rng.uniform(0.0, 2000.0, size=len(ops))
     diag = np.stack([op.diag for op in ops], axis=1)
     got = _sturm_counts(diag, ops[0].offdiag ** 2, lams)
-    assert list(got) == [sturm_count(op, lam) for op, lam in zip(ops, lams)]
-
-
-def test_sturm_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        sturm_count(_fd_op(3), float("inf"))
-
-
-def test_bisection_identity():
-    op = TridiagOperator(diag=np.ones(6), offdiag=np.zeros(5))
-    spec = tridiag_eigenvalues(op, 0.0, 2.0)
-    assert len(spec) == 6
-    assert np.allclose(spec, 1.0, atol=1e-12)
+    assert list(got) == [_sturm_counts(op.diag, op.offdiag ** 2, [lam])[0]
+                         for op, lam in zip(ops, lams)]
 
 
 def test_bisection_matches_closed_form():
+    """The tests' FD Richardson reference, LAPACK's Sturm bisection
+    (conftest.fd_eigenvalues), meets the free closed form, and its window
+    is open at lo and closed at hi."""
     m = 40
     op = _fd_op(m)
     exact = _fd_exact(m, op.h)
-    spec = tridiag_eigenvalues(op, 0.0, float(exact[-1]) + 1.0)
-    assert len(spec) == m
-    tol = 1e-10 * np.maximum(1.0, exact)
-    assert np.all(np.abs(spec - exact) <= tol)
+    spec = fd_eigenvalues(op, 0.0, float(exact[-1]) + 1.0)
+    assert spec.size == m
+    assert np.all(np.abs(spec - exact) <= 1e-10 * np.maximum(1.0, exact))
 
-
-def test_bisection_agrees_with_dense():
-    op = _fd_op(60, ell=2)
-    dense = np.linalg.eigvalsh(op.to_dense())
-    spec = tridiag_eigenvalues(op, 0.0, float(dense[-1]) + 1.0)
-    assert len(spec) == 60
-    assert np.max(np.abs(spec - dense) / np.maximum(1.0, dense)) <= 1e-10
-
-
-def test_bisection_window_semantics():
-    """The window is open at lo and closed at hi."""
     op = TridiagOperator(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
-    assert len(tridiag_eigenvalues(op, 1.0, 3.0)) == 2
-    assert len(tridiag_eigenvalues(op, 0.0, 3.0)) == 3
-    assert len(tridiag_eigenvalues(op, 3.0, 4.0)) == 0
-
-
-def test_bisection_empty_window():
-    op = _fd_op(10)
-    spec = tridiag_eigenvalues(op, -5.0, -1.0)
-    assert len(spec) == 0
-    assert isinstance(spec, np.ndarray) and spec.dtype == np.float64
-
-
-def test_bisection_count_consistency():
-    rng = np.random.default_rng(42)
-    op = _fd_op(120, ell=1)
-    for lam in rng.uniform(1.0, 400.0, size=20):
-        lam = float(lam)
-        n_below = sturm_count(op, lam)
-        spec = tridiag_eigenvalues(op, 0.0, lam)
-        # bisection returns everything in (0, lam]; boundary hits are measure zero here
-        assert len(spec) == n_below
-
-
-def test_bisection_validates_window():
-    op = _fd_op(5)
-    with pytest.raises(ValueError):
-        tridiag_eigenvalues(op, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        tridiag_eigenvalues(op, 0.0, float("inf"))
+    windows = [(1.0, 3.0), (0.0, 3.0), (3.0, 4.0)]
+    assert [fd_eigenvalues(op, lo, hi).size for lo, hi in windows] == [2, 3, 0]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from scipy.linalg.blas import dsbmv
 
 from hyperlap import (
     CertificationError,
@@ -19,13 +20,12 @@ from hyperlap import (
     solve_certified,
     sweep,
     table_rows_from_csv,
-    tridiag_eigenvalues,
 )
 from hyperlap import sl_family
 from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.cli import main
 
-from conftest import dense_spectrum
+from conftest import dense_spectrum, fd_eigenvalues
 
 IV = Interval(-1.0, 1.0)
 COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
@@ -117,8 +117,8 @@ def test_certified_against_richardson_oracle():
     spec = solve_certified(IV, 1.0, 100.0, tol=1e-10, n=128)
     assert len(spec) >= 5
     hi = float(spec[-1]) * 1.2
-    coarse = tridiag_eigenvalues(assemble_fd(IV, 1.0, m=2000), 0.0, hi)
-    fine = tridiag_eigenvalues(assemble_fd(IV, 1.0, m=4001), 0.0, hi)
+    coarse = fd_eigenvalues(assemble_fd(IV, 1.0, m=2000), 0.0, hi)
+    fine = fd_eigenvalues(assemble_fd(IV, 1.0, m=4001), 0.0, hi)
     k = len(spec)
     extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
     assert np.max(np.abs(spec - extrap) / extrap) <= 1e-8
@@ -253,18 +253,30 @@ def test_sweep_builds_each_resolution_once(monkeypatch):
     assert builds == [128]
 
 
-@pytest.mark.parametrize("n", [64, 200, 400])
+@pytest.mark.parametrize("n", [8, 64, 200, 400])
 def test_families_take_the_coarse_family_from_the_fine_one(n):
-    coarse, fine = sl_family._families(IV, n)
-    assert fine.n == 2 * n
+    """The n family is the leading block of the 2n one: every entry of the first
+    n - 1 columns of the 2n bands that a banded product of order n - 1 reads
+    (row d of column j, j + d < n - 1) is bitwise that of the n family, and
+    so is the product."""
+    fine = sl_family._family(IV, n)
+    assert fine.n == 2 * n and fine.interval == IV
     built = assemble_galerkin(IV, n)
-    assert coarse.n == n and coarse.interval == built.interval
-    for name in ("stiffness", "mass_band", "weight_band"):
-        assert np.array_equal(getattr(coarse, name), getattr(built, name))
-    assert coarse.weight_band.flags.f_contiguous and coarse.mass_band.flags.f_contiguous
-    for bad in (3, 2 * n + 1):
-        with pytest.raises(ValueError):
-            fine.leading(bad)
+    assert np.array_equal(fine.stiffness[: n - 1], built.stiffness)
+    v = np.sin(np.arange(n - 1.0))
+    for kappa in (0.0, 1.0, 5041.0):
+        pairs = [(fine.mass_band, built.mass_band),
+                 (fine.operator_band(kappa), built.operator_band(kappa))]
+        for big, small in pairs:
+            big = big[:, : n - 1]
+            for d in range(min(big.shape[0], n - 1)):
+                assert np.array_equal(big[d, : n - 1 - d], small[d, : n - 1 - d])
+            assert np.array_equal(
+                dsbmv(big.shape[0] - 1, 1.0, big, v, lower=1),
+                dsbmv(small.shape[0] - 1, 1.0, small, v, lower=1),
+            )
+    with pytest.raises(ValueError):
+        sl_family._family(IV, 3)
 
 
 def test_sweep_makes_no_dense_solves(monkeypatch, capsys):
@@ -314,9 +326,9 @@ def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
 def test_rayleigh_ritz_brackets_the_coarse_values(interval, n, k, bound, kappa):
     """nu_j(2n) <= nu_j(n) <= theta_j, theta the Rayleigh-Ritz values of the n
     pencil on the leading rows of the 2n Ritz vectors, and theta is nu(n)."""
-    families = sl_family._families(interval, n)
-    w2, x = sl_family._lowest(families, kappa, k)
-    theta = sl_family._rayleigh_ritz(families[0], kappa, x)
+    family = sl_family._family(interval, n)
+    w2, x, band = sl_family._lowest(family, kappa, k)
+    theta = sl_family._rayleigh_ritz(family, band, x)
     coarse = _dense(interval, kappa, n)[:k]
     fine = _dense(interval, kappa, 2 * n)[:k]
     slack = bound * coarse
@@ -327,12 +339,12 @@ def test_rayleigh_ritz_brackets_the_coarse_values(interval, n, k, bound, kappa):
 
 def test_rayleigh_ritz_refuses_dependent_vectors():
     """A Gram matrix of B that is not positive definite is a CertificationError."""
-    families = sl_family._families(IV, 16)
-    _, x = sl_family._lowest(families, 1.0, 4)
+    family = sl_family._family(IV, 16)
+    _, x, band = sl_family._lowest(family, 1.0, 4)
     x = x.copy()
     x[:, 1] = 0.0
     with pytest.raises(CertificationError, match="not positive definite"):
-        sl_family._rayleigh_ritz(families[0], 1.0, x)
+        sl_family._rayleigh_ritz(family, band, x)
 
 
 def _p1_ritz_ground_state(ell, alpha=-1.0, beta=1.0, m=400):
@@ -410,8 +422,8 @@ def test_sweep_matches_richardson_oracle():
     for ell in table.modes():
         vals = table.mode_values(ell)
         hi = float(vals[-1]) * 1.2
-        coarse = tridiag_eigenvalues(assemble_fd(IV, ell ** 2, m=1000), 0.0, hi)
-        fine = tridiag_eigenvalues(assemble_fd(IV, ell ** 2, m=2001), 0.0, hi)
+        coarse = fd_eigenvalues(assemble_fd(IV, ell ** 2, m=1000), 0.0, hi)
+        fine = fd_eigenvalues(assemble_fd(IV, ell ** 2, m=2001), 0.0, hi)
         k = vals.size
         extrap = (4.0 * fine[:k] - coarse[:k]) / 3.0
         assert np.max(np.abs(vals - extrap) / extrap) <= 1e-8
@@ -535,6 +547,10 @@ def test_table_query_semantics():
     for through in (40.0 * 1.001, 40.0 * 1.05, 40.0 * 1.05 + 1.0):
         with pytest.raises(IncompleteTableError):
             table.nus(through=through)
+    # a non-finite bound is no query: NaN compared past nothing and returned every row
+    for through in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="through must be finite"):
+            table.nus(through=through)
 
 
 def test_table_csv_round_trip():
@@ -549,6 +565,9 @@ def test_table_csv_round_trip():
 def test_table_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         table_rows_from_csv("a,b,c\n1,1,2.0\n")
+    for empty in ("", "\n\n"):
+        with pytest.raises(ValueError, match="unexpected header"):
+            table_rows_from_csv(empty)
 
 
 def _mini_table(entries, cutoff=10.0):
@@ -568,6 +587,9 @@ def test_table_invariant_violations():
         _mini_table(((1, 1, 3.0), (2, 1, 2.0)))  # not increasing in ell
     with pytest.raises(ValueError):
         _mini_table(((1, 1, 99.0),))  # beyond the retention window
+    # a NaN cutoff would compare past every query and switch off the guard
+    with pytest.raises(ValueError, match="cutoff must not be NaN"):
+        _mini_table(((1, 1, 3.0),), cutoff=float("nan"))
 
 
 def test_table_valid_synthetic():
