@@ -6,7 +6,10 @@ certified solves need, with B-orthonormal Ritz vectors.  It is written
 here on the banded LAPACK factorizations, with full reorthogonalization
 and no implicit restarts.  Lanczos stops at a residual of 1e-9 relative, not at
 rounding: a Ritz value's error is quadratic in its residual, so the
-values stay within about 1e-16 relative.  The certified solves' oracle
+values stay within about 1e-16 relative.  It starts from the fixed vector
+sin(1 + i), or, for a sweep, from the Ritz vectors of the previous mode
+with a little of that vector mixed in; either way a run is a function of
+its arguments alone, bitwise.  The certified solves' oracle
 is a Sturm-sequence count on the finite-difference tridiagonal, batched
 over matrices that share an off-diagonal and kept free of LAPACK on
 purpose so it never shares a failure mode with the pencil.
@@ -33,9 +36,13 @@ from .errors import ConvergenceError
 # applications than a residual at rounding level needs.
 _RESIDUAL_TOL = 1e-9
 # the first convergence check comes this many steps past k: no mode of
-# the sweeps converges sooner (k + 13 to k + 19 for the modes of the
-# benchmark tables, k + 18 to k + 68 on (0.5, 6.5) to cutoff 1000)
-_CHECK_LEAD = 12
+# the sweeps converges sooner (k + 13 to k + 68 from the fixed start,
+# k + 8 to k + 60 from the previous mode's Ritz vectors, over the
+# benchmark tables and (0.5, 6.5) to cutoff 1000)
+_CHECK_LEAD = 8
+# a warm start mixes in this share of the fixed start vector, so that no
+# eigenvector is absent from it: 1e-3 cost about 10 % more steps than none
+_START_MIX = 1e-5
 # Daniel-Gragg-Kaufman-Stewart: a Gram-Schmidt pass that keeps less than
 # this share of the norm is repeated, and a repeat that keeps less again
 # leaves rounding only, an invariant subspace
@@ -60,7 +67,19 @@ def _ritz_pairs(alpha, beta, lo, hi):
     return mu[lo - 1 : hi], s
 
 
-def lowest_pencil_eigenpairs(a_band, b_band, k):
+def _cholesky(band, name):
+    """The banded Cholesky factor (dpbtrf, lower) of the matrix ``name``."""
+    chol, info = dpbtrf(band, lower=1)
+    if info != 0:
+        raise ConvergenceError(f"banded Cholesky of {name} failed at leading minor {info}")
+    return chol
+
+
+def _unit(v):
+    return v / math.sqrt(v @ v)
+
+
+def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None):
     """The k smallest eigenvalues nu of a x = nu b x, ascending, and their Ritz vectors.
 
     ``a_band`` and ``b_band`` are the LAPACK lower bands of symmetric
@@ -76,8 +95,16 @@ def lowest_pencil_eigenpairs(a_band, b_band, k):
     relative; the check runs on the one pair least converged, and on all
     k only once that one passes.  A breakdown (an
     invariant subspace) goes on from a fresh start vector, and a basis of
-    the full order gives the exact values.  The start vector sin(1 + i)
-    is fixed, so repeated runs are bitwise equal.
+    the full order gives the exact values.
+
+    Lanczos starts from the fixed vector sin(1 + i), or, given ``start``,
+    from the sum of its columns: b-orthonormal Ritz vectors of a nearby
+    pencil (a sweep passes the previous mode's), mapped to R^T x, with
+    _START_MIX of the fixed vector mixed in so that no eigenvector is
+    absent.  Either way the result depends on the arguments alone, so
+    repeated runs are bitwise equal; runs from different starts agree to
+    rounding.  ``root``, if given, is b's banded Cholesky factor, for a
+    caller that solves many pencils against one b.
 
     Returns (nu, x): x holds the Ritz vectors as columns, x^T b x = I to
     rounding.  A failed factorization raises ConvergenceError.
@@ -85,32 +112,35 @@ def lowest_pencil_eigenpairs(a_band, b_band, k):
     order = a_band.shape[1]
     if not 1 <= k < order:
         raise ValueError(f"need 1 <= k < order {order}, got {k}")
-    chol, info = dpbtrf(a_band, lower=1)
-    if info != 0:
-        raise ConvergenceError(f"banded Cholesky failed at leading minor {info}")
-    root, info = dpbtrf(b_band, lower=1)
-    if info != 0:
-        raise ConvergenceError(f"banded Cholesky of b failed at leading minor {info}")
+    chol = _cholesky(a_band, "a")
+    if root is None:
+        root = _cholesky(b_band, "b")
     diag = root[0]
     offsets = [(d, root[d, :-d]) for d in range(1, root.shape[0]) if np.any(root[d])]
+
+    def transpose_root(u):
+        """R^T u."""
+        v = diag * u
+        for d, row in offsets:
+            v[:-d] += row * u[d:]
+        return v
 
     def apply(q):
         """R^T a^-1 R q."""
         u = diag * q
         for d, row in offsets:
             u[d:] += row * q[:-d]
-        u = dpbtrs(chol, u, lower=1, overwrite_b=1)[0]
-        v = diag * u
-        for d, row in offsets:
-            v[:-d] += row * u[d:]
-        return v
+        return transpose_root(dpbtrs(chol, u, lower=1, overwrite_b=1)[0])
 
     # rows are the Lanczos vectors; numpy maps pages as the rows are written
     basis = np.empty((order, order))
     alpha = np.empty(order)
     beta = np.zeros(order)
-    start = np.sin(1.0 + np.arange(order))
-    basis[0] = start / math.sqrt(start @ start)
+    fixed = _unit(np.sin(1.0 + np.arange(order)))
+    if start is None:
+        basis[0] = fixed
+    else:
+        basis[0] = _unit(_unit(transpose_root(start.sum(axis=1))) + _START_MIX * fixed)
     restarts = 0
     watch = 0  # the pair checked: 0 is the k-th greatest
     check = k + _CHECK_LEAD  # the next step that checks

@@ -30,7 +30,7 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dsygv
 
 from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
-from .eigen import _sturm_counts, lowest_pencil_eigenpairs
+from .eigen import _cholesky, _sturm_counts, lowest_pencil_eigenpairs
 from .errors import CertificationError, IncompleteTableError
 
 # relative padding of a table above its cutoff
@@ -49,17 +49,19 @@ def _check_tol(tol):
         )
 
 
-def _lowest(family, coupling, k):
+def _lowest(family, coupling, k, start=None, root=None):
     """The k lowest Galerkin eigenvalues of one mode at ``family``'s resolution 2n
     and their B-orthonormal Ritz vectors, by banded Lanczos, plus the mode's
     operator band K + kappa M.
 
     k is capped at the order of resolution n less 2, so a resolution too
     small for the cutoff shows as every computed value lying below it.
+    ``start`` and ``root`` go to lowest_pencil_eigenpairs: a nearby mode's
+    Ritz vectors to start from, and the Cholesky factor of B.
     """
     band = family.operator_band(coupling)
     k = min(k, family.n // 2 - 3)
-    return (*lowest_pencil_eigenpairs(band, family.mass_band, k), band)
+    return (*lowest_pencil_eigenpairs(band, family.mass_band, k, start, root), band)
 
 
 def _rayleigh_ritz(family, band, x):
@@ -314,7 +316,10 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     Modes are solved in order, each once at resolution 2n and for one
     more eigenvalue than it can hold below the retention limit: mode 1 by
     the count bound of the interval, later modes by the previous mode's
-    count, since a count cannot grow with the coupling.  The first mode
+    count, since a count cannot grow with the coupling.  Mode 1's Lanczos
+    starts from the fixed vector, each later one from the previous mode's
+    Ritz vectors, which are close: a repeated sweep is bitwise equal, and
+    a row agrees with solve_certified of its mode to rounding.  The first mode
     whose ground state at resolution 2n clears the cutoff ends the sweep
     and is the table's ``ell_max``; by interlacing its ground state at n
     clears the cutoff too.  A stop on the values at n would differ only if
@@ -339,14 +344,16 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
     family = _family(interval, n)
+    root = _cholesky(family.mass_band, "B")
     retain = cutoff * (1.0 + _MARGIN)
     count = _count_bound(interval, retain)
     entries = []
     modes = []
     ell = 1
+    x = None
     while True:
         kappa = coupling(ell)
-        w2, x, band = _lowest(family, kappa, count + 1)
+        w2, x, band = _lowest(family, kappa, count + 1, x, root)
         if w2[0] > cutoff:
             break
         values, probe, above = _mode_values(family, band, retain, tol, w2, x)

@@ -307,7 +307,8 @@ def test_artifacts_are_reproducible(tmp_path):
     for path in (sa, sb):
         assert main(["ratio", "--svg", str(path)]) == 0
     assert sa.read_bytes() == sb.read_bytes()
-    # the Lanczos start vector is fixed, so fresh processes agree bytewise
+    # every Lanczos start is a function of the sweep's arguments (the fixed
+    # vector, then the previous mode's Ritz vectors): fresh processes agree bytewise
     runs = [_run_cli("sweep", "--cutoff", "50", "--csv", "-") for _ in range(2)]
     assert all(run.returncode == 0 for run in runs)
     assert runs[0].stdout == runs[1].stdout

@@ -81,9 +81,9 @@ def test_potential_width(monkeypatch):
     """
     couplings = []
 
-    def recorded(family, coupling, k):
+    def recorded(family, coupling, k, *start):
         couplings.append(coupling)
-        return lowest(family, coupling, k)
+        return lowest(family, coupling, k, *start)
 
     lowest = sl_family._lowest
     monkeypatch.setattr(sl_family, "_lowest", recorded)

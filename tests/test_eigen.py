@@ -42,11 +42,19 @@ def test_lowest_pencil_matches_fd_closed_form():
 
 
 def test_lowest_pencil_is_deterministic():
+    """Repeated runs are bitwise equal, from the fixed start and from a
+    neighbouring coupling's Ritz vectors, and the two starts agree to rounding."""
     fam = assemble_galerkin(Interval(-1.0, 1.0), 128)
-    runs = [lowest_pencil_eigenpairs(fam.operator_band(50.0), fam.mass_band, 9)
-            for _ in range(3)]
-    for nu, x in runs[1:]:
-        assert np.array_equal(runs[0][0], nu) and np.array_equal(runs[0][1], x)
+    near = lowest_pencil_eigenpairs(fam.operator_band(36.0), fam.mass_band, 10)[1]
+    values = []
+    for start in (None, near):
+        runs = [lowest_pencil_eigenpairs(fam.operator_band(50.0), fam.mass_band, 9, start)
+                for _ in range(3)]
+        for nu, x in runs[1:]:
+            assert np.array_equal(runs[0][0], nu) and np.array_equal(runs[0][1], x)
+        values.append(runs[0][0])
+    cold, warm = values
+    assert np.max(np.abs(warm - cold) / cold) <= 1e-13
 
 
 def test_lowest_pencil_full_order_is_exact():
@@ -70,6 +78,25 @@ def test_lowest_pencil_breakdown_finds_repeated_values():
     for k in (3, 6, 19):
         nu, x = lowest_pencil_eigenpairs(twice, np.ones((1, 20), order="F"), k)
         assert np.max(np.abs(nu - exact[:k]) / exact[:k]) <= 1e-13
+        assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
+
+
+@pytest.mark.parametrize("mix", [eigen._START_MIX, 0.0])
+def test_lowest_pencil_start_spanning_an_invariant_subspace(monkeypatch, mix):
+    """A start made of the pencil's own eigenvectors still gives the k lowest values.
+
+    The pencil is diagonal, so its eigenvectors are unit vectors.  With the
+    fixed vector mixed in, as a sweep starts, the start only nears their
+    span.  Unmixed it spans an invariant subspace: every Lanczos vector lies
+    in it, step k leaves rounding only, and Lanczos breaks down and goes on
+    from a fresh vector.
+    """
+    monkeypatch.setattr(eigen, "_START_MIX", mix)
+    a = np.asfortranarray(np.arange(1.0, 21.0)[None, :])
+    b = np.ones((1, 20), order="F")
+    for k in (1, 3, 6):
+        nu, x = lowest_pencil_eigenpairs(a, b, k, np.eye(20)[:, :k])
+        assert np.max(np.abs(nu - np.arange(1.0, k + 1.0)) / nu) <= 1e-13
         assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
 
 

@@ -15,13 +15,15 @@ from hyperlap import (
     EigenTable,
     IncompleteTableError,
     Interval,
+    ProductDomain,
     assemble_fd,
     assemble_galerkin,
+    family_table,
     solve_certified,
     sweep,
     table_rows_from_csv,
 )
-from hyperlap import sl_family
+from hyperlap import eigen, sl_family
 from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.cli import main
 
@@ -296,8 +298,8 @@ def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
     mode 1, then the last count + 1."""
     asked = []
 
-    def recorded(a_band, b_band, k):
-        nu, x = lowest_pencil_eigenpairs(a_band, b_band, k)
+    def recorded(a_band, b_band, k, *start):
+        nu, x = lowest_pencil_eigenpairs(a_band, b_band, k, *start)
         asked.append((a_band.shape[1], k, nu))
         return nu, x
 
@@ -505,6 +507,51 @@ def test_certified_mode_at_cutoff_three_hundred_thousand():
     values = solve_certified(IV, 1.0, 3e5, n=1100)
     assert values.size == 348
     assert values[-1] <= 3e5
+
+
+@pytest.mark.parametrize(
+    "table, most",
+    [
+        (lambda: sweep(IV, 50.0, n=400), 150),
+        (lambda: family_table(ProductDomain(2.0 * math.pi), 100.0, n=200), 530),
+    ],
+    ids=["paper-table", "trace-family"],
+)
+def test_sweep_banded_solves(monkeypatch, table, most):
+    """Each mode after the first starts its Lanczos from the previous mode's
+    Ritz vectors: 145 and 515 banded solves (one per Lanczos step) for these
+    tables, where the fixed start of every mode took 188 and 712.  The counts
+    are deterministic."""
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return dpbtrs(*args, **kwargs)
+
+    dpbtrs = eigen.dpbtrs
+    monkeypatch.setattr(eigen, "dpbtrs", counted)
+    table()
+    assert len(solves) <= most
+
+
+@pytest.mark.parametrize(
+    "interval, n, bound",
+    [
+        (IV, 400, 1e-13),
+        # exp(2t) spans e^12: theta itself is good to about 3e-12 here
+        (Interval(0.5, 6.5), 200, 1e-11),
+    ],
+)
+def test_sweep_rows_match_single_mode_solves(interval, n, bound):
+    """The warm-started sweep and the cold single-mode solve agree row by row
+    through the retention limit: the start changes only the rounding."""
+    table = sweep(interval, 1000.0, n=n)
+    retain = table.cutoff * (1.0 + table.margin)
+    for ell in table.modes():
+        rows = table.mode_values(ell)
+        single = solve_certified(interval, float(ell) ** 2, retain, n=n)
+        assert single.size == rows.size
+        assert np.max(np.abs(rows - single) / single) <= bound
 
 
 def test_sweep_deterministic():
