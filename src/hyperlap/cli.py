@@ -23,6 +23,7 @@ from .lt_verify import (
     TRIAL_NAMES,
     BoxPotential,
     ProductDomain,
+    family_table,
     lt_check,
     sobolev_check,
     trial_profile,
@@ -263,7 +264,9 @@ def cmd_polya(args):
 def cmd_ltcheck(args):
     domain = ProductDomain(x_length=args.x_length, a=args.a, b=args.b)
     pot = BoxPotential(domain=domain, height=args.cutoff)
-    report = lt_check(pot, args.gamma, tol=args.tol, n=args.n, excess=args.excess)
+    lt_best_known(args.gamma, 2, args.excess)  # bad input exits 2 before the sweep
+    table = family_table(domain, args.cutoff, tol=args.tol, n=args.n)
+    report = lt_check(pot, args.gamma, table, excess=args.excess)
     if args.json:
         _emit_json(report.to_json_dict(), args.json)
     else:

@@ -7,11 +7,10 @@ explicit product trial functions with tensor Gauss-Legendre quadrature.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .constants import EXCESS, kinetic_constant, lt_best_known
@@ -58,12 +57,12 @@ class BoxPotential:
             raise ValueError(f"height must be positive, got {self.height!r}")
 
 
-def potential_integral(pot, gamma, dim=2):
-    """integral of V^(gamma + d/2) over hyperbolic volume, for the box shape."""
+def potential_integral(pot, gamma):
+    """integral of V^(gamma + 1) over hyperbolic area, for the box shape on H^2."""
     gamma = float(gamma)
     if gamma < 0.5:
         raise ValueError(f"trace inequality needs gamma >= 1/2, got {gamma!r}")
-    return pot.height ** (gamma + dim / 2.0) * hyperbolic_volume(pot.domain)
+    return pot.height ** (gamma + 1.0) * hyperbolic_volume(pot.domain)
 
 
 def family_table(domain, cutoff, tol=1e-10, n=400):
@@ -96,26 +95,25 @@ class LTReport:
         }
 
 
-def lt_check(pot, gamma, table=None, tol=1e-10, n=400, excess=EXCESS):
-    """Evaluate the trace inequality for the box potential.
+def lt_check(pot, gamma, table, excess=EXCESS):
+    """Evaluate the trace inequality for the box potential on a certified table.
 
-    The left side sums (height - nu)_+^gamma over the certified table
-    (computed on demand when ``table`` is None; a supplied table must
-    belong to the same domain and reach the potential height).
+    The left side sums (height - nu)_+^gamma over the table (from
+    ``family_table``; it must belong to the domain and reach the height).
+    The nu are Dirichlet eigenvalues of the product domain, so by domain
+    monotonicity this is at most the whole-space left side for
+    V = height * 1_domain on H^2: the check tests a consequence of the
+    paper's Lieb-Thirring inequality, not the inequality itself.
     """
     gamma = float(gamma)
-    if gamma < 0.5:
-        raise ValueError(f"trace inequality needs gamma >= 1/2, got {gamma!r}")
     domain, height = pot.domain, pot.height
     constant = lt_best_known(gamma, 2, excess)
-    if table is None:
-        table = family_table(domain, height, tol=tol, n=n)
-    elif (table.interval not in (None, domain.interval)
-          or table.width not in (None, domain.x_length)):
+    if (table.interval not in (None, domain.interval)
+            or table.width not in (None, domain.x_length)):
         raise ValueError(f"table of width {table.width} on {table.interval}, not {domain}")
     cf = CountingFunction.from_table(table, hyperbolic_volume(domain))
     lhs = cf.riesz_mean(height, gamma)
-    rhs = constant * potential_integral(pot, gamma, dim=2)
+    rhs = constant * potential_integral(pot, gamma)
     ratio = lhs / rhs
     return LTReport(
         gamma=gamma,
@@ -129,17 +127,14 @@ def lt_check(pot, gamma, table=None, tol=1e-10, n=400, excess=EXCESS):
 
 @dataclass(frozen=True)
 class SobolevTrialFunction:
-    """Product trial u(x, t) = X(x) T(t), both factors vanishing at the ends.
-
-    Derivative callables are optional; missing ones are rebuilt from
-    Chebyshev interpolants whose degree tracks the quadrature order.
-    """
+    """Product trial u(x, t) = X(x) T(t), both factors vanishing at the ends,
+    with the exact derivatives X' and T'."""
 
     name: str
     x_profile: Callable
     t_profile: Callable
-    dx_profile: Optional[Callable] = None
-    dt_profile: Optional[Callable] = None
+    dx_profile: Callable
+    dt_profile: Callable
 
 
 def _eval_vec(f, pts):
@@ -147,15 +142,6 @@ def _eval_vec(f, pts):
     if out.shape != pts.shape:
         out = np.array([float(f(p)) for p in pts])
     return out
-
-
-def _derivative_values(profile, d_profile, pts, lo, hi, deg):
-    if d_profile is not None:
-        return _eval_vec(d_profile, pts)
-    interp = Chebyshev.interpolate(
-        lambda s: _eval_vec(profile, np.asarray(s)), deg, domain=[lo, hi]
-    )
-    return interp.deriv()(pts)
 
 
 @dataclass(frozen=True)
@@ -170,14 +156,7 @@ class SobolevReport:
     nodes: int
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-            "nodes": self.nodes,
-        }
+        return asdict(self)
 
 
 def _legendre_pair(q, x):
@@ -206,7 +185,6 @@ def _gauss_legendre(q):
 
 def _sobolev_sides(trial, domain, n_nodes, excess):
     interval = domain.interval
-    alpha, beta = interval.alpha, interval.beta
     nodes, weights = _gauss_legendre(n_nodes)
     xs = 0.5 * domain.x_length * (nodes + 1.0)
     xw = 0.5 * domain.x_length * weights
@@ -215,10 +193,8 @@ def _sobolev_sides(trial, domain, n_nodes, excess):
 
     xv = _eval_vec(trial.x_profile, xs)
     tv = _eval_vec(trial.t_profile, ts)
-    dxv = _derivative_values(
-        trial.x_profile, trial.dx_profile, xs, 0.0, domain.x_length, n_nodes
-    )
-    dtv = _derivative_values(trial.t_profile, trial.dt_profile, ts, alpha, beta, n_nodes)
+    dxv = _eval_vec(trial.dx_profile, xs)
+    dtv = _eval_vec(trial.dt_profile, ts)
 
     # the tensor rule factorizes exactly for product trials
     em, ep, em2 = np.exp(-ts), np.exp(ts), np.exp(-2.0 * ts)
@@ -239,12 +215,15 @@ def _sobolev_sides(trial, domain, n_nodes, excess):
     return lhs, rhs
 
 
-def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS, max_nodes=4096):
+_MAX_NODES = 4096
+
+
+def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS):
     """Test (grad term) * (norm term) >= K * quartic term + (1/4) (norm term)^2.
 
     Tensor Gauss-Legendre with node doubling until both sides settle to
     ``tol`` relative (finite and positive); QuadratureError past
-    ``max_nodes``.  A margin down to -1e-9 |rhs| still passes: that much
+    _MAX_NODES.  A margin down to -1e-9 |rhs| still passes: that much
     relative negativity is quadrature rounding, not a violation.
     """
     if not (math.isfinite(tol) and tol > 0.0):
@@ -253,7 +232,7 @@ def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS, max_nodes=4096):
         domain = ProductDomain()
     n_nodes = 16
     prev = None
-    while n_nodes <= max_nodes:
+    while n_nodes <= _MAX_NODES:
         cur = _sobolev_sides(trial, domain, n_nodes, excess)
         if prev is not None:
             ok = all(
@@ -274,7 +253,7 @@ def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS, max_nodes=4096):
         prev = cur
         n_nodes *= 2
     raise QuadratureError(
-        f"quadrature for trial {trial.name!r} did not settle by {max_nodes} nodes"
+        f"quadrature for trial {trial.name!r} did not settle by {_MAX_NODES} nodes"
     )
 
 
@@ -282,9 +261,8 @@ def trial_profile(name, domain=None):
     """Named trial functions on the given domain (default: the model strip).
 
     Profiles vanish at both ends of each factor so the product extends by
-    zero to the whole space.  'sine' and 'bump' carry analytic derivatives;
-    the rest exercise the interpolation route.  'bump' is the
-    near-degenerate narrow case.
+    zero to the whole space; each carries its derivatives in closed form.
+    'bump' is the near-degenerate narrow case.
     """
     if domain is None:
         domain = ProductDomain()
@@ -296,20 +274,28 @@ def trial_profile(name, domain=None):
     def tau(t):
         return (np.asarray(t, dtype=float) - mid) / half
 
+    def sine(x):
+        return np.sin(np.pi * x / xl)
+
+    def d_sine(x):
+        return (np.pi / xl) * np.cos(np.pi * x / xl)
+
     if name == "sine":
         return SobolevTrialFunction(
             name=name,
-            x_profile=lambda x: np.sin(np.pi * x / xl),
+            x_profile=sine,
             t_profile=lambda t: np.cos(0.5 * np.pi * tau(t)),
-            dx_profile=lambda x: (np.pi / xl) * np.cos(np.pi * x / xl),
+            dx_profile=d_sine,
             dt_profile=lambda t: -(0.5 * np.pi / half) * np.sin(0.5 * np.pi * tau(t)),
         )
     if name == "cos2":
         # on the model interval this is the pair sin(x), cos^2(pi t / 2)
         return SobolevTrialFunction(
             name=name,
-            x_profile=lambda x: np.sin(np.pi * x / xl),
+            x_profile=sine,
             t_profile=lambda t: np.cos(0.5 * np.pi * tau(t)) ** 2,
+            dx_profile=d_sine,
+            dt_profile=lambda t: -(0.5 * np.pi / half) * np.sin(np.pi * tau(t)),
         )
     if name == "bump":
         def t_bump(t):
@@ -322,9 +308,9 @@ def trial_profile(name, domain=None):
 
         return SobolevTrialFunction(
             name=name,
-            x_profile=lambda x: np.sin(np.pi * x / xl),
+            x_profile=sine,
             t_profile=t_bump,
-            dx_profile=lambda x: (np.pi / xl) * np.cos(np.pi * x / xl),
+            dx_profile=d_sine,
             dt_profile=dt_bump,
         )
     if name == "skew":
@@ -332,12 +318,16 @@ def trial_profile(name, domain=None):
             name=name,
             x_profile=lambda x: x * (xl - x) ** 2 / xl ** 3,
             t_profile=lambda t: (1.0 - tau(t)) * (1.0 + tau(t)) ** 2,
+            dx_profile=lambda x: (xl - x) * (xl - 3.0 * x) / xl ** 3,
+            dt_profile=lambda t: (1.0 + tau(t)) * (1.0 - 3.0 * tau(t)) / half,
         )
     if name == "highmode":
         return SobolevTrialFunction(
             name=name,
             x_profile=lambda x: np.sin(3.0 * np.pi * x / xl),
             t_profile=lambda t: np.sin(2.0 * np.pi * tau(t)),
+            dx_profile=lambda x: (3.0 * np.pi / xl) * np.cos(3.0 * np.pi * x / xl),
+            dt_profile=lambda t: (2.0 * np.pi / half) * np.cos(2.0 * np.pi * tau(t)),
         )
     raise ValueError(f"unknown trial profile {name!r}")
 

@@ -428,7 +428,7 @@ def test_sobolev_json_all_profiles(tmp_path):
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
 def test_sobolev_tol_must_be_finite_and_positive(tol, capsys):
     # inf would accept the first 32-node margin, and nan, 0 and -1 would
-    # double the nodes to max_nodes before failing as unsettled
+    # double the nodes to _MAX_NODES before failing as unsettled
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         sobolev_check(trial_profile("bump"), tol=float(tol))
     assert main(["sobolev", "--profile", "bump", "--tol", tol]) == 2

@@ -68,8 +68,15 @@ def test_lowest_pencil_full_order_is_exact():
 
 
 def test_lowest_pencil_breakdown_finds_repeated_values():
-    """Two copies of one FD block: every eigenvalue is double, and each Krylov
-    space holds one copy, so Lanczos breaks down and goes on from a fresh vector."""
+    """Two copies of one FD block: every eigenvalue is double.
+
+    In exact arithmetic each Krylov space would hold one copy and Lanczos
+    would break down once it is exhausted.  In floating point the
+    orthogonalized residual there is small but not zero (1.8e-6 after the
+    eleventh step), so Lanczos goes on from it and never takes the restart
+    branch, for k = 3, 6 and 19 alike.  The restart branch is tested by
+    test_lowest_pencil_start_spanning_an_invariant_subspace[0.0].
+    """
     op, a, b = _fd_band(10)
     twice = np.zeros((2, 20), order="F")
     twice[0] = np.tile(a[0], 2)

@@ -123,7 +123,7 @@ def test_lt_check_lhs_monotone_in_height(model_table):
 def test_lt_check_table_reuse_matches_fresh(model_table):
     pot = BoxPotential(domain=MODEL, height=20.0)
     reused = lt_check(pot, 1.0, table=model_table)
-    fresh = lt_check(pot, 1.0, n=64)
+    fresh = lt_check(pot, 1.0, family_table(MODEL, 20.0, n=64))
     assert reused.lhs == pytest.approx(fresh.lhs, rel=1e-9)
     assert reused.rhs == pytest.approx(fresh.rhs, rel=1e-15)
 
@@ -159,11 +159,12 @@ def test_lt_check_excess_override(model_table):
 
 
 @pytest.mark.parametrize("excess", [float("nan"), float("inf"), 0.0, -5.0])
-def test_lt_check_rejects_bad_excess_before_the_sweep(excess, monkeypatch):
-    monkeypatch.setattr(lt_verify, "family_table", None)
+def test_lt_check_rejects_bad_excess_before_the_sweep(excess, model_table, monkeypatch):
+    # lt_check reads the table it is given and never sweeps
+    monkeypatch.setattr(lt_verify.sl_family, "sweep", None)
     pot = BoxPotential(domain=MODEL, height=20.0)
     with pytest.raises(ValueError, match="excess must be positive and finite"):
-        lt_check(pot, 1.0, excess=excess)
+        lt_check(pot, 1.0, model_table, excess=excess)
 
 
 def test_lt_report_json(model_table):
@@ -180,7 +181,7 @@ def test_sobolev_sine_passes():
     assert report.nodes <= 4096
 
 
-def test_sobolev_interpolated_derivatives_pass():
+def test_sobolev_cos2_passes():
     report = sobolev_check(trial_profile("cos2"))
     assert report.passed
     assert report.margin >= -1e-9 * abs(report.rhs)
@@ -225,7 +226,7 @@ def test_sobolev_zero_trial():
     assert report.passed
 
 
-def test_sobolev_unsettled_quadrature_raises():
+def test_sobolev_unsettled_quadrature_raises(monkeypatch):
     rng = np.random.default_rng(5)
     noisy = SobolevTrialFunction(
         name="noise",
@@ -234,8 +235,9 @@ def test_sobolev_unsettled_quadrature_raises():
         dx_profile=lambda x: np.cos(x),
         dt_profile=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
-    with pytest.raises(QuadratureError):
-        sobolev_check(noisy, max_nodes=64)
+    monkeypatch.setattr(lt_verify, "_MAX_NODES", 64)
+    with pytest.raises(QuadratureError, match="by 64 nodes"):
+        sobolev_check(noisy)
 
 
 def test_sobolev_custom_domain():
@@ -243,6 +245,26 @@ def test_sobolev_custom_domain():
     report = sobolev_check(trial_profile("sine", domain=domain), domain=domain)
     assert report.passed
     assert report.margin > 0.0
+
+
+@pytest.mark.parametrize("domain", [MODEL, ProductDomain(x_length=1.0, a=1.0, b=4.0)])
+@pytest.mark.parametrize("name", TRIAL_NAMES)
+def test_trial_profile_derivatives_are_exact(name, domain):
+    """Each closed-form derivative matches a central difference at interior
+    points, to 1e-6 of the derivative's largest value there."""
+    trial = trial_profile(name, domain)
+    interval = domain.interval
+    inner = np.linspace(0.05, 0.95, 19)
+    for f, df, lo, hi in (
+        (trial.x_profile, trial.dx_profile, 0.0, domain.x_length),
+        (trial.t_profile, trial.dt_profile, interval.alpha, interval.beta),
+    ):
+        pts = lo + (hi - lo) * inner
+        h = 1e-5 * (hi - lo)
+        diff = (f(pts + h) - f(pts - h)) / (2.0 * h)
+        exact = df(pts)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(exact - diff)) <= 1e-6 * scale
 
 
 def test_trial_profile_unknown_name():
