@@ -13,13 +13,16 @@ its arguments alone, bitwise.  The certified solves' oracle
 is a Sturm-sequence count on the finite-difference tridiagonal, batched
 over matrices that share an off-diagonal and kept free of LAPACK on
 purpose so it never shares a failure mode with the pencil.
+
+The LAPACK routines are scipy's compiled ones, which _lapack loads
+without importing the scipy.linalg package.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dstein, dsterf, dtbtrs
 
+from ._lapack import dpbtrf, dpbtrs, dstein, dsterf, dtbtrs
 from .errors import ConvergenceError
 
 # Lanczos stops once every wanted Ritz pair (theta, x) of the transformed

@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
+from ._lapack import dsterf
 from .constants import EXCESS, kinetic_constant, lt_best_known
 from .counting import CountingFunction
 from .discretize import Interval
@@ -170,13 +170,16 @@ def _legendre_pair(q, x):
 def _gauss_legendre(q):
     """Gauss-Legendre nodes and weights on [-1, 1], in O(q) memory.
 
-    Golub-Welsch nodes (eigenvalues of the Jacobi matrix) polished by one
-    Newton step on L_q; weights 2 / ((1 - x^2) L_q'(x)^2), with
-    (1 - x^2) L_q' = q (L_{q-1} - x L_q).  Keeping the tiny L_q term makes
-    the weights exact to rounding (about 1e-16 on smooth integrands).
+    Golub-Welsch nodes (eigenvalues of the Jacobi matrix, by root-free QL,
+    dsterf) polished by one Newton step on L_q; weights
+    2 / ((1 - x^2) L_q'(x)^2), with (1 - x^2) L_q' = q (L_{q-1} - x L_q).
+    Keeping the tiny L_q term makes the weights exact to rounding (about
+    1e-16 on smooth integrands).  A failed QL raises QuadratureError.
     """
     k = np.arange(1.0, q)
-    x = eigvalsh_tridiagonal(np.zeros(q), k / np.sqrt(4.0 * k * k - 1.0))
+    x, info = dsterf(np.zeros(q), k / np.sqrt(4.0 * k * k - 1.0))
+    if info != 0:
+        raise QuadratureError(f"Gauss-Legendre nodes at q = {q}: tridiagonal QL failed (info {info})")
     p0, p1 = _legendre_pair(q, x)
     x = x - p1 * (1.0 - x * x) / (q * (p0 - x * p1))
     p0, p1 = _legendre_pair(q, x)

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dsygv
 
+from ._lapack import dsbmv, dsygv
 from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
 from .eigen import _cholesky, _sturm_counts, lowest_pencil_eigenpairs
 from .errors import CertificationError, IncompleteTableError

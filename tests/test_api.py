@@ -71,15 +71,20 @@ def test_public_names_resolve_and_retired_ones_are_gone():
     assert not hasattr(hyperlap.GalerkinFamily, "leading")
 
 
-def test_import_does_not_load_sparse_linalg():
-    # the Lanczos solver runs on scipy.linalg's LAPACK and BLAS alone: neither
-    # importing hyperlap nor a sweep or a certified solve loads scipy.sparse
+def test_import_loads_no_scipy_linalg_package():
+    # the package calls scipy's compiled LAPACK and BLAS modules, loaded by
+    # hyperlap._lapack without scipy.linalg's init: neither importing
+    # hyperlap nor a sweep, a certified solve, a trace check or the Sobolev
+    # quadrature loads scipy.linalg or scipy.sparse
     root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, hyperlap; iv = hyperlap.Interval(-1.0, 1.0); "
         "hyperlap.sweep(iv, 40.0, n=64); hyperlap.solve_certified(iv, 1.0, 100.0, n=64); "
-        "print('scipy.sparse' in sys.modules)"
+        "d = hyperlap.ProductDomain(); t = hyperlap.family_table(d, 40.0, n=64); "
+        "hyperlap.lt_check(hyperlap.BoxPotential(d, 30.0), 1.0, t); "
+        "[hyperlap.sobolev_check(hyperlap.trial_profile(name)) for name in hyperlap.TRIAL_NAMES]; "
+        "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -88,4 +93,17 @@ def test_import_does_not_load_sparse_linalg():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_no_module_imports_scipy_linalg():
+    # no module imports scipy.linalg or its public submodules, and _lapack
+    # is the only one that names scipy's extension modules
+    src = os.path.dirname(os.path.abspath(hyperlap.__file__))
+    imports = re.compile(r"^\s*(from|import)\s+scipy\.linalg\b|^\s*from\s+scipy\s+import\s+linalg\b", re.M)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            assert not imports.search(text), name
+            assert ("_flapack" in text or "_fblas" in text) == (name == "_lapack.py"), name

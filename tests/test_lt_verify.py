@@ -22,6 +22,7 @@ from hyperlap import (
     trial_profile,
 )
 from hyperlap import lt_verify
+from hyperlap.cli import main
 
 MODEL = ProductDomain()
 
@@ -238,6 +239,29 @@ def test_sobolev_unsettled_quadrature_raises(monkeypatch):
     monkeypatch.setattr(lt_verify, "_MAX_NODES", 64)
     with pytest.raises(QuadratureError, match="by 64 nodes"):
         sobolev_check(noisy)
+
+
+@pytest.mark.parametrize("q", [32, 64, 128, 4096])
+def test_gauss_legendre_matches_golub_welsch(q):
+    # the nodes from dsterf match those of scipy.linalg's tridiagonal
+    # eigensolver after the same Newton step, to 2 ulp
+    import scipy.linalg
+
+    nodes, weights = lt_verify._gauss_legendre(q)
+    k = np.arange(1.0, q)
+    x = scipy.linalg.eigvalsh_tridiagonal(np.zeros(q), k / np.sqrt(4.0 * k * k - 1.0))
+    p0, p1 = lt_verify._legendre_pair(q, x)
+    x = x - p1 * (1.0 - x * x) / (q * (p0 - x * p1))
+    assert np.all(np.abs(nodes - x) <= 2.0 * np.spacing(np.abs(x)))
+    assert abs(math.fsum(weights) - 2.0) <= 1e-14
+
+
+def test_gauss_legendre_failed_ql_raises(monkeypatch):
+    monkeypatch.setattr(lt_verify, "dsterf", lambda d, e: (d, 1))
+    with pytest.raises(QuadratureError, match="info 1"):
+        lt_verify._gauss_legendre(32)
+    # the command line maps it to exit 3, as it does an unsettled quadrature
+    assert main(["sobolev", "--profile", "sine"]) == 3
 
 
 def test_sobolev_custom_domain():
