@@ -2,10 +2,14 @@
 
 Fixed 960x640 canvas, linear axes with round tick steps, one polyline per
 series.  Output is deterministic for identical input.
+
+The module imports math alone.  Text is escaped here rather than by
+xml.sax.saxutils, whose import pulls in urllib.request and with it
+http.client, ssl and email: about 6.6 MB of peak memory and 30 ms per
+process (2 shared x86-64 vCPUs, Python 3.11), for three replacements.
 """
 
 import math
-from xml.sax.saxutils import escape
 
 WIDTH = 960
 HEIGHT = 640
@@ -15,6 +19,11 @@ MARGIN_T = 50
 MARGIN_B = 60
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a923a", "#8a6d3b", "#6a51a3")
+
+
+def escape(text):
+    """``text`` with &, < and > as entities, like xml.sax.saxutils.escape."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span, target=6):

@@ -96,6 +96,29 @@ def test_import_loads_no_scipy_linalg_package():
     assert proc.stdout.strip() == "False False"
 
 
+def test_import_loads_no_network_stack():
+    # svgplot escapes its own text: xml.sax.saxutils would import
+    # urllib.request and with it http.client, ssl and email.  Bare urllib
+    # is not checked, since site may load urllib.parse at start-up.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, hyperlap, hyperlap.cli, hyperlap.svgplot; "
+        "hyperlap.svgplot.line_plot([('a<b', [0, 1], [0, 1])], title='N & W', "
+        "xlabel='x > 0', ylabel='<y>'); "
+        "print([m for m in ('xml.sax', 'urllib.request', 'http.client', 'ssl', 'email') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_no_module_imports_scipy_linalg():
     # no module imports scipy.linalg or its public submodules, and _lapack
     # is the only one that names scipy's extension modules

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperlap import eigen
+from hyperlap._lapack import dpbtrs
 from hyperlap.eigen import _sturm_counts, lowest_pencil_eigenpairs
 from hyperlap import (
     ConvergenceError,
@@ -184,6 +185,39 @@ def test_lowest_pencil_failures(monkeypatch):
     monkeypatch.setattr(eigen, "dstein", no_convergence)
     with pytest.raises(ConvergenceError, match="Ritz solve failed"):
         lowest_pencil_eigenpairs(a, b, 3)
+
+
+@pytest.mark.parametrize("kd", [0, 1, 20])
+@pytest.mark.parametrize("order", [1, 5, 12, 399])
+def test_upper_band_copy_solves_like_the_lower_factor(kd, order):
+    """The upper-storage copy is L^T entry for entry, with zeros in the
+    unused corner, and dpbtrs solves on it as on the lower factor, also
+    where the half bandwidth reaches past the order."""
+    rng = np.random.default_rng(kd * 1000 + order)
+    band = np.zeros((kd + 1, order), order="F")
+    for d in range(1, min(kd, order - 1) + 1):
+        band[d, : order - d] = rng.uniform(-1.0, 1.0, order - d)
+    band[0] = 2.0 * kd + 1.0 + rng.uniform(0.0, 1.0, order)  # diagonally dominant
+    chol = eigen._cholesky(band, "a")
+    upper = eigen._upper_band(chol)
+    assert upper.shape == chol.shape and upper.flags.f_contiguous
+    lower_dense = np.zeros((order, order))
+    upper_dense = np.zeros((order, order))
+    for d in range(kd + 1):
+        for j in range(order):
+            if j + d < order:
+                lower_dense[j + d, j] = chol[d, j]
+            if j >= d:
+                upper_dense[j - d, j] = upper[kd - d, j]
+            else:
+                assert upper[kd - d, j] == 0.0
+    assert np.array_equal(upper_dense, lower_dense.T)
+    rhs = np.sin(1.0 + np.arange(order))
+    x_lower, info_lower = dpbtrs(chol, rhs, lower=1)
+    x_upper, info_upper = dpbtrs(upper, rhs, lower=0)
+    assert info_lower == info_upper == 0
+    assert np.allclose(x_upper, x_lower, rtol=1e-13, atol=0.0)
+    assert np.allclose(upper_dense.T @ (upper_dense @ x_upper), rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_sturm_identity_counts():

@@ -1,9 +1,11 @@
 """Tests for the dependency-free SVG renderer."""
 
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
 
+from hyperlap import svgplot
 from hyperlap.svgplot import line_plot
 
 
@@ -50,6 +52,13 @@ def test_labels_are_escaped():
     )
     ET.fromstring(svg)  # would raise on raw < or &
     assert "a&lt;b&amp;c" in svg
+
+
+@pytest.mark.parametrize(
+    "text", ["", "&amp;", "a<b>&c", "\"quoted\" and 'single'", "Pólya ≤ Weyl — λ<1", "&&<<>>"]
+)
+def test_escape_matches_saxutils(text):
+    assert svgplot.escape(text) == saxutils.escape(text)
 
 
 def test_degenerate_ranges_are_padded():
