@@ -1,12 +1,13 @@
-"""The LAPACK and BLAS routines the package calls, from scipy's compiled modules.
+"""The LAPACK routines the package calls, from scipy's compiled module.
 
 scipy.linalg's package init clones numpy's namespace for its array API
 layer, and reading that clone imports numpy.f2py and numpy.testing among
 others: about 0.15 s and 15-18 MB of peak memory per process (2 shared
-x86-64 vCPUs, Python 3.11, scipy 1.17), against about 8 ms for the two
-extension modules it wraps.  They are loaded here by file path instead.
-The top-level ``scipy`` package is imported first, since on Windows its
-init puts the bundled OpenBLAS on the DLL search path.
+x86-64 vCPUs, Python 3.11, scipy 1.17), against 4-8 ms for its LAPACK
+extension module _flapack.  That module is loaded here by file path
+instead.  The package calls no BLAS routine of scipy's, so _fblas is
+never loaded.  The top-level ``scipy`` package is imported first, since
+on Windows its init puts the bundled OpenBLAS on the DLL search path.
 """
 
 import importlib.machinery
@@ -32,4 +33,3 @@ def _extension(name):
 _flapack = _extension("_flapack")
 dpbtrf, dpbtrs, dstein, dsterf = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dstein, _flapack.dsterf
 dtbtrs, dsygv = _flapack.dtbtrs, _flapack.dsygv
-dsbmv = _extension("_fblas").dsbmv

@@ -23,6 +23,16 @@ from .errors import IncompleteTableError
 _BLOCK = 256
 
 
+def _distinct(values):
+    """The distinct entries of an ascending array, the first of each run kept.
+
+    np.unique and np.union1d do the same, but in numpy 2 they import numpy.ma.
+    """
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _unwrap(values):
     """A 0-d result as a Python scalar; arrays pass through."""
     return values.item() if np.ndim(values) == 0 else values
@@ -76,7 +86,7 @@ class CountingFunction:
 
     def jumps(self, lam_max):
         """Distinct eigenvalues <= lam_max, ascending."""
-        return np.unique(self.sorted_nus[: self.count_through(lam_max)])
+        return _distinct(self.sorted_nus[: self.count_through(lam_max)])
 
     def riesz_mean(self, lam, gamma):
         """sum (lam - nu)_+^gamma, elementwise; gamma = 0 reduces to the strict count.
@@ -183,7 +193,7 @@ def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
         raise ValueError(f"bound kind {kind!r} does not take a gamma")
 
     pts = lam_max * np.arange(1, grid + 1) / grid
-    lambdas = np.union1d(pts, cf.jumps(lam_max))
+    lambdas = _distinct(np.sort(np.concatenate((pts, cf.jumps(lam_max)))))
 
     if kind == "riesz":
         bounds = product_riesz_rhs(lambdas, gamma, cf.dim, cf.domain_volume)

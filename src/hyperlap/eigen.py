@@ -104,7 +104,7 @@ def _unit(v):
     return v / math.sqrt(v @ v)
 
 
-def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None):
+def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None, factor=None):
     """The k smallest eigenvalues nu of a x = nu b x, ascending, and their Ritz vectors.
 
     ``a_band`` and ``b_band`` are the LAPACK lower bands of symmetric
@@ -131,7 +131,8 @@ def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None):
     absent.  Either way the result depends on the arguments alone, so
     repeated runs are bitwise equal; runs from different starts agree to
     rounding.  ``root``, if given, is b's banded Cholesky factor, for a
-    caller that solves many pencils against one b.
+    caller that solves many pencils against one b, and ``factor`` a's, for
+    a caller that uses it again.
 
     Returns (nu, x): x holds the Ritz vectors as columns, x^T b x = I to
     rounding.  A failed factorization raises ConvergenceError.
@@ -139,7 +140,9 @@ def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None):
     order = a_band.shape[1]
     if not 1 <= k < order:
         raise ValueError(f"need 1 <= k < order {order}, got {k}")
-    chol = _upper_band(_cholesky(a_band, "a"))
+    if factor is None:
+        factor = _cholesky(a_band, "a")
+    chol = _upper_band(factor)
     if root is None:
         root = _cholesky(b_band, "b")
     diag = root[0]

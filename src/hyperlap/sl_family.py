@@ -12,7 +12,9 @@ for only the few lowest eigenpairs, by banded Lanczos, until a ground state
 clears the cutoff: that mode is the table's ell_max, so the mode search
 costs no solve of its own.  The values at resolution n are the
 Rayleigh-Ritz values of the order n - 1 pencil on the leading rows of
-those Ritz vectors, and interlacing brackets each true value at n
+those Ritz vectors, from the Cholesky factors of K + kappa M and B that
+the solve at 2n already holds: the factor of a leading block is the
+leading block of the factor.  Interlacing brackets each true value at n
 between the value at 2n and that Rayleigh-Ritz value.  A retained
 eigenvalue is certified when the bracket is narrower than the tolerance,
 and every mode's count is cross-checked against the finite-difference
@@ -26,8 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ._lapack import dsbmv, dsygv
+from ._lapack import dsygv
 from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
 from .eigen import _cholesky, _sturm_counts, lowest_pencil_eigenpairs
 from .errors import CertificationError, IncompleteTableError
@@ -48,39 +51,62 @@ def _check_tol(tol):
         )
 
 
-def _lowest(family, coupling, k, start=None, root=None):
+def _lowest(family, coupling, k, root, start=None):
     """The k lowest Galerkin eigenvalues of one mode at ``family``'s resolution 2n
-    and their B-orthonormal Ritz vectors, by banded Lanczos, plus the mode's
-    operator band K + kappa M.
+    and their B-orthonormal Ritz vectors, by banded Lanczos, plus the banded
+    Cholesky factor (lower) of the mode's operator K + kappa M.
 
     k is capped at the order of resolution n less 2, so a resolution too
     small for the cutoff shows as every computed value lying below it.
-    ``start`` and ``root`` go to lowest_pencil_eigenpairs: a nearby mode's
-    Ritz vectors to start from, and the Cholesky factor of B.
+    ``root`` and ``start`` go to lowest_pencil_eigenpairs: the Cholesky
+    factor of B, and a nearby mode's Ritz vectors to start from.
     """
     band = family.operator_band(coupling)
+    factor = _cholesky(band, "a")
     k = min(k, family.n // 2 - 3)
-    return (*lowest_pencil_eigenpairs(band, family.mass_band, k, start, root), band)
+    return (*lowest_pencil_eigenpairs(band, family.mass_band, k, start, root, factor), factor)
 
 
-def _rayleigh_ritz(family, band, x):
+def _grams(factor, root, y):
+    """The Gram matrices y^T A y and y^T B y, as ||L^T y||^2 and ||R^T y||^2.
+
+    L and R are the leading blocks, of the order of y's rows, of the lower
+    band Cholesky factors ``factor`` of a mode's A = K + kappa M and
+    ``root`` of the family's B.  Row j of L^T y
+    is column j of the band (row d holds L[j + d, j]) times rows j .. j + kd
+    of y, zero past its end: one batched product with a sliding-window view
+    of the zero-padded y, in O(order k) memory.
+    """
+    order, k = y.shape
+    rows = factor.shape[0]
+    padded = np.zeros((order + rows - 1, k))
+    padded[:order] = y
+    step, item = padded.strides
+    window = as_strided(padded, (order, rows, k), (step, step, item), writeable=False)
+    stiff_root = np.matmul(factor[:, :order].T[:, None, :], window)[:, 0]
+    # B's factor, like B, is zero off the diagonal and offset 2 (basis
+    # functions of opposite parity are B-orthogonal): R^T y is two products
+    mass_root = root[0, :order, None] * y
+    mass_root[:-2] += root[2, : order - 2, None] * y[2:]
+    return stiff_root.T @ stiff_root, mass_root.T @ mass_root
+
+
+def _rayleigh_ritz(family, factor, root, x):
     """Rayleigh-Ritz values of the mode's pencil at resolution n on the leading
-    n - 1 rows of the Ritz vectors ``x`` at ``family``'s resolution 2n, ascending.
+    n - 1 rows y of the Ritz vectors ``x`` at ``family``'s resolution 2n, ascending.
 
-    ``band`` is the mode's operator band at 2n.  Two k x k Gram matrices,
-    from one banded product (dsbmv) per vector, and two small generalized
-    eigensolves, no eigenvectors.  The products run on the first n - 1
-    columns of the 2n bands: at order n - 1 they read only the leading
-    block, which is the n pencil.  Gram matrices that are not positive
-    definite (the truncated vectors are numerically dependent: the
-    resolution is far too small) raise CertificationError.
+    ``factor`` and ``root`` are the banded Cholesky factors (lower) at 2n of
+    the mode's operator K + kappa M and of B.  The n pencil is the leading
+    block of the 2n one, and the Cholesky factor of a leading block is the
+    leading block of the factor, so the two k x k Gram matrices are
+    ||L_n^T y||^2 and ||R_n^T y||^2, L_n and R_n the leading blocks of order
+    n - 1 of the 2n factors.  Then two small generalized eigensolves, no
+    eigenvectors.  Gram matrices that are not positive definite (the
+    truncated vectors are numerically dependent: the resolution is far too
+    small) raise CertificationError.
     """
     order = family.n // 2 - 1
-    y = x[:order]
-    stiff, mass = (
-        y.T @ np.column_stack([dsbmv(b.shape[0] - 1, 1.0, b[:, :order], v, lower=1) for v in y.T])
-        for b in (band, family.mass_band)
-    )
+    stiff, mass = _grams(factor, root, x[:order])
     # a dense eigensolve is accurate to eps times its largest eigenvalue
     # only (8.8e-13 relative at the second of 150 free values): solving for
     # theta is accurate to eps relative at the high end, solving the
@@ -123,11 +149,12 @@ def _family(interval, n):
     return assemble_galerkin(interval, 2 * n)
 
 
-def _mode_values(family, band, cutoff, tol, w2, x):
+def _mode_values(family, factor, root, cutoff, tol, w2, x):
     """Eigenvalues <= cutoff of one mode, the gap probe, and the first value above it.
 
-    ``family`` is the Galerkin family of the interval at resolution 2n and
-    ``band`` the mode's operator band in it; ``w2`` are the lowest
+    ``family`` is the Galerkin family of the interval at resolution 2n, and
+    ``factor`` and ``root`` the Cholesky factors of the mode's operator
+    band and of B in it (see _rayleigh_ritz); ``w2`` are the lowest
     eigenvalues at 2n, at least one more than lie at or below the cutoff,
     and ``x`` their Ritz vectors.  The values at n are the Rayleigh-Ritz
     values theta of the n pencil on the leading rows of x: the n family is
@@ -143,7 +170,7 @@ def _mode_values(family, band, cutoff, tol, w2, x):
     independent methods agree at it.
     """
     n = family.n // 2
-    theta = _rayleigh_ritz(family, band, x)
+    theta = _rayleigh_ritz(family, factor, root, x)
     k_star = int(np.searchsorted(theta, cutoff, side="right"))
     if k_star == theta.size:
         raise CertificationError(
@@ -210,8 +237,9 @@ def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     family = _family(interval, n)
-    w2, x, band = _lowest(family, coupling, _count_bound(interval, cutoff) + 1)
-    values, probe, above = _mode_values(family, band, cutoff, tol, w2, x)
+    root = _cholesky(family.mass_band, "B")
+    w2, x, factor = _lowest(family, coupling, _count_bound(interval, cutoff) + 1, root)
+    values, probe, above = _mode_values(family, factor, root, cutoff, tol, w2, x)
     name = f"coupling {coupling!r}"
     _check_oracle(interval, [(name, coupling, probe, values.size, above)])
     return values
@@ -352,10 +380,10 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     x = None
     while True:
         kappa = coupling(ell)
-        w2, x, band = _lowest(family, kappa, count + 1, x, root)
+        w2, x, factor = _lowest(family, kappa, count + 1, root, x)
         if w2[0] > cutoff:
             break
-        values, probe, above = _mode_values(family, band, retain, tol, w2, x)
+        values, probe, above = _mode_values(family, factor, root, retain, tol, w2, x)
         modes.append((f"mode {ell}", kappa, probe, values.size, above))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))

@@ -72,19 +72,24 @@ def test_public_names_resolve_and_retired_ones_are_gone():
 
 
 def test_import_loads_no_scipy_linalg_package():
-    # the package calls scipy's compiled LAPACK and BLAS modules, loaded by
-    # hyperlap._lapack without scipy.linalg's init: neither importing
-    # hyperlap nor a sweep, a certified solve, a trace check or the Sobolev
-    # quadrature loads scipy.linalg or scipy.sparse
+    # the package calls scipy's compiled LAPACK module, loaded by
+    # hyperlap._lapack without scipy.linalg's init, and no BLAS module of
+    # scipy's: neither importing hyperlap nor a sweep, a certified solve,
+    # the Polya check, a trace check or the Sobolev quadrature loads
+    # scipy.linalg, its _fblas or scipy.sparse.  numpy.ma stays out too:
+    # np.unique and np.union1d would import it.
     root = os.path.dirname(os.path.dirname(os.path.abspath(hyperlap.__file__)))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, hyperlap; iv = hyperlap.Interval(-1.0, 1.0); "
-        "hyperlap.sweep(iv, 40.0, n=64); hyperlap.solve_certified(iv, 1.0, 100.0, n=64); "
+        "s = hyperlap.sweep(iv, 40.0, n=64); hyperlap.solve_certified(iv, 1.0, 100.0, n=64); "
+        "cf = hyperlap.CountingFunction.from_table(s, 2.0 * 3.14159); "
+        "hyperlap.verify_bound(cf, 'polya', 40.0); hyperlap.polya_rows(cf, 40.0); "
         "d = hyperlap.ProductDomain(); t = hyperlap.family_table(d, 40.0, n=64); "
         "hyperlap.lt_check(hyperlap.BoxPotential(d, 30.0), 1.0, t); "
         "[hyperlap.sobolev_check(hyperlap.trial_profile(name)) for name in hyperlap.TRIAL_NAMES]; "
-        "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
+        "print([m for m in ('scipy.linalg', 'scipy.linalg._fblas', 'scipy.sparse', 'numpy.ma') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -93,7 +98,7 @@ def test_import_loads_no_scipy_linalg_package():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_loads_no_network_stack():

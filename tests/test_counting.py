@@ -216,6 +216,17 @@ def test_verify_includes_jumps():
     assert report.min_margin == pytest.approx(2.2 * 0.37 - 1.0)
 
 
+@pytest.mark.parametrize("nus", [[], [0.25], [0.25, 0.25, 0.5, 0.75, 0.75, 0.75, 0.9]])
+def test_jumps_and_grid_drop_repeats_like_numpy(nus):
+    # the evaluation set is the grid joined with the distinct jumps, as
+    # np.unique and np.union1d give them; 0.25, 0.5 and 0.75 lie on the grid
+    cf = CountingFunction(sorted_nus=np.array(nus), domain_volume=1.0)
+    jumps = cf.jumps(1.0)
+    assert np.array_equal(jumps, np.unique(nus))
+    report = verify_bound(cf, "polya", 1.0, grid=4)
+    assert np.array_equal(report.lambda_grid, np.union1d(np.arange(1, 5) / 4.0, jumps))
+
+
 def test_verify_scale_manufactures_violation():
     # the same eigenvalues on a domain 1000 times smaller break the bound
     ok = verify_bound(_free_cf(kmax=40), "polya", 100.0, grid=200)

@@ -1,4 +1,4 @@
-"""The LAPACK and BLAS routines that hyperlap._lapack loads by file path.
+"""The LAPACK routines that hyperlap._lapack loads by file path.
 
 This module imports no scipy.linalg itself, so a fresh interpreter can
 import it with hyperlap first and scipy.linalg after.
@@ -14,7 +14,7 @@ import pytest
 import hyperlap
 from hyperlap import _lapack
 
-ROUTINES = ("dpbtrf", "dpbtrs", "dstein", "dsterf", "dtbtrs", "dsygv", "dsbmv")
+ROUTINES = ("dpbtrf", "dpbtrs", "dstein", "dsterf", "dtbtrs", "dsygv")
 
 
 def outputs(lib):
@@ -42,7 +42,6 @@ def outputs(lib):
         "dsterf": (w, info),
         "dtbtrs": lib["dtbtrs"](chol, rhs, uplo="L", trans="T"),
         "dsygv": lib["dsygv"](a, b, jobz="N"),
-        "dsbmv": lib["dsbmv"](2, 1.0, band, rhs, lower=1),
     }
 
 
@@ -62,13 +61,9 @@ def mismatches(mine, theirs):
 
 
 def scipy_routines():
-    import scipy.linalg.blas
     import scipy.linalg.lapack
 
-    return {
-        name: getattr(scipy.linalg.blas if name == "dsbmv" else scipy.linalg.lapack, name)
-        for name in ROUTINES
-    }
+    return {name: getattr(scipy.linalg.lapack, name) for name in ROUTINES}
 
 
 def test_routines_match_scipy_linalg():

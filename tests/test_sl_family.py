@@ -260,7 +260,10 @@ def test_families_take_the_coarse_family_from_the_fine_one(n):
     """The n family is the leading block of the 2n one: every entry of the first
     n - 1 columns of the 2n bands that a banded product of order n - 1 reads
     (row d of column j, j + d < n - 1) is bitwise that of the n family, and
-    so is the product."""
+    so is the product.  So are the entries of the 2n Cholesky factors of B
+    and K + kappa M, bitwise: dpbtrf (unblocked at these band widths) forms
+    column j from columns j - kd .. j - 1 alone, by the same operations at
+    either order.  _rayleigh_ritz reads the n factors from them."""
     fine = sl_family._family(IV, n)
     assert fine.n == 2 * n and fine.interval == IV
     built = assemble_galerkin(IV, n)
@@ -270,9 +273,11 @@ def test_families_take_the_coarse_family_from_the_fine_one(n):
         pairs = [(fine.mass_band, built.mass_band),
                  (fine.operator_band(kappa), built.operator_band(kappa))]
         for big, small in pairs:
+            factors = eigen._cholesky(big, "big")[:, : n - 1], eigen._cholesky(small, "small")
             big = big[:, : n - 1]
             for d in range(min(big.shape[0], n - 1)):
                 assert np.array_equal(big[d, : n - 1 - d], small[d, : n - 1 - d])
+                assert np.array_equal(factors[0][d, : n - 1 - d], factors[1][d, : n - 1 - d])
             assert np.array_equal(
                 dsbmv(big.shape[0] - 1, 1.0, big, v, lower=1),
                 dsbmv(small.shape[0] - 1, 1.0, small, v, lower=1),
@@ -329,8 +334,9 @@ def test_rayleigh_ritz_brackets_the_coarse_values(interval, n, k, bound, kappa):
     """nu_j(2n) <= nu_j(n) <= theta_j, theta the Rayleigh-Ritz values of the n
     pencil on the leading rows of the 2n Ritz vectors, and theta is nu(n)."""
     family = sl_family._family(interval, n)
-    w2, x, band = sl_family._lowest(family, kappa, k)
-    theta = sl_family._rayleigh_ritz(family, band, x)
+    root = eigen._cholesky(family.mass_band, "B")
+    w2, x, factor = sl_family._lowest(family, kappa, k, root)
+    theta = sl_family._rayleigh_ritz(family, factor, root, x)
     coarse = _dense(interval, kappa, n)[:k]
     fine = _dense(interval, kappa, 2 * n)[:k]
     slack = bound * coarse
@@ -339,14 +345,35 @@ def test_rayleigh_ritz_brackets_the_coarse_values(interval, n, k, bound, kappa):
     assert np.max(np.abs(w2 - fine) / fine) <= bound
 
 
+@pytest.mark.parametrize("n", [8, 64, 200, 400])
+@pytest.mark.parametrize("k", [1, 4, 40])
+def test_rayleigh_ritz_grams_match_banded_products(n, k):
+    """The Gram matrices from the leading blocks of the 2n Cholesky factors,
+    ||L_n^T y||^2 and ||R_n^T y||^2, are y^T A_n y and y^T B_n y from BLAS
+    dsbmv on the first n - 1 columns of the 2n bands, to 1e-14 of their
+    largest entry."""
+    family = sl_family._family(IV, n)
+    root = eigen._cholesky(family.mass_band, "B")
+    y = np.random.default_rng(n * k).standard_normal((n - 1, k))
+    for kappa in (0.0, 1.0, 5041.0):
+        band = family.operator_band(kappa)
+        grams = sl_family._grams(eigen._cholesky(band, "a"), root, y)
+        for gram, b in zip(grams, (band, family.mass_band)):
+            b = b[:, : n - 1]
+            ref = y.T @ np.column_stack([dsbmv(b.shape[0] - 1, 1.0, b, v, lower=1) for v in y.T])
+            assert gram.shape == (k, k)
+            assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_rayleigh_ritz_refuses_dependent_vectors():
     """A Gram matrix of B that is not positive definite is a CertificationError."""
     family = sl_family._family(IV, 16)
-    _, x, band = sl_family._lowest(family, 1.0, 4)
+    root = eigen._cholesky(family.mass_band, "B")
+    _, x, factor = sl_family._lowest(family, 1.0, 4, root)
     x = x.copy()
     x[:, 1] = 0.0
     with pytest.raises(CertificationError, match="not positive definite"):
-        sl_family._rayleigh_ritz(family, band, x)
+        sl_family._rayleigh_ritz(family, factor, root, x)
 
 
 def _p1_ritz_ground_state(ell, alpha=-1.0, beta=1.0, m=400):
