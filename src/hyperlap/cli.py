@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 when the requested bound holds (or the command is purely
-informational), 1 when a verified bound is violated, 2 on invalid input,
-3 on convergence or certification failure.
+informational), 1 when a verified bound is violated, 2 on invalid input
+(and on input too large to fit in memory), 3 on convergence or
+certification failure.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .lt_verify import (
     sobolev_check,
     trial_profile,
 )
-from .sl_family import solve_certified, sweep
+from .sl_family import _mode_coupling, solve_certified, sweep
 from .svgplot import line_plot
 
 
@@ -57,40 +58,41 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _apply_config(args, argv):
-    """Overlay config-file values onto args; explicit flags win.
+def _apply_config(parser, args, argv):
+    """The arguments parsed again with the config file's values as defaults.
 
-    Each value must have its option's type: an int may stand for a float,
-    a bool never stands for a number, and options without a type take
+    Explicit flags win, in every form argparse accepts (--dim 2, --dim=2,
+    --di 2), because argparse itself sets them over the defaults.  Each
+    value must have its option's type: an int may stand for a float, a
+    bool never stands for a number, and options without a type take
     strings.  Required flags are checked after the overlay, so the config
     may supply them too.
     """
-    data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    argv = argv or []
-    for key in sorted(data):
-        dest = key.replace("-", "_")
-        if dest == "config" or dest not in args.option_types:
-            raise ValueError(f"unknown config key {key!r}")
-        flag = "--" + key
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue
-        value = data[key]
-        want = args.option_types[dest]
-        if want is float and type(value) is int:
-            value = float(value)
-        if type(value) is not want:
-            raise ValueError(
-                f"config key {key!r} must be of type {want.__name__}, got {value!r}"
-            )
-        setattr(args, dest, value)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        defaults = {}
+        for key in sorted(data):
+            dest = key.replace("-", "_")
+            if dest == "config" or dest not in args.option_types:
+                raise ValueError(f"unknown config key {key!r}")
+            value = data[key]
+            want = args.option_types[dest]
+            if want is float and type(value) is int:
+                value = float(value)
+            if type(value) is not want:
+                raise ValueError(
+                    f"config key {key!r} must be of type {want.__name__}, got {value!r}"
+                )
+            defaults[dest] = value
+        args.subparser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
     missing = [flag for dest, flag in args.required.items() if getattr(args, dest) is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _interval_args(sub):
@@ -98,12 +100,13 @@ def _interval_args(sub):
     sub.add_argument("--beta", type=float, default=1.0, help="right end of the t interval")
 
 
-def _solver_args(sub):
+def _solver_args(sub, tol=True):
     sub.add_argument(
         "--n", type=int, default=400,
         help="resolution n: Galerkin orders n-1 and 2n-1 are compared",
     )
-    sub.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
 
 
 def _strip_volume(alpha, beta):
@@ -173,7 +176,7 @@ def cmd_eig(args):
     if args.ell < 0:
         raise ValueError(f"mode index must be a nonnegative integer, got {args.ell}")
     nus = solve_certified(
-        Interval(args.alpha, args.beta), float(args.ell) ** 2, args.cutoff, n=args.n
+        Interval(args.alpha, args.beta), _mode_coupling(args.ell), args.cutoff, n=args.n
     )
     if args.csv:
         rows = [(args.ell, k, float(nu)) for k, nu in enumerate(nus, start=1)]
@@ -331,10 +334,7 @@ def build_parser():
     )
     p.add_argument("--ell", type=int, default=0)
     _interval_args(p)
-    p.add_argument(
-        "--n", type=int, default=400,
-        help="resolution n: Galerkin orders n-1 and 2n-1 are compared",
-    )
+    _solver_args(p, tol=False)
     p.add_argument(
         "--cutoff", type=float, required=True, help="keep the eigenvalues <= cutoff"
     )
@@ -394,19 +394,18 @@ def build_parser():
         sub.set_defaults(
             option_types={a.dest: a.type or str for a in sub._actions if a.dest != "help"},
             required={a.dest: a.option_strings[0] for a in required},
+            subparser=sub,
         )
     return parser
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
-    except (ValueError, IncompleteTableError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IncompleteTableError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, CertificationError, QuadratureError) as exc:

@@ -13,7 +13,6 @@ Adams-Neumann integral of three Legendre polynomials.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -235,30 +234,29 @@ def assemble_galerkin(interval, n=400):
 
 @dataclass(frozen=True)
 class TridiagOperator:
-    """Symmetric tridiagonal matrix, normally the finite-difference stencil.
+    """Symmetric tridiagonal matrix of order m, normally the finite-difference stencil.
 
-    Only diag/offdiag are required so synthetic operators can be built
-    directly in tests; assemble_fd also records the grid spacing and nodes.
+    ``diag`` has shape (m,), or (m, k) for k matrices that share ``offdiag``
+    (the FD operators of k couplings on one grid).
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    h: float = 1.0
-    nodes: Optional[np.ndarray] = None
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=float)
         offdiag = np.asarray(self.offdiag, dtype=float)
-        if diag.size < 1 or offdiag.size != diag.size - 1:
+        if diag.ndim not in (1, 2) or diag.size < 1 or offdiag.shape != (diag.shape[0] - 1,):
             raise ValueError(
-                f"need m >= 1 and m-1 offdiagonals, got {diag.size}, {offdiag.size}"
+                f"need diag of shape (m,) or (m, k), m >= 1, and m-1 offdiagonals, "
+                f"got {diag.shape}, {offdiag.shape}"
             )
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", offdiag)
 
     @property
     def m(self):
-        return self.diag.size
+        return self.diag.shape[0]
 
 
 def _check_coupling(coupling):
@@ -272,16 +270,19 @@ def assemble_fd(interval, coupling, m=2000):
     """Central-difference discretization with m interior points, spacing h.
 
     diag_i = 2/h^2 + coupling exp(2 t_i) on the ascending uniform interior
-    grid, offdiag = -1/h^2.  Second-order accurate; meant for Richardson
-    extrapolation and Sturm counting, not for production eigenvalues.
+    grid, offdiag = -1/h^2.  ``coupling`` is a float, or a 1-D array of k
+    couplings for k operators on one grid, with one diagonal column each.
+    Second-order accurate; meant for Richardson extrapolation and Sturm
+    counting, not for production eigenvalues.
     """
-    coupling = _check_coupling(coupling)
+    coupling = np.asarray(coupling, dtype=float)
+    for kappa in coupling.flat:
+        _check_coupling(kappa)
     if m < 3:
         raise ValueError(f"need m >= 3 interior points, got {m}")
     h = interval.length / (m + 1)
     t = interval.alpha + h * np.arange(1, m + 1)
-    diag = 2.0 / h ** 2 + coupling * np.exp(2.0 * t)
+    diag = 2.0 / h ** 2 + np.multiply.outer(np.exp(2.0 * t), coupling)
     if not np.all(np.isfinite(diag)):
         raise ValueError("potential evaluates to a non-finite value on the grid")
-    offdiag = np.full(m - 1, -1.0 / h ** 2)
-    return TridiagOperator(diag=diag, offdiag=offdiag, h=h, nodes=t)
+    return TridiagOperator(diag=diag, offdiag=np.full(m - 1, -1.0 / h ** 2))

@@ -3,19 +3,12 @@
 The pencil route solves the Galerkin family: spectral-transformation
 Lanczos on the banded pencil gives the few lowest eigenpairs that the
 certified solves need, with B-orthonormal Ritz vectors.  It is written
-here on the banded LAPACK factorizations, with full reorthogonalization
-and no implicit restarts.  The matrix a is factored in lower band
-storage, where dpbtrf is fastest, and each step solves on an
-upper-storage copy of that factor, where dpbtrs is fastest.  Lanczos stops at a residual of 1e-9
-relative, not at rounding: a Ritz value's error is quadratic in its
-residual, so the values stay within about 1e-16 relative.  It starts
-from the fixed vector sin(1 + i), or, for a sweep, from the Ritz vectors
-of the previous mode with a little of that vector mixed in; either way a
-run is a function of its arguments alone, bitwise.  The certified
-solves' oracle is a Sturm-sequence count on the finite-difference
-tridiagonal, batched over matrices that share an off-diagonal and kept
-free of LAPACK on purpose so it never shares a failure mode with the
-pencil.
+here on the banded LAPACK factorizations its caller holds, with full
+reorthogonalization and no implicit restarts (see
+lowest_pencil_eigenpairs).  The certified solves' oracle is a
+Sturm-sequence count on the finite-difference tridiagonal, batched over
+matrices that share an off-diagonal and kept free of LAPACK on purpose
+so it never shares a failure mode with the pencil.
 
 The LAPACK routines are scipy's compiled ones, which _lapack loads
 without importing the scipy.linalg package.
@@ -104,22 +97,23 @@ def _unit(v):
     return v / math.sqrt(v @ v)
 
 
-def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None, factor=None):
+def lowest_pencil_eigenpairs(factor, root, k, start=None):
     """The k smallest eigenvalues nu of a x = nu b x, ascending, and their Ritz vectors.
 
-    ``a_band`` and ``b_band`` are the LAPACK lower bands of symmetric
-    positive definite matrices (row d holds offset d).  With b = R R^T
-    from the banded Cholesky, Lanczos finds the k greatest eigenvalues mu
-    of R^T a^-1 R, and nu = 1 / mu (Ericsson and Ruhe's spectral
+    ``factor`` and ``root`` are the lower band Cholesky factors (dpbtrf,
+    row d holds offset d) of symmetric positive definite matrices a and
+    b = R R^T; the caller factors them once and may use them again (a
+    sweep solves many pencils against one b, and reads the n pencil from
+    the leading blocks of both).  Lanczos finds the k greatest eigenvalues
+    mu of R^T a^-1 R, and nu = 1 / mu (Ericsson and Ruhe's spectral
     transformation): each step is one banded solve with a, by its banded
-    Cholesky (dpbtrs), and two products with the narrow R.  The factor of
-    a is computed lower and copied once to upper band storage: the
-    factorization is faster lower and the solves upper (see _upper_band).
-    The basis is reorthogonalized in full (classical Gram-Schmidt,
-    repeated by the DGKS rule) and never exceeds order vectors (134 MB at
-    order 4095).  It stops once every wanted Ritz value theta has a
-    residual <= 1e-9 theta (see _RESIDUAL_TOL), which keeps it within
-    about 1e-16 relative; the check runs on the one pair least converged,
+    Cholesky (dpbtrs), and two products with the narrow R; a's factor is
+    copied once to upper band storage, where dpbtrs is faster (see
+    _upper_band).  The basis is reorthogonalized in full (classical
+    Gram-Schmidt, repeated by the DGKS rule) and never exceeds order
+    vectors (134 MB at order 4095).  It stops once every wanted Ritz value
+    theta has a residual <= 1e-9 theta (see _RESIDUAL_TOL), which keeps it
+    within about 1e-16 relative; the check runs on the one pair least converged,
     and on all k only once that one passes.  A breakdown (an invariant
     subspace) goes on from a fresh start vector, and a basis of the full
     order gives the exact values.
@@ -130,21 +124,15 @@ def lowest_pencil_eigenpairs(a_band, b_band, k, start=None, root=None, factor=No
     _START_MIX of the fixed vector mixed in so that no eigenvector is
     absent.  Either way the result depends on the arguments alone, so
     repeated runs are bitwise equal; runs from different starts agree to
-    rounding.  ``root``, if given, is b's banded Cholesky factor, for a
-    caller that solves many pencils against one b, and ``factor`` a's, for
-    a caller that uses it again.
+    rounding.
 
     Returns (nu, x): x holds the Ritz vectors as columns, x^T b x = I to
-    rounding.  A failed factorization raises ConvergenceError.
+    rounding.
     """
-    order = a_band.shape[1]
+    order = factor.shape[1]
     if not 1 <= k < order:
         raise ValueError(f"need 1 <= k < order {order}, got {k}")
-    if factor is None:
-        factor = _cholesky(a_band, "a")
     chol = _upper_band(factor)
-    if root is None:
-        root = _cholesky(b_band, "b")
     diag = root[0]
     offsets = [(d, root[d, :-d]) for d in range(1, root.shape[0]) if np.any(root[d])]
 
@@ -245,14 +233,12 @@ def _sturm_counts(diag, off2, lams):
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     count = np.zeros(lams.shape, dtype=np.int64)
+    off2 = np.concatenate(([0.0], off2))  # the first pivot has no predecessor
     d = np.ones_like(lams)
     tiny = 1e-300
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(diag.shape[0]):
-            if i == 0:
-                d = diag[0] - lams
-            else:
-                d = (diag[i] - lams) - off2[i - 1] / d
+            d = (diag[i] - lams) - off2[i] / d
             d = np.where(d == 0.0, tiny, d)
             count += d < 0.0
     return count

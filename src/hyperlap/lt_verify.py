@@ -137,10 +137,10 @@ class SobolevTrialFunction:
     dt_profile: Callable
 
 
-def _eval_vec(f, pts):
-    out = np.asarray(f(pts), dtype=float)
+def _eval_vec(trial, profile, pts):
+    out = np.asarray(getattr(trial, profile)(pts), dtype=float)
     if out.shape != pts.shape:
-        out = np.array([float(f(p)) for p in pts])
+        raise ValueError(f"trial {trial.name!r}: {profile} has shape {out.shape}, not {pts.shape}")
     return out
 
 
@@ -194,10 +194,8 @@ def _sobolev_sides(trial, domain, n_nodes, excess):
     ts = interval.from_reference(nodes)
     tw = 0.5 * interval.length * weights
 
-    xv = _eval_vec(trial.x_profile, xs)
-    tv = _eval_vec(trial.t_profile, ts)
-    dxv = _eval_vec(trial.dx_profile, xs)
-    dtv = _eval_vec(trial.dt_profile, ts)
+    xv, dxv = (_eval_vec(trial, name, xs) for name in ("x_profile", "dx_profile"))
+    tv, dtv = (_eval_vec(trial, name, ts) for name in ("t_profile", "dt_profile"))
 
     # the tensor rule factorizes exactly for product trials
     em, ep, em2 = np.exp(-ts), np.exp(ts), np.exp(-2.0 * ts)

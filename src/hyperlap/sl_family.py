@@ -61,10 +61,9 @@ def _lowest(family, coupling, k, root, start=None):
     ``root`` and ``start`` go to lowest_pencil_eigenpairs: the Cholesky
     factor of B, and a nearby mode's Ritz vectors to start from.
     """
-    band = family.operator_band(coupling)
-    factor = _cholesky(band, "a")
+    factor = _cholesky(family.operator_band(coupling), "a")
     k = min(k, family.n // 2 - 3)
-    return (*lowest_pencil_eigenpairs(band, family.mass_band, k, start, root, factor), factor)
+    return (*lowest_pencil_eigenpairs(factor, root, k, start), factor)
 
 
 def _grams(factor, root, y):
@@ -75,7 +74,8 @@ def _grams(factor, root, y):
     ``root`` of the family's B.  Row j of L^T y
     is column j of the band (row d holds L[j + d, j]) times rows j .. j + kd
     of y, zero past its end: one batched product with a sliding-window view
-    of the zero-padded y, in O(order k) memory.
+    of the zero-padded y, in O(order k) memory.  R is narrow, so R^T y
+    sums one product per row of its band, as the Lanczos applies it.
     """
     order, k = y.shape
     rows = factor.shape[0]
@@ -84,10 +84,9 @@ def _grams(factor, root, y):
     step, item = padded.strides
     window = as_strided(padded, (order, rows, k), (step, step, item), writeable=False)
     stiff_root = np.matmul(factor[:, :order].T[:, None, :], window)[:, 0]
-    # B's factor, like B, is zero off the diagonal and offset 2 (basis
-    # functions of opposite parity are B-orthogonal): R^T y is two products
     mass_root = root[0, :order, None] * y
-    mass_root[:-2] += root[2, : order - 2, None] * y[2:]
+    for d in range(1, root.shape[0]):
+        mass_root[:-d] += root[d, : order - d, None] * y[d:]
     return stiff_root.T @ stiff_root, mass_root.T @ mass_root
 
 
@@ -125,6 +124,14 @@ def _rayleigh_ritz(family, factor, root, x):
     return np.where(low < math.sqrt(low[0] * high[-1]), low, high)
 
 
+def _mode_coupling(ell, width=math.pi):
+    """The coupling (ell pi / width)^2 of mode ell of a strip of this width."""
+    try:
+        return float(ell) ** 2 * (math.pi / width) ** 2
+    except OverflowError:
+        raise ValueError(f"the coupling of mode {ell} at width {width!r} overflows") from None
+
+
 def _count_bound(interval, cutoff):
     """At most this many Galerkin eigenvalues of any mode are <= cutoff.
 
@@ -149,37 +156,44 @@ def _family(interval, n):
     return assemble_galerkin(interval, 2 * n)
 
 
-def _mode_values(family, factor, root, cutoff, tol, w2, x):
-    """Eigenvalues <= cutoff of one mode, the gap probe, and the first value above it.
+def _mode_values(family, factor, root, cutoff, retain, tol, w2, x):
+    """Eigenvalues <= retain of one mode, the gap probe, and the first value above it.
 
     ``family`` is the Galerkin family of the interval at resolution 2n, and
     ``factor`` and ``root`` the Cholesky factors of the mode's operator
     band and of B in it (see _rayleigh_ritz); ``w2`` are the lowest
-    eigenvalues at 2n, at least one more than lie at or below the cutoff,
+    eigenvalues at 2n, at least one more than lie at or below ``retain``,
     and ``x`` their Ritz vectors.  The values at n are the Rayleigh-Ritz
     values theta of the n pencil on the leading rows of x: the n family is
     the leading block of the 2n one, so Cauchy interlacing and the Poincare
     bound (Parlett, The Symmetric Eigenvalue Problem, 10.1 and 11.5) give
     w2_j <= nu_j(n) <= theta_j, and theta_j - w2_j within ``tol`` (relative)
-    brackets nu_j(n) as tightly.  The counts of theta and w2 below the gap
-    probe must agree too, and then so does the count of nu(n), by
+    brackets nu_j(n) as tightly.  The first value discarded, theta_k* >
+    ``retain``, must have w2_k* > ``cutoff`` (the table's, at most retain)
+    too, or nu_k*(n) could lie at or below the cutoff; the caller has
+    checked w2_0 <= cutoff, so k* >= 1.  The counts of theta and w2 below
+    the gap probe must agree too, and then so does the count of nu(n), by
     interlacing; the finite-difference count at the probe is the caller's to
     check (see _check_oracle).  The probe lies halfway between the last value
-    kept (or a point below the first) and the first value above the cutoff,
-    far (relative to discretization error) from both, so counts by
-    independent methods agree at it.
+    kept and the first one discarded, far (relative to discretization error)
+    from both, so counts by independent methods agree at it.
     """
     n = family.n // 2
     theta = _rayleigh_ritz(family, factor, root, x)
-    k_star = int(np.searchsorted(theta, cutoff, side="right"))
+    k_star = int(np.searchsorted(theta, retain, side="right"))
     if k_star == theta.size:
         raise CertificationError(
-            f"cutoff {cutoff} lies beyond the highest resolved eigenvalue "
+            f"cutoff {retain} lies beyond the highest resolved eigenvalue "
             f"{theta[-1]}; raise n",
             index=k_star,
         )
-    lower = theta[k_star - 1] if k_star else theta[0] - max(1.0, abs(theta[0]))
-    lam_star = 0.5 * (lower + theta[k_star])
+    if w2[k_star] <= cutoff:
+        raise CertificationError(
+            f"eigenvalue {k_star} lies in [{w2[k_star]:.17g}, {theta[k_star]:.17g}] "
+            f"(resolutions {2 * n} and {n}), across the cutoff {cutoff}; raise n",
+            index=k_star,
+        )
+    lam_star = 0.5 * (theta[k_star - 1] + theta[k_star])
     k2 = int(np.searchsorted(w2, lam_star, side="left"))
     if k2 != k_star:
         raise CertificationError(
@@ -187,17 +201,16 @@ def _mode_values(family, factor, root, cutoff, tol, w2, x):
             f"{lam_star}: {k_star} vs {k2}",
             index=min(k_star, k2),
         )
-    if k_star:
-        # absolute: theta - w2 reaches -1e-12 from rounding where exp(2t) spans e^12
-        err = np.abs(theta[:k_star] - w2[:k_star])
-        bad = err > tol * np.maximum(1.0, np.abs(theta[:k_star]))
-        if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
-            raise CertificationError(
-                f"eigenvalue {i} differs between resolutions {n} and {2 * n}: "
-                f"{theta[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
-                index=i,
-            )
+    # absolute: theta - w2 reaches -1e-12 from rounding where exp(2t) spans e^12
+    err = np.abs(theta[:k_star] - w2[:k_star])
+    bad = err > tol * np.maximum(1.0, np.abs(theta[:k_star]))
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0])
+        raise CertificationError(
+            f"eigenvalue {i} differs between resolutions {n} and {2 * n}: "
+            f"{theta[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
+            index=i,
+        )
     return theta[:k_star], lam_star, theta[k_star]
 
 
@@ -207,17 +220,16 @@ def _check_oracle(interval, modes):
     ``modes`` are (name, coupling, probe, count, above) tuples; the counts
     must equal the FD counts strictly below the probes, on the fewest grid
     points m >= 3 (no parameter) where every h^2 above^2 / 12 is at most
-    _FD_SHARE of above - probe.  The FD diagonal of mode kappa is
-    2/h^2 + kappa exp(2t), bitwise the one assemble_fd builds.
+    _FD_SHARE of above - probe.  assemble_fd builds the FD operators of all
+    the modes at once, one diagonal column per coupling.
     """
     if not modes:
         return
     names, couplings, probes, counts, aboves = zip(*modes)
     above = np.array(aboves)
     points = interval.length * above / np.sqrt(12.0 * _FD_SHARE * (above - probes))
-    fd = assemble_fd(interval, 0.0, max(3, math.ceil(points.max()) - 1))
-    diag = fd.diag[:, None] + np.outer(np.exp(2.0 * fd.nodes), couplings)
-    fd_counts = _sturm_counts(diag, fd.offdiag ** 2, probes)
+    fd = assemble_fd(interval, np.array(couplings), max(3, math.ceil(points.max()) - 1))
+    fd_counts = _sturm_counts(fd.diag, fd.offdiag ** 2, probes)
     for name, probe, count, fd_count in zip(names, probes, counts, fd_counts):
         if fd_count != count:
             raise CertificationError(
@@ -230,7 +242,8 @@ def _check_oracle(interval, modes):
 def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified by the
     bracket between resolutions 2n and n (see _mode_values) and a count on the
-    FD grid that _check_oracle sizes from the gap."""
+    FD grid that _check_oracle sizes from the gap.  A ground state above the
+    cutoff at 2n is above it at n too: the answer is empty, with no FD grid."""
     coupling = _check_coupling(coupling)
     _check_tol(tol)
     cutoff = float(cutoff)
@@ -239,9 +252,10 @@ def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     family = _family(interval, n)
     root = _cholesky(family.mass_band, "B")
     w2, x, factor = _lowest(family, coupling, _count_bound(interval, cutoff) + 1, root)
-    values, probe, above = _mode_values(family, factor, root, cutoff, tol, w2, x)
-    name = f"coupling {coupling!r}"
-    _check_oracle(interval, [(name, coupling, probe, values.size, above)])
+    if w2[0] > cutoff:
+        return np.empty(0)
+    values, probe, above = _mode_values(family, factor, root, cutoff, cutoff, tol, w2, x)
+    _check_oracle(interval, [(f"coupling {coupling!r}", coupling, probe, values.size, above)])
     return values
 
 
@@ -276,8 +290,8 @@ class EigenTable:
             if last is not None and (ell, k) <= last:
                 raise ValueError("entries must be sorted by (ell, k)")
             last = (ell, k)
-            if nu > limit:
-                raise ValueError(f"entry ({ell},{k}) exceeds retention limit: {nu}")
+            if not (math.isfinite(nu) and nu <= limit):
+                raise ValueError(f"entry ({ell},{k}) is not finite or past retention limit: {nu}")
             by_mode.setdefault(ell, []).append((k, nu))
         for ell, rows in by_mode.items():
             ks = [k for k, _ in rows]
@@ -327,13 +341,16 @@ class EigenTable:
 
 def table_rows_from_csv(text):
     """Parse the to_csv format back into (ell, k, nu) triples."""
-    lines = [ln for ln in text.strip().split("\n") if ln] or [""]
+    lines = [ln for ln in text.strip().splitlines() if ln] or [""]
     if lines[0] != "ell,k,nu":
         raise ValueError(f"unexpected header {lines[0]!r}")
     out = []
     for ln in lines[1:]:
-        ell, k, nu = ln.split(",")
-        out.append((int(ell), int(k), float(nu)))
+        try:
+            ell, k, nu = ln.split(",")
+            out.append((int(ell), int(k), float(nu)))
+        except ValueError as exc:
+            raise ValueError(f"bad row {ln!r}: {exc}") from None
     return out
 
 
@@ -353,8 +370,9 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     nu_1(2n) <= cutoff < nu_1(n), a window below 1e-14 relative wherever
     the table certifies.  ``width`` is the strip width: mode ell has the coupling
     (ell pi / width)^2, so the default pi gives ell^2.  Every mode keeps
-    its values through cutoff * (1 + margin), so the first value it
-    discards lies above the cutoff by construction.  One FD Sturm count
+    its values through cutoff * (1 + margin), and the first value it
+    discards must lie above the cutoff at 2n too, or the sweep raises
+    CertificationError (see _mode_values).  One FD Sturm count
     checks every mode, on a grid sized from the gaps (see _check_oracle).
     """
     cutoff = float(cutoff)
@@ -363,11 +381,7 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     _check_tol(tol)
     if not (math.isfinite(width) and width > 0.0):
         raise ValueError(f"strip width must be positive and finite, got {width!r}")
-
-    def coupling(ell):
-        return float(ell) ** 2 * (math.pi / width) ** 2
-
-    if coupling(_MODE_LIMIT) * math.exp(2.0 * interval.alpha) <= cutoff:
+    if _mode_coupling(_MODE_LIMIT, width) * math.exp(2.0 * interval.alpha) <= cutoff:
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
     family = _family(interval, n)
@@ -379,11 +393,11 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     ell = 1
     x = None
     while True:
-        kappa = coupling(ell)
+        kappa = _mode_coupling(ell, width)
         w2, x, factor = _lowest(family, kappa, count + 1, root, x)
         if w2[0] > cutoff:
             break
-        values, probe, above = _mode_values(family, factor, root, retain, tol, w2, x)
+        values, probe, above = _mode_values(family, factor, root, cutoff, retain, tol, w2, x)
         modes.append((f"mode {ell}", kappa, probe, values.size, above))
         for k, nu in enumerate(values, start=1):
             entries.append((ell, k, float(nu)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hyperlap import Interval, sweep
+from hyperlap import Interval, eigen, sweep
 
 # (number, description, passed, detail) tuples filled by the acceptance tests
 CRITERION_RESULTS = []
@@ -27,6 +27,17 @@ def tridiag_band(op):
     band[0] = op.diag
     band[1, :-1] = op.offdiag
     return band
+
+
+def pencil_eigenpairs(a_band, b_band, k, start=None):
+    """lowest_pencil_eigenpairs of the pencil of two LAPACK lower bands.
+
+    The bands are factored by eigen._cholesky, as the sweep factors them,
+    so a matrix that is not positive definite raises ConvergenceError
+    naming it ("a" or "b").
+    """
+    factor = eigen._cholesky(a_band, "a")
+    return eigen.lowest_pencil_eigenpairs(factor, eigen._cholesky(b_band, "b"), k, start)
 
 
 def dense_spectrum(family, coupling):

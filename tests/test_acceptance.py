@@ -119,7 +119,7 @@ def _richardson_pair(coupling, hi, m):
     fine_op = assemble_fd(IV, coupling, m=2 * m)
     coarse = fd_eigenvalues(coarse_op, 0.0, hi)
     fine = fd_eigenvalues(fine_op, 0.0, hi)
-    h1, h2 = coarse_op.h, fine_op.h
+    h1, h2 = IV.length / (m + 1), IV.length / (2 * m + 1)
     k = min(coarse.size, fine.size)
     return (fine[:k] * h1**2 - coarse[:k] * h2**2) / (h1**2 - h2**2)
 

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -135,3 +136,13 @@ def test_no_module_imports_scipy_linalg():
                 text = f.read()
             assert not imports.search(text), name
             assert ("_flapack" in text or "_fblas" in text) == (name == "_lapack.py"), name
+
+
+def test_lanczos_takes_the_factors_and_the_fd_operator_holds_its_matrix():
+    # the Lanczos takes the Cholesky factors its caller holds, not the bands
+    params = list(inspect.signature(hyperlap.eigen.lowest_pencil_eigenpairs).parameters)
+    assert params == ["factor", "root", "k", "start"]
+    # the FD operator is its matrix: no grid spacing, no nodes
+    fields = [f.name for f in dataclasses.fields(hyperlap.TridiagOperator)]
+    assert fields == ["diag", "offdiag"]
+    assert hyperlap.assemble_fd(hyperlap.Interval(-1.0, 1.0), 0.0, m=5).m == 5

@@ -69,6 +69,36 @@ def test_gamma_overflow_exits_two(monkeypatch, capsys):
         assert "out of floating-point range" in capsys.readouterr().err
 
 
+def test_coupling_overflow_exits_two():
+    """A coupling (ell pi / width)^2 past the largest double is bad input:
+    exit 2 with a message, no traceback."""
+    for argv in (
+        ["ltcheck", "--gamma", "1", "--cutoff", "10", "--n", "16", "--x-length", "1e-300"],
+        ["eig", "--ell", str(10 ** 160), "--cutoff", "10", "--n", "16"],
+    ):
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2
+        assert b"overflows" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    """An input too large to fit in memory (say a polya grid of 10^12
+    points) is bad input, exit 2, not a violated bound."""
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(hyperlap.cli, "verify_bound", too_large)
+    assert main(["polya", *FAST_SWEEP, "--grid", "1000000000000"]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
+def test_sweep_straddling_the_cutoff_exits_three(capsys):
+    # n = 4 puts mode 1's ground state between 0.872 (at 8) and 1.12 (at 4)
+    assert main(["sweep", "--alpha", "-3", "--beta", "3", "--cutoff", "1", "--n", "4"]) == 3
+    assert "across the cutoff" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("excess", ["nan", "inf", "0", "-5"])
 def test_invalid_excess_exits_two(excess, capsys):
     for argv in (
@@ -345,6 +375,18 @@ def test_config_flag_wins_over_config_file(tmp_path):
     rc = main(["sweep", "--cutoff", "30", "--config", str(cfg), "--json", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["cutoff"] == 30.0
+
+
+@pytest.mark.parametrize("flag", [["--dim", "2"], ["--dim=2"], ["--di", "2"], ["--di=2"]])
+def test_config_any_form_of_a_flag_wins(tmp_path, flag, capsys):
+    """argparse decides what a flag is, abbreviations included: each of these
+    sets d = 2 over the config's d = 3."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 1, "dim": 3}))
+    assert main(["constants", *flag, "--gamma", "1", "--config", str(cfg)]) == 0
+    assert "d=2:" in capsys.readouterr().out
+    assert main(["constants", "--config", str(cfg)]) == 0
+    assert "d=3:" in capsys.readouterr().out
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -16,10 +16,9 @@ from hyperlap import (
 )
 from hyperlap import sl_family
 from hyperlap.discretize import _exp_coefficients
-from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.lt_verify import _gauss_legendre
 
-from conftest import band_to_dense, tridiag_band
+from conftest import band_to_dense, pencil_eigenpairs, tridiag_band
 
 
 def _shen_values(n, x):
@@ -63,7 +62,7 @@ def test_interval_mapping():
 def test_potential_validation():
     # the FD diagonal of coupling kappa is 2/h^2 + kappa exp(2t)
     op = assemble_fd(Interval(-1.0, 1.0), 9.0, m=3)
-    assert np.array_equal(op.diag, 8.0 + 9.0 * np.exp(2.0 * op.nodes))
+    assert np.array_equal(op.diag, 8.0 + 9.0 * np.exp(2.0 * np.array([-0.5, 0.0, 0.5])))
     for coupling in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="coupling must be finite and >= 0"):
             assemble_fd(Interval(-1.0, 1.0), coupling, m=3)
@@ -306,7 +305,7 @@ def test_cheb_free_laplacian_spectrum():
     """With q = 0 on (-1, 1) the eigenvalues are (k pi / 2)^2."""
     # the name predates the Galerkin family; the check is unchanged
     fam = assemble_galerkin(Interval(-1.0, 1.0), 48)
-    w = lowest_pencil_eigenpairs(fam.operator_band(0.0), fam.mass_band, 8)[0]
+    w = pencil_eigenpairs(fam.operator_band(0.0), fam.mass_band, 8)[0]
     exact = (np.arange(1, 9) * math.pi / 2.0) ** 2
     assert np.max(np.abs(w - exact) / exact) <= 1e-10
 
@@ -323,10 +322,12 @@ def test_galerkin_rejects_bad_input():
 def test_fd_matrix_entries():
     iv = Interval(-1.0, 1.0)
     op = assemble_fd(iv, 0.0, m=3)
-    assert op.h == pytest.approx(0.5)
-    assert np.allclose(op.nodes, [-0.5, 0.0, 0.5])
+    # h = 0.5: diag 2 / h^2 and offdiag -1 / h^2
     assert np.allclose(op.diag, 8.0)
     assert np.allclose(op.offdiag, -4.0)
+    # the nodes are -0.5, 0 and 0.5
+    nodes = np.log(assemble_fd(iv, 1.0, m=3).diag - 8.0) / 2.0
+    assert np.allclose(nodes, [-0.5, 0.0, 0.5])
 
 
 def test_fd_free_closed_form():
@@ -335,7 +336,8 @@ def test_fd_free_closed_form():
     op = assemble_fd(Interval(-1.0, 1.0), 0.0, m=m)
     w = np.linalg.eigvalsh(band_to_dense(tridiag_band(op)))
     k = np.arange(1, m + 1)
-    exact = (4.0 / op.h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
+    h = 2.0 / (m + 1)
+    exact = (4.0 / h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
     assert np.allclose(w, exact, rtol=1e-13)
     assert w[1] == pytest.approx(8.0)
 
@@ -374,3 +376,20 @@ def test_tridiag_size_validation():
         TridiagOperator(diag=np.array([1.0, 2.0]), offdiag=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         TridiagOperator(diag=np.array([]), offdiag=np.array([]))
+
+
+def test_fd_batched_couplings_match_the_scalar_operator():
+    """Column j of the batched operator is the scalar operator of coupling j, bitwise."""
+    iv = Interval(0.5, 6.5)
+    couplings = [0.0, 1.0, 2.25, 5041.0, 1e6]
+    batch = assemble_fd(iv, np.array(couplings), m=301)
+    assert batch.diag.shape == (301, len(couplings)) and batch.m == 301
+    for j, coupling in enumerate(couplings):
+        op = assemble_fd(iv, coupling, m=301)
+        assert np.array_equal(batch.diag[:, j], op.diag)
+        assert np.array_equal(batch.offdiag, op.offdiag)
+    for bad in ([1.0, float("nan")], [4.0, -1.0], [float("inf")]):
+        with pytest.raises(ValueError, match="coupling must be finite and >= 0"):
+            assemble_fd(iv, np.array(bad), m=301)
+    with pytest.raises(ValueError, match=r"shape \(m,\) or \(m, k\)"):
+        assemble_fd(iv, np.ones((2, 2)), m=301)

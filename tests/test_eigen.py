@@ -7,7 +7,7 @@ import pytest
 
 from hyperlap import eigen
 from hyperlap._lapack import dpbtrs
-from hyperlap.eigen import _sturm_counts, lowest_pencil_eigenpairs
+from hyperlap.eigen import _sturm_counts
 from hyperlap import (
     ConvergenceError,
     Interval,
@@ -16,40 +16,47 @@ from hyperlap import (
     assemble_galerkin,
 )
 
-from conftest import band_to_dense, dense_spectrum, fd_eigenvalues, tridiag_band
+from conftest import (
+    band_to_dense,
+    dense_spectrum,
+    fd_eigenvalues,
+    pencil_eigenpairs,
+    tridiag_band,
+)
 
 
 def _fd_op(m, ell=0):
     return assemble_fd(Interval(-1.0, 1.0), ell ** 2, m=m)
 
 
-def _fd_exact(m, h):
+def _fd_exact(m):
+    """The eigenvalues of the free FD operator _fd_op(m): h = 2 / (m + 1) on (-1, 1)."""
+    h = 2.0 / (m + 1)
     k = np.arange(1, m + 1)
     return (4.0 / h**2) * np.sin(k * math.pi / (2.0 * (m + 1))) ** 2
 
 
 def _fd_band(m, ell=0):
     """The FD operator of _fd_op(m, ell) as a lower band, with the identity as b."""
-    op = _fd_op(m, ell)
-    return op, tridiag_band(op), np.ones((1, m), order="F")
+    return tridiag_band(_fd_op(m, ell)), np.ones((1, m), order="F")
 
 
 def test_lowest_pencil_matches_fd_closed_form():
-    op, a, b = _fd_band(50)
-    w = lowest_pencil_eigenpairs(a, b, 6)[0]
-    assert np.allclose(w, _fd_exact(50, op.h)[:6], rtol=1e-13, atol=0.0)
+    a, b = _fd_band(50)
+    w = pencil_eigenpairs(a, b, 6)[0]
+    assert np.allclose(w, _fd_exact(50)[:6], rtol=1e-13, atol=0.0)
     # a b scaled by 2 halves every eigenvalue
-    assert np.allclose(lowest_pencil_eigenpairs(a, 2.0 * b, 6)[0], 0.5 * w, rtol=1e-13)
+    assert np.allclose(pencil_eigenpairs(a, 2.0 * b, 6)[0], 0.5 * w, rtol=1e-13)
 
 
 def test_lowest_pencil_is_deterministic():
     """Repeated runs are bitwise equal, from the fixed start and from a
     neighbouring coupling's Ritz vectors, and the two starts agree to rounding."""
     fam = assemble_galerkin(Interval(-1.0, 1.0), 128)
-    near = lowest_pencil_eigenpairs(fam.operator_band(36.0), fam.mass_band, 10)[1]
+    near = pencil_eigenpairs(fam.operator_band(36.0), fam.mass_band, 10)[1]
     values = []
     for start in (None, near):
-        runs = [lowest_pencil_eigenpairs(fam.operator_band(50.0), fam.mass_band, 9, start)
+        runs = [pencil_eigenpairs(fam.operator_band(50.0), fam.mass_band, 9, start)
                 for _ in range(3)]
         for nu, x in runs[1:]:
             assert np.array_equal(runs[0][0], nu) and np.array_equal(runs[0][1], x)
@@ -63,7 +70,7 @@ def test_lowest_pencil_full_order_is_exact():
     fam = assemble_galerkin(Interval(-1.0, 1.0), 13)
     assert fam.order == 12
     for kappa in (0.0, 3.0, 400.0):
-        got = lowest_pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, 11)[0]
+        got = pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, 11)[0]
         dense = dense_spectrum(fam, kappa)
         assert np.max(np.abs(got - dense[:11]) / dense[:11]) <= 1e-13
 
@@ -78,13 +85,13 @@ def test_lowest_pencil_breakdown_finds_repeated_values():
     branch, for k = 3, 6 and 19 alike.  The restart branch is tested by
     test_lowest_pencil_start_spanning_an_invariant_subspace[0.0].
     """
-    op, a, b = _fd_band(10)
+    a, b = _fd_band(10)
     twice = np.zeros((2, 20), order="F")
     twice[0] = np.tile(a[0], 2)
     twice[1, :9] = twice[1, 10:19] = a[1, :9]
-    exact = np.repeat(_fd_exact(10, op.h), 2)
+    exact = np.repeat(_fd_exact(10), 2)
     for k in (3, 6, 19):
-        nu, x = lowest_pencil_eigenpairs(twice, np.ones((1, 20), order="F"), k)
+        nu, x = pencil_eigenpairs(twice, np.ones((1, 20), order="F"), k)
         assert np.max(np.abs(nu - exact[:k]) / exact[:k]) <= 1e-13
         assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
 
@@ -103,7 +110,7 @@ def test_lowest_pencil_start_spanning_an_invariant_subspace(monkeypatch, mix):
     a = np.asfortranarray(np.arange(1.0, 21.0)[None, :])
     b = np.ones((1, 20), order="F")
     for k in (1, 3, 6):
-        nu, x = lowest_pencil_eigenpairs(a, b, k, np.eye(20)[:, :k])
+        nu, x = pencil_eigenpairs(a, b, k, np.eye(20)[:, :k])
         assert np.max(np.abs(nu - np.arange(1.0, k + 1.0)) / nu) <= 1e-13
         assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
 
@@ -124,7 +131,7 @@ def test_lowest_pencil_ritz_vectors(alpha, beta, n, kappa, k):
     fam = assemble_galerkin(Interval(alpha, beta), n)
     a = band_to_dense(fam.operator_band(kappa))
     b = band_to_dense(fam.mass_band)
-    nu, x = lowest_pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, k)
+    nu, x = pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, k)
     assert x.shape == (fam.order, k)
     assert np.max(np.abs(x.T @ b @ x - np.eye(k))) <= 1e-12
     r = np.linalg.solve(a, b @ x) - x / nu
@@ -156,35 +163,35 @@ def test_lowest_pencil_matches_dense(alpha, beta, bound, n):
     for kappa in kappas:
         dense = dense_spectrum(fam, kappa)
         for k in (1, 22, 150):
-            got = lowest_pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, k)[0]
+            got = pencil_eigenpairs(fam.operator_band(kappa), fam.mass_band, k)[0]
             assert np.max(np.abs(got - dense[:k]) / dense[:k]) <= bound
 
 
 def test_lowest_pencil_free_spectrum():
     """At kappa 0 on (-1, 1) the 100 lowest values are (j pi / 2)^2, with no dense solve."""
     fam = assemble_galerkin(Interval(-1.0, 1.0), 400)
-    got = lowest_pencil_eigenpairs(fam.operator_band(0.0), fam.mass_band, 100)[0]
+    got = pencil_eigenpairs(fam.operator_band(0.0), fam.mass_band, 100)[0]
     exact = (np.arange(1, 101) * math.pi / 2.0) ** 2
     assert np.max(np.abs(got - exact) / exact) <= 1e-13
 
 
 def test_lowest_pencil_failures(monkeypatch):
-    op, a, b = _fd_band(20)
+    a, b = _fd_band(20)
     with pytest.raises(ValueError):
-        lowest_pencil_eigenpairs(a, b, 20)  # Lanczos needs k < order
+        pencil_eigenpairs(a, b, 20)  # Lanczos needs k < order
     with pytest.raises(ValueError):
-        lowest_pencil_eigenpairs(a, b, 0)
-    with pytest.raises(ConvergenceError):
-        lowest_pencil_eigenpairs(-a, b, 3)  # not positive definite
+        pencil_eigenpairs(a, b, 0)
+    with pytest.raises(ConvergenceError, match="Cholesky of a"):
+        pencil_eigenpairs(-a, b, 3)  # not positive definite
     with pytest.raises(ConvergenceError, match="Cholesky of b"):
-        lowest_pencil_eigenpairs(a, -b, 3)
+        pencil_eigenpairs(a, -b, 3)
 
     def no_convergence(*args):
         return np.empty((args[0].size, args[2].size)), 1
 
     monkeypatch.setattr(eigen, "dstein", no_convergence)
     with pytest.raises(ConvergenceError, match="Ritz solve failed"):
-        lowest_pencil_eigenpairs(a, b, 3)
+        pencil_eigenpairs(a, b, 3)
 
 
 @pytest.mark.parametrize("kd", [0, 1, 20])
@@ -240,8 +247,8 @@ def test_sturm_survives_zero_pivot():
 
 def test_sturm_count_random_cross_check():
     rng = np.random.default_rng(20260814)
-    op, a, _ = _fd_band(200, ell=1)
-    w = np.linalg.eigvalsh(band_to_dense(a))
+    op = _fd_op(200, ell=1)
+    w = np.linalg.eigvalsh(band_to_dense(tridiag_band(op)))
     lams = rng.uniform(0.0, float(w[-1]) * 1.1, size=20)
     counts = _sturm_counts(op.diag, op.offdiag ** 2, lams)
     assert list(counts) == [int(np.sum(w < lam)) for lam in lams]
@@ -273,7 +280,7 @@ def test_bisection_matches_closed_form():
     is open at lo and closed at hi."""
     m = 40
     op = _fd_op(m)
-    exact = _fd_exact(m, op.h)
+    exact = _fd_exact(m)
     spec = fd_eigenvalues(op, 0.0, float(exact[-1]) + 1.0)
     assert spec.size == m
     assert np.all(np.abs(spec - exact) <= 1e-10 * np.maximum(1.0, exact))

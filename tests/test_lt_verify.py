@@ -303,3 +303,16 @@ def test_trial_profile_boundary_values():
         ends_t = np.array([-1.0, 1.0])
         assert np.max(np.abs(np.asarray(trial.x_profile(ends_x)))) <= 1e-12
         assert np.max(np.abs(np.asarray(trial.t_profile(ends_t)))) <= 1e-12
+
+
+def test_sobolev_rejects_a_profile_of_the_wrong_shape():
+    """A profile that does not act on arrays elementwise is refused, by name."""
+    scalar = SobolevTrialFunction(
+        name="scalar",
+        x_profile=np.sin,
+        t_profile=lambda t: 1.0,
+        dx_profile=np.cos,
+        dt_profile=lambda t: np.zeros_like(t),
+    )
+    with pytest.raises(ValueError, match="trial 'scalar': t_profile has shape"):
+        sobolev_check(scalar)

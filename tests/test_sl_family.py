@@ -27,7 +27,7 @@ from hyperlap import eigen, sl_family
 from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.cli import main
 
-from conftest import dense_spectrum, fd_eigenvalues
+from conftest import band_to_dense, dense_spectrum, fd_eigenvalues
 
 IV = Interval(-1.0, 1.0)
 COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
@@ -303,9 +303,9 @@ def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
     mode 1, then the last count + 1."""
     asked = []
 
-    def recorded(a_band, b_band, k, *start):
-        nu, x = lowest_pencil_eigenpairs(a_band, b_band, k, *start)
-        asked.append((a_band.shape[1], k, nu))
+    def recorded(factor, root, k, *start):
+        nu, x = lowest_pencil_eigenpairs(factor, root, k, *start)
+        asked.append((factor.shape[1], k, nu))
         return nu, x
 
     monkeypatch.setattr(sl_family, "lowest_pencil_eigenpairs", recorded)
@@ -363,6 +363,26 @@ def test_rayleigh_ritz_grams_match_banded_products(n, k):
             ref = y.T @ np.column_stack([dsbmv(b.shape[0] - 1, 1.0, b, v, lower=1) for v in y.T])
             assert gram.shape == (k, k)
             assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [8, 64, 200])
+def test_rayleigh_ritz_grams_read_every_row_of_the_b_factor(n):
+    """On a 3-row B whose factor has a nonzero offset-1 row, the B Gram
+    ||R_n^T y||^2 is y^T B_n y from a dense product, to 1e-14 of its
+    largest entry: no offset of B's factor is assumed."""
+    family = sl_family._family(IV, n)
+    order = family.order
+    rng = np.random.default_rng(n)
+    b = np.zeros((3, order), order="F")
+    b[0] = 4.0 + rng.uniform(0.0, 1.0, order)  # diagonally dominant
+    b[1, :-1] = rng.uniform(-1.0, 1.0, order - 1)
+    b[2, :-2] = rng.uniform(-1.0, 1.0, order - 2)
+    root = eigen._cholesky(b, "B")
+    assert np.any(root[1])
+    y = rng.standard_normal((n - 1, 5))
+    _, mass = sl_family._grams(eigen._cholesky(family.operator_band(1.0), "a"), root, y)
+    ref = y.T @ band_to_dense(b[:, : n - 1]) @ y
+    assert np.max(np.abs(mass - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_rayleigh_ritz_refuses_dependent_vectors():
@@ -608,6 +628,46 @@ def test_sweep_width_validation():
     for width in (0.0, -math.pi, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="strip width must be positive and finite"):
             sweep(IV, 40.0, n=64, width=width)
+    # (pi / width)^2 overflows a double: bad input, not a crash
+    with pytest.raises(ValueError, match="overflows"):
+        sweep(IV, 10.0, n=16, width=1e-200)
+
+
+@pytest.mark.parametrize(
+    "interval, cutoff, n",
+    [(Interval(-3.0, 3.0), 1.0, 4), (Interval(0.5, 6.5), 21.544346900318832, 6)],
+)
+def test_sweep_refuses_a_value_straddling_the_cutoff(interval, cutoff, n):
+    """The first value discarded lies above the cutoff at n but not at 2n:
+    nu(n) may lie at or below the cutoff, so the count could be short.
+    Both sweeps once returned a table with no eigenvalue, where n = 200
+    finds one."""
+    fine = sweep(interval, cutoff, n=200)
+    assert fine.nus(through=cutoff).size == 1
+    with pytest.raises(CertificationError, match="across the cutoff"):
+        sweep(interval, cutoff, n=n)
+    with pytest.raises(CertificationError, match="across the cutoff"):
+        solve_certified(interval, 1.0, cutoff, n=n)
+
+
+def test_certified_solve_above_the_ground_state_builds_no_grid(monkeypatch, capsys):
+    """A ground state above the cutoff at 2n is above it at n: the answer is
+    empty, certified by interlacing, and no FD grid is built (mode 10^7 once
+    built 8.9 million points for it)."""
+    grids = []
+
+    def recorded(interval, coupling, m=2000):
+        grids.append(m)
+        return assemble_fd(interval, coupling, m)
+
+    monkeypatch.setattr(sl_family, "assemble_fd", recorded)
+    assert solve_certified(IV, 1e14, 10.0, n=16).size == 0
+    assert solve_certified(IV, 4.0, 1.0, n=64).size == 0  # nu_1 > pi^2 / 4
+    assert main(["eig", "--ell", "10000000", "--cutoff", "10", "--n", "16"]) == 0
+    assert "0 eigenvalues <= cutoff" in capsys.readouterr().out
+    assert grids == []
+    assert solve_certified(IV, 4.0, 10.0, n=64).size == 1
+    assert len(grids) == 1
 
 
 def test_table_query_semantics():
@@ -644,6 +704,16 @@ def test_table_csv_rejects_bad_header():
             table_rows_from_csv(empty)
 
 
+def test_table_csv_reads_crlf_and_names_a_bad_row():
+    table = sweep(IV, 40.0, n=64)
+    crlf = table.to_csv().replace("\n", "\r\n")
+    assert table_rows_from_csv(crlf) == list(table.entries)
+    with pytest.raises(ValueError, match="bad row '1,1': not enough values"):
+        table_rows_from_csv("ell,k,nu\n1,1,2.0\n1,1\n")
+    with pytest.raises(ValueError, match="bad row '1,x,2.0'"):
+        table_rows_from_csv("ell,k,nu\n1,x,2.0\n")
+
+
 def _mini_table(entries, cutoff=10.0):
     return EigenTable(
         entries=entries, cutoff=cutoff, ell_max=3, resolution=16, tolerance=1e-8
@@ -664,6 +734,10 @@ def test_table_invariant_violations():
     # a NaN cutoff would compare past every query and switch off the guard
     with pytest.raises(ValueError, match="cutoff must not be NaN"):
         _mini_table(((1, 1, 3.0),), cutoff=float("nan"))
+    # a NaN eigenvalue passes every ordering check, an infinite one is no eigenvalue
+    for nu in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"entry \(1,2\) is not finite or past"):
+            _mini_table(((1, 1, 3.0), (1, 2, nu)))
 
 
 def test_table_valid_synthetic():
