@@ -26,6 +26,7 @@ from .lt_verify import (
     ProductDomain,
     family_table,
     lt_check,
+    potential_integral,
     sobolev_check,
     trial_profile,
 )
@@ -268,6 +269,7 @@ def cmd_ltcheck(args):
     domain = ProductDomain(x_length=args.x_length, a=args.a, b=args.b)
     pot = BoxPotential(domain=domain, height=args.cutoff)
     lt_best_known(args.gamma, 2, args.excess)  # bad input exits 2 before the sweep
+    potential_integral(pot, args.gamma)
     table = family_table(domain, args.cutoff, tol=args.tol, n=args.n)
     report = lt_check(pot, args.gamma, table, excess=args.excess)
     if args.json:

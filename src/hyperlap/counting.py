@@ -176,7 +176,8 @@ def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
 
     The evaluation set is a uniform grid joined with every jump of the
     staircase; counts are taken inclusively at each point, which is the
-    worst case for an upper bound.
+    worst case for an upper bound.  A bound or left side that is not finite
+    (both Riesz sides overflow at gamma 110 near 1000) is a ValueError.
     """
     lam_max = float(lam_max)
     if not (math.isfinite(lam_max) and lam_max > 0.0):
@@ -204,6 +205,8 @@ def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
         bounds = _COUNT_RHS[kind](lambdas, cf.dim, cf.domain_volume)
         label = kind
 
+    if not (np.all(np.isfinite(bounds)) and np.all(np.isfinite(values))):
+        raise ValueError(f"{label}: a bound or left side on (0, {lam_max}] is not finite")
     margins = bounds - values
     i = int(np.argmin(margins))
     return BoundReport(

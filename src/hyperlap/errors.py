@@ -6,15 +6,7 @@ class ConvergenceError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """Two independent resolutions (or methods) disagree about an eigenvalue.
-
-    ``index`` is the first disagreeing position (0-based), or -1 when the
-    disagreement is a count mismatch rather than a value mismatch.
-    """
-
-    def __init__(self, message, index=-1):
-        super().__init__(message)
-        self.index = index
+    """Two independent resolutions (or methods) disagree about an eigenvalue."""
 
 
 class IncompleteTableError(ValueError):

@@ -7,6 +7,7 @@ explicit product trial functions with tensor Gauss-Legendre quadrature.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -58,11 +59,18 @@ class BoxPotential:
 
 
 def potential_integral(pot, gamma):
-    """integral of V^(gamma + 1) over hyperbolic area, for the box shape on H^2."""
+    """integral of V^(gamma + 1) over hyperbolic area, for the box shape on H^2:
+    ValueError where no normal double holds it, as for lt_classical."""
     gamma = float(gamma)
     if gamma < 0.5:
         raise ValueError(f"trace inequality needs gamma >= 1/2, got {gamma!r}")
-    return pot.height ** (gamma + 1.0) * hyperbolic_volume(pot.domain)
+    try:
+        value = pot.height ** (gamma + 1.0) * hyperbolic_volume(pot.domain)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"the potential integral at gamma={gamma} is out of floating-point range")
+    return value
 
 
 def family_table(domain, cutoff, tol=1e-10, n=400):
@@ -113,6 +121,8 @@ def lt_check(pot, gamma, table, excess=EXCESS):
         raise ValueError(f"table of width {table.width} on {table.interval}, not {domain}")
     cf = CountingFunction.from_table(table, hyperbolic_volume(domain))
     lhs = cf.riesz_mean(height, gamma)
+    if not math.isfinite(lhs):
+        raise ValueError(f"the left side at gamma={gamma}, height={height} is {lhs}")
     rhs = constant * potential_integral(pot, gamma)
     ratio = lhs / rhs
     return LTReport(

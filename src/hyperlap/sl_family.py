@@ -4,26 +4,27 @@ Separating variables on a strip of width w (x direction) times an
 interval in t = log y turns the hyperbolic Dirichlet problem into the
 family -psi'' + kappa exp(2t) psi = nu psi with Dirichlet ends, one
 problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
-The modes differ only in that scalar, so the sweep builds the banded
-Legendre-Galerkin matrices K, B and M once, at order 2n - 1, and reads
-the order n - 1 family from their first n - 1 columns.  Mode by mode it
-solves the symmetric pencil K + kappa M against B once, at order 2n - 1,
-for only the few lowest eigenpairs, by banded Lanczos, until a ground state
-clears the cutoff: that mode is the table's ell_max, so the mode search
-costs no solve of its own.  The values at resolution n are the
-Rayleigh-Ritz values of the order n - 1 pencil on the leading rows of
-those Ritz vectors, from the Cholesky factors of K + kappa M and B that
+The modes differ only in that scalar, so the banded Legendre-Galerkin
+matrices K, B and M are built once, at order 2n - 1, and the order n - 1
+family is their first n - 1 columns.  One loop, _certified_modes,
+certifies modes and states the per-mode rules: each mode solves the
+symmetric pencil K + kappa M against B once, at order 2n - 1, for only
+the few lowest eigenpairs, by banded Lanczos.  The values at resolution n
+are the Rayleigh-Ritz values of the order n - 1 pencil on the leading rows
+of those Ritz vectors, from the Cholesky factors of K + kappa M and B that
 the solve at 2n already holds: the factor of a leading block is the
 leading block of the factor.  Interlacing brackets each true value at n
 between the value at 2n and that Rayleigh-Ritz value.  A retained
 eigenvalue is certified when the bracket is narrower than the tolerance,
 and every mode's count is cross-checked against the finite-difference
-Sturm oracle in one batched pass.  A single-mode solve
-(solve_certified) runs the same certification for one mode: it takes the
-interval, the coupling kappa of the mode and a cutoff, and returns a plain
-ascending float64 array.  No route returns an uncertified value.
+Sturm oracle in one batched pass.  The sweep runs the loop over the modes
+ell = 1, 2, ... until a ground state clears the cutoff: that mode is the
+table's ell_max, so the mode search costs no solve of its own.  A
+single-mode solve (solve_certified) runs it on one coupling and returns a
+plain ascending float64 array.  No route returns an uncertified value.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,21 +50,6 @@ def _check_tol(tol):
         raise ValueError(
             f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
         )
-
-
-def _lowest(family, coupling, k, root, start=None):
-    """The k lowest Galerkin eigenvalues of one mode at ``family``'s resolution 2n
-    and their B-orthonormal Ritz vectors, by banded Lanczos, plus the banded
-    Cholesky factor (lower) of the mode's operator K + kappa M.
-
-    k is capped at the order of resolution n less 2, so a resolution too
-    small for the cutoff shows as every computed value lying below it.
-    ``root`` and ``start`` go to lowest_pencil_eigenpairs: the Cholesky
-    factor of B, and a nearby mode's Ritz vectors to start from.
-    """
-    factor = _cholesky(family.operator_band(coupling), "a")
-    k = min(k, family.n // 2 - 3)
-    return (*lowest_pencil_eigenpairs(factor, root, k, start), factor)
 
 
 def _grams(factor, root, y):
@@ -117,8 +103,7 @@ def _rayleigh_ritz(family, factor, root, x):
     if info != 0:
         raise CertificationError(
             f"resolution {order + 1} cannot hold the Ritz vectors of {family.n}: "
-            f"their Gram matrices are not positive definite; raise n",
-            index=0,
+            f"their Gram matrices are not positive definite; raise n"
         )
     low = 1.0 / inverse[::-1]
     return np.where(low < math.sqrt(low[0] * high[-1]), low, high)
@@ -184,22 +169,19 @@ def _mode_values(family, factor, root, cutoff, retain, tol, w2, x):
     if k_star == theta.size:
         raise CertificationError(
             f"cutoff {retain} lies beyond the highest resolved eigenvalue "
-            f"{theta[-1]}; raise n",
-            index=k_star,
+            f"{theta[-1]}; raise n"
         )
     if w2[k_star] <= cutoff:
         raise CertificationError(
             f"eigenvalue {k_star} lies in [{w2[k_star]:.17g}, {theta[k_star]:.17g}] "
-            f"(resolutions {2 * n} and {n}), across the cutoff {cutoff}; raise n",
-            index=k_star,
+            f"(resolutions {2 * n} and {n}), across the cutoff {cutoff}; raise n"
         )
     lam_star = 0.5 * (theta[k_star - 1] + theta[k_star])
     k2 = int(np.searchsorted(w2, lam_star, side="left"))
     if k2 != k_star:
         raise CertificationError(
             f"resolutions {n} and {2 * n} disagree on the count below "
-            f"{lam_star}: {k_star} vs {k2}",
-            index=min(k_star, k2),
+            f"{lam_star}: {k_star} vs {k2}"
         )
     # absolute: theta - w2 reaches -1e-12 from rounding where exp(2t) spans e^12
     err = np.abs(theta[:k_star] - w2[:k_star])
@@ -208,8 +190,7 @@ def _mode_values(family, factor, root, cutoff, retain, tol, w2, x):
         i = int(np.nonzero(bad)[0][0])
         raise CertificationError(
             f"eigenvalue {i} differs between resolutions {n} and {2 * n}: "
-            f"{theta[i]:.17g} vs {w2[i]:.17g} (tol {tol})",
-            index=i,
+            f"{theta[i]:.17g} vs {w2[i]:.17g} (tol {tol})"
         )
     return theta[:k_star], lam_star, theta[k_star]
 
@@ -234,29 +215,59 @@ def _check_oracle(interval, modes):
         if fd_count != count:
             raise CertificationError(
                 f"{name}: finite-difference count below {probe} is "
-                f"{fd_count}, Galerkin says {count}",
-                index=-1,
+                f"{fd_count}, Galerkin says {count}"
             )
 
 
+def _certified_modes(interval, couplings, cutoff, retain, tol, n):
+    """Certified eigenvalues <= ``retain`` of each mode, one array per mode.
+
+    ``couplings`` are (name, kappa) pairs with kappa non-decreasing, read
+    lazily.  The Galerkin family at 2n and B's Cholesky factor are built
+    once.  Each mode is solved once, at 2n, by banded Lanczos for its k
+    lowest eigenpairs: k is the count bound of the interval + 1 for the
+    first mode, then the last mode's count + 1, since a count cannot grow
+    with the coupling, capped at n - 3 so that a resolution too small for
+    the cutoff shows as every computed value lying below it.  The first
+    mode's Lanczos starts from the fixed vector, each later one from the
+    previous mode's Ritz vectors, which are close: a repeated call is
+    bitwise equal.  The first mode whose ground state at 2n lies above
+    ``cutoff`` ends the loop and is not returned; by interlacing its ground
+    state at n lies above it too.  A stop on the values at n would differ
+    only if nu_1(2n) <= cutoff < nu_1(n), a window below 1e-14 relative
+    wherever the table certifies.  Each mode's values are certified by the
+    bracket between resolutions 2n and n (see _mode_values), and every
+    mode's count by one FD Sturm pass (see _check_oracle).
+    """
+    family = _family(interval, n)
+    root = _cholesky(family.mass_band, "B")
+    k = _count_bound(interval, retain) + 1
+    modes, checks, x = [], [], None
+    for name, coupling in couplings:
+        factor = _cholesky(family.operator_band(coupling), "a")
+        w2, x = lowest_pencil_eigenpairs(factor, root, min(k, n - 3), x)
+        if w2[0] > cutoff:
+            break
+        values, probe, above = _mode_values(family, factor, root, cutoff, retain, tol, w2, x)
+        modes.append(values)
+        checks.append((name, coupling, probe, values.size, above))
+        k = values.size + 1
+    _check_oracle(interval, checks)
+    return modes
+
+
 def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
-    """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified by the
-    bracket between resolutions 2n and n (see _mode_values) and a count on the
-    FD grid that _check_oracle sizes from the gap.  A ground state above the
-    cutoff at 2n is above it at n too: the answer is empty, with no FD grid."""
+    """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified as
+    _certified_modes certifies one mode.  A ground state above the cutoff at
+    2n is above it at n too: the answer is empty, with no FD grid."""
     coupling = _check_coupling(coupling)
     _check_tol(tol)
     cutoff = float(cutoff)
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    family = _family(interval, n)
-    root = _cholesky(family.mass_band, "B")
-    w2, x, factor = _lowest(family, coupling, _count_bound(interval, cutoff) + 1, root)
-    if w2[0] > cutoff:
-        return np.empty(0)
-    values, probe, above = _mode_values(family, factor, root, cutoff, cutoff, tol, w2, x)
-    _check_oracle(interval, [(f"coupling {coupling!r}", coupling, probe, values.size, above)])
-    return values
+    name = f"coupling {coupling!r}"
+    modes = _certified_modes(interval, [(name, coupling)], cutoff, cutoff, tol, n)
+    return modes[0] if modes else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -357,23 +368,16 @@ def table_rows_from_csv(text):
 def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     """Certified eigenvalue table of every family with ground state <= cutoff.
 
-    Modes are solved in order, each once at resolution 2n and for one
-    more eigenvalue than it can hold below the retention limit: mode 1 by
-    the count bound of the interval, later modes by the previous mode's
-    count, since a count cannot grow with the coupling.  Mode 1's Lanczos
-    starts from the fixed vector, each later one from the previous mode's
-    Ritz vectors, which are close: a repeated sweep is bitwise equal, and
-    a row agrees with solve_certified of its mode to rounding.  The first mode
-    whose ground state at resolution 2n clears the cutoff ends the sweep
-    and is the table's ``ell_max``; by interlacing its ground state at n
-    clears the cutoff too.  A stop on the values at n would differ only if
-    nu_1(2n) <= cutoff < nu_1(n), a window below 1e-14 relative wherever
-    the table certifies.  ``width`` is the strip width: mode ell has the coupling
+    Modes ell = 1, 2, ... go through _certified_modes in order, which states
+    the per-mode rules (k, warm start, stop) and the certification; the
+    first mode it does not return is the table's ``ell_max``.  The warm
+    start makes a row agree with solve_certified of its mode to rounding;
+    mode 1 starts cold, as a single-mode solve does, and is bitwise equal
+    to it.  ``width`` is the strip width: mode ell has the coupling
     (ell pi / width)^2, so the default pi gives ell^2.  Every mode keeps
     its values through cutoff * (1 + margin), and the first value it
     discards must lie above the cutoff at 2n too, or the sweep raises
-    CertificationError (see _mode_values).  One FD Sturm count
-    checks every mode, on a grid sized from the gaps (see _check_oracle).
+    CertificationError (see _mode_values).
     """
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
@@ -384,30 +388,14 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     if _mode_coupling(_MODE_LIMIT, width) * math.exp(2.0 * interval.alpha) <= cutoff:
         # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
-    family = _family(interval, n)
-    root = _cholesky(family.mass_band, "B")
-    retain = cutoff * (1.0 + _MARGIN)
-    count = _count_bound(interval, retain)
-    entries = []
-    modes = []
-    ell = 1
-    x = None
-    while True:
-        kappa = _mode_coupling(ell, width)
-        w2, x, factor = _lowest(family, kappa, count + 1, root, x)
-        if w2[0] > cutoff:
-            break
-        values, probe, above = _mode_values(family, factor, root, cutoff, retain, tol, w2, x)
-        modes.append((f"mode {ell}", kappa, probe, values.size, above))
-        for k, nu in enumerate(values, start=1):
-            entries.append((ell, k, float(nu)))
-        count = values.size
-        ell += 1
-    _check_oracle(interval, modes)
+    couplings = ((f"mode {ell}", _mode_coupling(ell, width)) for ell in itertools.count(1))
+    modes = _certified_modes(interval, couplings, cutoff, cutoff * (1.0 + _MARGIN), tol, n)
+    entries = [(ell, k, float(nu)) for ell, values in enumerate(modes, start=1)
+               for k, nu in enumerate(values, start=1)]
     return EigenTable(
         entries=tuple(entries),
         cutoff=cutoff,
-        ell_max=ell,
+        ell_max=len(modes) + 1,
         resolution=n,
         tolerance=tol,
         interval=interval,

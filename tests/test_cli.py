@@ -57,12 +57,18 @@ def test_constants_invalid_gamma_exits_two():
 def test_gamma_overflow_exits_two(monkeypatch, capsys):
     # Gamma(201) and Gamma(401) overflow a double, and so does the
     # denominator of the constant from about d = 225: that is bad input
-    # (exit 2), not a violated bound (exit 1).  ltcheck stops before it
-    # sweeps anything.
+    # (exit 2), not a violated bound (exit 1).  So is a potential integral
+    # height^(gamma + 1) * volume that underflows (once a ZeroDivisionError),
+    # overflows the power (once an OverflowError) or overflows to inf (once
+    # rhs Infinity in invalid JSON, exit 0).  ltcheck stops before it sweeps
+    # anything.
     monkeypatch.setattr(hyperlap.sl_family, "sweep", None)
     for argv in (
         ["constants", "--gamma", "200", "--dim", "2"],
         ["ltcheck", "--gamma", "400", "--cutoff", "20", "--n", "64"],
+        ["ltcheck", "--gamma", "1", "--cutoff", "1e-170", "--n", "16"],
+        ["ltcheck", "--gamma", "154", "--cutoff", "100", "--n", "64"],
+        ["ltcheck", "--gamma", "153", "--cutoff", "100", "--n", "64", "--json", "-"],
         ["ratio", "--dmax", "400"],
     ):
         assert main(argv) == 2

@@ -249,6 +249,14 @@ def test_verify_riesz_kind():
     assert not report.violated
 
 
+def test_verify_refuses_non_finite_margins():
+    """At gamma = 110 both sides of the Riesz bound overflow near lambda = 1000:
+    their difference is NaN, which once reported the bound as holding."""
+    cf = _free_cf(kmax=40)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        verify_bound(cf, "riesz", 1000.0, gamma=110)
+
+
 def test_verify_argument_validation():
     cf = _free_cf()
     with pytest.raises(ValueError):

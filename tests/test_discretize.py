@@ -14,8 +14,7 @@ from hyperlap import (
     assemble_galerkin,
     sweep,
 )
-from hyperlap import sl_family
-from hyperlap.discretize import _exp_coefficients
+from hyperlap.discretize import GalerkinFamily, _exp_coefficients
 from hyperlap.lt_verify import _gauss_legendre
 
 from conftest import band_to_dense, pencil_eigenpairs, tridiag_band
@@ -80,12 +79,12 @@ def test_potential_width(monkeypatch):
     """
     couplings = []
 
-    def recorded(family, coupling, k, *start):
+    def recorded(family, coupling):
         couplings.append(coupling)
-        return lowest(family, coupling, k, *start)
+        return operator_band(family, coupling)
 
-    lowest = sl_family._lowest
-    monkeypatch.setattr(sl_family, "_lowest", recorded)
+    operator_band = GalerkinFamily.operator_band
+    monkeypatch.setattr(GalerkinFamily, "operator_band", recorded)
     table = sweep(Interval(-1.0, 1.0), 40.0, n=64, width=2.0 * np.pi)
     assert couplings == [ell * ell / 4.0 for ell in range(1, table.ell_max + 1)]
 

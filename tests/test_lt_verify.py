@@ -8,6 +8,7 @@ import pytest
 from hyperlap import (
     EXCESS,
     BoxPotential,
+    EigenTable,
     IncompleteTableError,
     ProductDomain,
     QuadratureError,
@@ -75,6 +76,20 @@ def test_potential_integral_power_law():
         assert scaled == pytest.approx(4.0 ** (gamma + 1.0) * base, rel=1e-12)
     with pytest.raises(ValueError):
         potential_integral(pot, 0.25)
+    # no normal double holds these: underflow to 0, overflow to inf, and an
+    # overflowing power
+    for height, gamma in ((1e-170, 1.0), (100.0, 153.0), (100.0, 154.0)):
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            potential_integral(BoxPotential(domain=MODEL, height=height), gamma)
+
+
+def test_lt_check_refuses_a_left_side_that_is_not_finite():
+    """97^160 overflows: the sum (height - nu)_+^gamma is inf, which is no check."""
+    table = EigenTable(entries=((1, 1, 3.0),), cutoff=100.0, ell_max=2,
+                       resolution=64, tolerance=1e-10)
+    pot = BoxPotential(domain=MODEL, height=100.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="left side"):
+        lt_check(pot, 160.0, table)
 
 
 def test_family_table_model_domain(model_table):
