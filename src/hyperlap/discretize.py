@@ -71,8 +71,6 @@ class GalerkinFamily:
     read only entries inside that block.
     """
 
-    interval: Interval
-    n: int
     stiffness: np.ndarray
     mass_band: np.ndarray
     weight_band: np.ndarray
@@ -183,7 +181,9 @@ def _exp_gram(c, n, offsets):
 def assemble_galerkin(interval, n=400):
     """Galerkin family on ``interval`` with the n - 1 functions of degree <= n.
 
-    n runs from 4 (the least with interior structure) to _MAX_N.
+    n runs from 4 (the least with interior structure) to _MAX_N.  On
+    intervals shorter than about 1e-154 the stiffness overflows, and
+    ValueError says so.
 
     M is built in closed form, without quadrature: phi_j phi_k exp(2t) in
     the reference variable is exp(2 beta) phi_j phi_k exp(length (x - 1)),
@@ -205,6 +205,12 @@ def assemble_galerkin(interval, n=400):
         raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
     order = n - 1
     k = np.arange(order, dtype=float)
+    # length^2 underflows to 0 on intervals shorter than about 1e-162
+    square = interval.length ** 2
+    with np.errstate(over="ignore"):
+        stiffness = (4.0 / square if square else math.inf) * (4.0 * k + 6.0)
+    if not np.all(np.isfinite(stiffness)):
+        raise ValueError(f"the stiffness overflows on an interval of length {interval.length!r}")
     c = _exp_coefficients(interval.length)
     width = min(c.size + 1, order - 1)
     gram = _exp_gram(c, n, width + 3)
@@ -223,13 +229,7 @@ def assemble_galerkin(interval, n=400):
     mass_band = np.zeros((3, order), order="F")
     mass_band[0] = 2.0 / (2.0 * k + 1.0) + 2.0 / (2.0 * k + 5.0)
     mass_band[2, :-2] = -2.0 / (2.0 * k[:-2] + 5.0)
-    return GalerkinFamily(
-        interval=interval,
-        n=n,
-        stiffness=(4.0 / interval.length ** 2) * (4.0 * k + 6.0),
-        mass_band=mass_band,
-        weight_band=weight_band,
-    )
+    return GalerkinFamily(stiffness=stiffness, mass_band=mass_band, weight_band=weight_band)
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,12 @@ def assemble_fd(interval, coupling, m=2000):
     if m < 3:
         raise ValueError(f"need m >= 3 interior points, got {m}")
     h = interval.length / (m + 1)
+    # h^2 underflows to 0 for h below about 1e-162
+    square = h ** 2
+    if not (square and math.isfinite(2.0 / square)):
+        raise ValueError(f"the stencil 2 / h^2 overflows at spacing h = {h!r}")
     t = interval.alpha + h * np.arange(1, m + 1)
-    diag = 2.0 / h ** 2 + np.multiply.outer(np.exp(2.0 * t), coupling)
+    diag = 2.0 / square + np.multiply.outer(np.exp(2.0 * t), coupling)
     if not np.all(np.isfinite(diag)):
         raise ValueError("potential evaluates to a non-finite value on the grid")
-    return TridiagOperator(diag=diag, offdiag=np.full(m - 1, -1.0 / h ** 2))
+    return TridiagOperator(diag=diag, offdiag=np.full(m - 1, -1.0 / square))

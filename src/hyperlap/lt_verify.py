@@ -196,6 +196,8 @@ def _gauss_legendre(q):
     return x, 2.0 * (1.0 - x * x) / (q * (p0 - x * p1)) ** 2
 
 
+# extreme domains overflow in the quadrature; the sides are checked at the end
+@np.errstate(over="ignore", invalid="ignore")
 def _sobolev_sides(trial, domain, n_nodes, excess):
     interval = domain.interval
     nodes, weights = _gauss_legendre(n_nodes)
@@ -222,7 +224,14 @@ def _sobolev_sides(trial, domain, n_nodes, excess):
     quart = ix4 * it4m
 
     lhs = grad2 * norm2
-    rhs = kinetic_constant(2, excess) * quart + 0.25 * norm2 ** 2
+    try:
+        rhs = kinetic_constant(2, excess) * quart + 0.25 * norm2 ** 2
+    except OverflowError:
+        rhs = math.inf
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(
+            f"trial {trial.name!r}: the sides of the dual inequality are {lhs} and {rhs}"
+        )
     return lhs, rhs
 
 
@@ -234,8 +243,9 @@ def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS):
 
     Tensor Gauss-Legendre with node doubling until both sides settle to
     ``tol`` relative (finite and positive); QuadratureError past
-    _MAX_NODES.  A margin down to -1e-9 |rhs| still passes: that much
-    relative negativity is quadrature rounding, not a violation.
+    _MAX_NODES, and ValueError on a side that is not finite (the domain is
+    too extreme for doubles).  A margin down to -1e-9 |rhs| still passes:
+    that much relative negativity is quadrature rounding, not a violation.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")

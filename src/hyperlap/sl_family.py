@@ -6,8 +6,8 @@ family -psi'' + kappa exp(2t) psi = nu psi with Dirichlet ends, one
 problem per transverse mode ell >= 1 with coupling kappa = (ell pi / w)^2.
 The modes differ only in that scalar, so the banded Legendre-Galerkin
 matrices K, B and M are built once, at order 2n - 1, and the order n - 1
-family is their first n - 1 columns.  One loop, _certified_modes,
-certifies modes and states the per-mode rules: each mode solves the
+family is their first n - 1 columns.  One loop, _certified_modes, sizes
+every certified solve and states the per-mode rules: each mode solves the
 symmetric pencil K + kappa M against B once, at order 2n - 1, for only
 the few lowest eigenpairs, by banded Lanczos.  The values at resolution n
 are the Rayleigh-Ritz values of the order n - 1 pencil on the leading rows
@@ -45,13 +45,6 @@ _MODE_LIMIT = 1 << 22
 _FD_SHARE = 0.125
 
 
-def _check_tol(tol):
-    if not (math.isfinite(tol) and tol >= 1e-13):
-        raise ValueError(
-            f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
-        )
-
-
 def _grams(factor, root, y):
     """The Gram matrices y^T A y and y^T B y, as ||L^T y||^2 and ||R^T y||^2.
 
@@ -76,9 +69,9 @@ def _grams(factor, root, y):
     return stiff_root.T @ stiff_root, mass_root.T @ mass_root
 
 
-def _rayleigh_ritz(family, factor, root, x):
+def _rayleigh_ritz(n, factor, root, x):
     """Rayleigh-Ritz values of the mode's pencil at resolution n on the leading
-    n - 1 rows y of the Ritz vectors ``x`` at ``family``'s resolution 2n, ascending.
+    n - 1 rows y of the Ritz vectors ``x`` at resolution 2n, ascending.
 
     ``factor`` and ``root`` are the banded Cholesky factors (lower) at 2n of
     the mode's operator K + kappa M and of B.  The n pencil is the leading
@@ -90,8 +83,7 @@ def _rayleigh_ritz(family, factor, root, x):
     truncated vectors are numerically dependent: the resolution is far too
     small) raise CertificationError.
     """
-    order = family.n // 2 - 1
-    stiff, mass = _grams(factor, root, x[:order])
+    stiff, mass = _grams(factor, root, x[: n - 1])
     # a dense eigensolve is accurate to eps times its largest eigenvalue
     # only (8.8e-13 relative at the second of 150 free values): solving for
     # theta is accurate to eps relative at the high end, solving the
@@ -102,7 +94,7 @@ def _rayleigh_ritz(family, factor, root, x):
         inverse, _, info = dsygv(mass, stiff, jobz="N")
     if info != 0:
         raise CertificationError(
-            f"resolution {order + 1} cannot hold the Ritz vectors of {family.n}: "
+            f"resolution {n} cannot hold the Ritz vectors of {2 * n}: "
             f"their Gram matrices are not positive definite; raise n"
         )
     low = 1.0 / inverse[::-1]
@@ -129,24 +121,11 @@ def _count_bound(interval, cutoff):
     )
 
 
-def _family(interval, n):
-    """The Galerkin family at resolution 2n, for certification at n.
-
-    The n family is its leading block (see _rayleigh_ritz).
-    """
-    if not 4 <= n <= _MAX_N // 2:
-        raise ValueError(
-            f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification solves at 2n"
-        )
-    return assemble_galerkin(interval, 2 * n)
-
-
-def _mode_values(family, factor, root, cutoff, retain, tol, w2, x):
+def _mode_values(n, factor, root, cutoff, retain, tol, w2, x):
     """Eigenvalues <= retain of one mode, the gap probe, and the first value above it.
 
-    ``family`` is the Galerkin family of the interval at resolution 2n, and
-    ``factor`` and ``root`` the Cholesky factors of the mode's operator
-    band and of B in it (see _rayleigh_ritz); ``w2`` are the lowest
+    ``factor`` and ``root`` are the Cholesky factors at 2n of the mode's
+    operator band and of B (see _rayleigh_ritz); ``w2`` are the lowest
     eigenvalues at 2n, at least one more than lie at or below ``retain``,
     and ``x`` their Ritz vectors.  The values at n are the Rayleigh-Ritz
     values theta of the n pencil on the leading rows of x: the n family is
@@ -163,8 +142,7 @@ def _mode_values(family, factor, root, cutoff, retain, tol, w2, x):
     kept and the first one discarded, far (relative to discretization error)
     from both, so counts by independent methods agree at it.
     """
-    n = family.n // 2
-    theta = _rayleigh_ritz(family, factor, root, x)
+    theta = _rayleigh_ritz(n, factor, root, x)
     k_star = int(np.searchsorted(theta, retain, side="right"))
     if k_star == theta.size:
         raise CertificationError(
@@ -237,9 +215,19 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
     only if nu_1(2n) <= cutoff < nu_1(n), a window below 1e-14 relative
     wherever the table certifies.  Each mode's values are certified by the
     bracket between resolutions 2n and n (see _mode_values), and every
-    mode's count by one FD Sturm pass (see _check_oracle).
+    mode's count by one FD Sturm pass (see _check_oracle).  The loop checks
+    the cutoff, tolerance and resolution it uses before anything is built:
+    the solve at 2n takes 4 <= n <= _MAX_N // 2.
     """
-    family = _family(interval, n)
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
+    if not (math.isfinite(tol) and tol >= 1e-13):
+        raise ValueError(
+            f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
+        )
+    if not 4 <= n <= _MAX_N // 2:
+        raise ValueError(f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification solves at 2n")
+    family = assemble_galerkin(interval, 2 * n)
     root = _cholesky(family.mass_band, "B")
     k = _count_bound(interval, retain) + 1
     modes, checks, x = [], [], None
@@ -248,7 +236,7 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
         w2, x = lowest_pencil_eigenpairs(factor, root, min(k, n - 3), x)
         if w2[0] > cutoff:
             break
-        values, probe, above = _mode_values(family, factor, root, cutoff, retain, tol, w2, x)
+        values, probe, above = _mode_values(n, factor, root, cutoff, retain, tol, w2, x)
         modes.append(values)
         checks.append((name, coupling, probe, values.size, above))
         k = values.size + 1
@@ -261,10 +249,7 @@ def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     _certified_modes certifies one mode.  A ground state above the cutoff at
     2n is above it at n too: the answer is empty, with no FD grid."""
     coupling = _check_coupling(coupling)
-    _check_tol(tol)
     cutoff = float(cutoff)
-    if not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
     name = f"coupling {coupling!r}"
     modes = _certified_modes(interval, [(name, coupling)], cutoff, cutoff, tol, n)
     return modes[0] if modes else np.empty(0)
@@ -382,7 +367,6 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     cutoff = float(cutoff)
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    _check_tol(tol)
     if not (math.isfinite(width) and width > 0.0):
         raise ValueError(f"strip width must be positive and finite, got {width!r}")
     if _mode_coupling(_MODE_LIMIT, width) * math.exp(2.0 * interval.alpha) <= cutoff:

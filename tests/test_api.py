@@ -64,6 +64,9 @@ def test_public_names_resolve_and_retired_ones_are_gone():
         (hyperlap.eigen, "_MAX_SWEEPS"),
         (hyperlap.discretize, "_leading_band"),
         (hyperlap.sl_family, "_families"),
+        # _certified_modes checks and sizes every certified solve itself
+        (hyperlap.sl_family, "_family"),
+        (hyperlap.sl_family, "_check_tol"),
     ):
         assert name not in names
         assert not hasattr(hyperlap, name)
@@ -146,3 +149,9 @@ def test_lanczos_takes_the_factors_and_the_fd_operator_holds_its_matrix():
     fields = [f.name for f in dataclasses.fields(hyperlap.TridiagOperator)]
     assert fields == ["diag", "offdiag"]
     assert hyperlap.assemble_fd(hyperlap.Interval(-1.0, 1.0), 0.0, m=5).m == 5
+    # so is the Galerkin family, with no interval and no n: the bracket
+    # helpers take n from the certified loop
+    fields = [f.name for f in dataclasses.fields(hyperlap.GalerkinFamily)]
+    assert fields == ["stiffness", "mass_band", "weight_band"]
+    for fn in (hyperlap.sl_family._rayleigh_ritz, hyperlap.sl_family._mode_values):
+        assert next(iter(inspect.signature(fn).parameters)) == "n"

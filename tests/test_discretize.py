@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ def test_potential_validation():
     # a finite coupling whose potential overflows on the grid
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         assemble_fd(Interval(399.0, 401.0), 1.0, m=3)
+    # on short intervals 2 / h^2 overflows, or h^2 underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1e-300, 1e-160):
+            with pytest.raises(ValueError, match="stencil"):
+                assemble_fd(Interval(0.0, beta), 1.0, m=3)
+    assert np.all(np.isfinite(assemble_fd(Interval(0.0, 1e-150), 1.0, m=3).offdiag))
 
 
 def test_potential_width(monkeypatch):
@@ -316,6 +324,15 @@ def test_galerkin_rejects_bad_input():
         assemble_galerkin(Interval(-1.0, 1.0), 4097)
     with pytest.raises(ValueError):
         assemble_galerkin(Interval(0.0, 400.0), 16)  # exp(2t) overflows
+    # the stiffness (4 / length^2)(4k + 6) overflows from a length of about
+    # 1e-153, and length^2 underflows to 0 from about 1e-162: a ValueError,
+    # with no ZeroDivisionError and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1e-300, 1e-155, 1e-153):
+            with pytest.raises(ValueError, match="stiffness overflows"):
+                assemble_galerkin(Interval(0.0, beta), 16)
+    assert np.all(np.isfinite(assemble_galerkin(Interval(0.0, 1e-150), 16).stiffness))
 
 
 def test_fd_matrix_entries():

@@ -331,3 +331,17 @@ def test_sobolev_rejects_a_profile_of_the_wrong_shape():
     )
     with pytest.raises(ValueError, match="trial 'scalar': t_profile has shape"):
         sobolev_check(scalar)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [ProductDomain(a=1e-300), ProductDomain(a=1e-200), ProductDomain(x_length=1e300),
+     ProductDomain(x_length=1e-300)],
+)
+def test_sobolev_refuses_sides_that_are_not_finite(domain):
+    """On domains this extreme a side overflows: once an OverflowError at
+    norm2 ** 2, or node doubling up to _MAX_NODES on an infinite gradient
+    side.  Now a ValueError names the trial, as lt_check does for its left
+    side."""
+    with pytest.raises(ValueError, match="trial 'sine': the sides of the dual inequality"):
+        sobolev_check(trial_profile("sine", domain), domain)

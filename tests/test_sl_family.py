@@ -172,12 +172,14 @@ def test_certified_rejects_nonfinite_cutoff():
 
 
 def test_certified_paths_refuse_n_past_half_the_limit(monkeypatch):
-    # they also assemble 2n, so n = 2049 is refused before anything is built
+    # they also assemble 2n, so n = 2049 is refused before anything is built,
+    # as is n = 3, below the least resolution
     monkeypatch.setattr(sl_family, "assemble_galerkin", None)
-    with pytest.raises(ValueError, match="need 4 <= n <= 2048, got 2049"):
-        solve_certified(IV, 0.0, 10.0, n=2049)
-    with pytest.raises(ValueError, match="need 4 <= n <= 2048, got 2049"):
-        sweep(IV, 10.0, n=2049)
+    for n in (3, 2049):
+        with pytest.raises(ValueError, match=f"need 4 <= n <= 2048, got {n}"):
+            solve_certified(IV, 0.0, 10.0, n=n)
+        with pytest.raises(ValueError, match=f"need 4 <= n <= 2048, got {n}"):
+            sweep(IV, 10.0, n=n)
 
 
 # The sweep's own mode scan is the only search for ell_max; the three tests
@@ -264,8 +266,7 @@ def test_families_take_the_coarse_family_from_the_fine_one(n):
     and K + kappa M, bitwise: dpbtrf (unblocked at these band widths) forms
     column j from columns j - kd .. j - 1 alone, by the same operations at
     either order.  _rayleigh_ritz reads the n factors from them."""
-    fine = sl_family._family(IV, n)
-    assert fine.n == 2 * n and fine.interval == IV
+    fine = assemble_galerkin(IV, 2 * n)
     built = assemble_galerkin(IV, n)
     assert np.array_equal(fine.stiffness[: n - 1], built.stiffness)
     v = np.sin(np.arange(n - 1.0))
@@ -282,8 +283,6 @@ def test_families_take_the_coarse_family_from_the_fine_one(n):
                 dsbmv(big.shape[0] - 1, 1.0, big, v, lower=1),
                 dsbmv(small.shape[0] - 1, 1.0, small, v, lower=1),
             )
-    with pytest.raises(ValueError):
-        sl_family._family(IV, 3)
 
 
 def test_sweep_makes_no_dense_solves(monkeypatch, capsys):
@@ -333,11 +332,11 @@ def test_sweep_asks_for_one_more_than_it_can_retain(monkeypatch):
 def test_rayleigh_ritz_brackets_the_coarse_values(interval, n, k, bound, kappa):
     """nu_j(2n) <= nu_j(n) <= theta_j, theta the Rayleigh-Ritz values of the n
     pencil on the leading rows of the 2n Ritz vectors, and theta is nu(n)."""
-    family = sl_family._family(interval, n)
+    family = assemble_galerkin(interval, 2 * n)
     root = eigen._cholesky(family.mass_band, "B")
     factor = eigen._cholesky(family.operator_band(kappa), "a")
     w2, x = lowest_pencil_eigenpairs(factor, root, k)
-    theta = sl_family._rayleigh_ritz(family, factor, root, x)
+    theta = sl_family._rayleigh_ritz(n, factor, root, x)
     coarse = _dense(interval, kappa, n)[:k]
     fine = _dense(interval, kappa, 2 * n)[:k]
     slack = bound * coarse
@@ -353,7 +352,7 @@ def test_rayleigh_ritz_grams_match_banded_products(n, k):
     ||L_n^T y||^2 and ||R_n^T y||^2, are y^T A_n y and y^T B_n y from BLAS
     dsbmv on the first n - 1 columns of the 2n bands, to 1e-14 of their
     largest entry."""
-    family = sl_family._family(IV, n)
+    family = assemble_galerkin(IV, 2 * n)
     root = eigen._cholesky(family.mass_band, "B")
     y = np.random.default_rng(n * k).standard_normal((n - 1, k))
     for kappa in (0.0, 1.0, 5041.0):
@@ -371,7 +370,7 @@ def test_rayleigh_ritz_grams_read_every_row_of_the_b_factor(n):
     """On a 3-row B whose factor has a nonzero offset-1 row, the B Gram
     ||R_n^T y||^2 is y^T B_n y from a dense product, to 1e-14 of its
     largest entry: no offset of B's factor is assumed."""
-    family = sl_family._family(IV, n)
+    family = assemble_galerkin(IV, 2 * n)
     order = family.order
     rng = np.random.default_rng(n)
     b = np.zeros((3, order), order="F")
@@ -388,14 +387,14 @@ def test_rayleigh_ritz_grams_read_every_row_of_the_b_factor(n):
 
 def test_rayleigh_ritz_refuses_dependent_vectors():
     """A Gram matrix of B that is not positive definite is a CertificationError."""
-    family = sl_family._family(IV, 16)
+    family = assemble_galerkin(IV, 2 * 16)
     root = eigen._cholesky(family.mass_band, "B")
     factor = eigen._cholesky(family.operator_band(1.0), "a")
     _, x = lowest_pencil_eigenpairs(factor, root, 4)
     x = x.copy()
     x[:, 1] = 0.0
     with pytest.raises(CertificationError, match="not positive definite"):
-        sl_family._rayleigh_ritz(family, factor, root, x)
+        sl_family._rayleigh_ritz(16, factor, root, x)
 
 
 def _p1_ritz_ground_state(ell, alpha=-1.0, beta=1.0, m=400):
@@ -751,3 +750,40 @@ def test_table_valid_synthetic():
     assert table.modes() == [1, 2]
     assert np.allclose(table.nus(), [3.0, 5.0, 7.0])
     assert np.allclose(table.mode_values(1), [3.0, 7.0])
+
+
+# ROADMAP item 14, an open defect: on intervals longer than about 10 the
+# certified values are wrong while the solve succeeds.  The potential
+# kappa exp(2t) walls every eigenfunction below 40 off well inside (-1, 8),
+# so on (-1, beta) the values must be those on (-1, 8) to 1e-10, or the
+# solve must refuse.  Today they deviate by up to 0.24.  The markers are
+# strict: the change that fixes item 14 makes these pass and removes them.
+ITEM_14 = "ROADMAP item 14: certified values are wrong on intervals longer than about 10"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)
+@pytest.mark.parametrize("beta", [11.0, 13.0, 16.0, 19.0])
+def test_long_interval_solve_agrees_with_the_short_one_or_refuses(beta):
+    # today the largest relative deviations are 2.9e-8, 3.8e-7, 1.5e-4 and 0.24
+    short = solve_certified(Interval(-1.0, 8.0), 1.0, 40.0, n=200)
+    try:
+        values = solve_certified(Interval(-1.0, beta), 1.0, 40.0, n=200)
+    except CertificationError:
+        return
+    assert values.size == short.size
+    assert np.max(np.abs(values - short) / short) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)
+@pytest.mark.parametrize("beta", [11.0, 13.0, 16.0])
+def test_long_interval_sweep_agrees_with_the_short_one_or_refuses(beta):
+    # today the largest relative deviations are 2.3e-7, 4.7e-6 and 7.5e-3
+    short = sweep(Interval(-1.0, 8.0), 40.0, n=200)
+    try:
+        table = sweep(Interval(-1.0, beta), 40.0, n=200)
+    except CertificationError:
+        return
+    assert table.ell_max == short.ell_max
+    assert [e[:2] for e in table.entries] == [e[:2] for e in short.entries]
+    nus, short_nus = (np.array([nu for _, _, nu in t.entries]) for t in (table, short))
+    assert np.max(np.abs(nus - short_nus) / short_nus) <= 1e-10
