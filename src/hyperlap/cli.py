@@ -14,12 +14,7 @@ import sys
 from .constants import EXCESS, _check_excess, lt_best_known, lt_classical
 from .counting import CountingFunction, polya_rows, ratio_rows, verify_bound
 from .discretize import Interval
-from .errors import (
-    CertificationError,
-    ConvergenceError,
-    IncompleteTableError,
-    QuadratureError,
-)
+from .errors import CertificationError, ConvergenceError, QuadratureError
 from .lt_verify import (
     TRIAL_NAMES,
     BoxPotential,
@@ -34,16 +29,26 @@ from .sl_family import _mode_coupling, solve_certified, sweep
 from .svgplot import line_plot
 
 
-def _emit(text, path):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _write(args, summary, **artifacts):
+    """Write each artifact whose flag was given, in the order passed; else print ``summary``.
 
-
-def _emit_json(obj, path):
-    _emit(json.dumps(obj, indent=2) + "\n", path)
+    Each artifact is a zero-argument callable, so only the ones asked for
+    are rendered: the csv and svg ones return text, the json one an object.
+    A path of '-' is stdout.
+    """
+    asked = [(flag, make) for flag, make in artifacts.items() if getattr(args, flag)]
+    for flag, make in asked:
+        text = make()
+        if flag == "json":
+            text = json.dumps(text, indent=2) + "\n"
+        path = getattr(args, flag)
+        if path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+    if not asked:
+        print(summary)
 
 
 def _csv_text(header, rows):
@@ -57,6 +62,13 @@ def _csv_text(header, rows):
                 cells.append(str(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _figure(rows, labels, title, xlabel, ylabel):
+    """An SVG of one series per column after the first, against the first."""
+    xs = [row[0] for row in rows]
+    series = [(label, xs, [row[i] for row in rows]) for i, label in enumerate(labels, start=1)]
+    return line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 def _apply_config(parser, args, argv):
@@ -110,11 +122,6 @@ def _solver_args(sub, tol=True):
         sub.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
 
 
-def _strip_volume(alpha, beta):
-    # width-pi strip between heights exp(alpha) and exp(beta)
-    return math.pi * (math.exp(-alpha) - math.exp(-beta))
-
-
 def cmd_constants(args):
     _check_excess(args.excess)
     out = {
@@ -125,13 +132,12 @@ def cmd_constants(args):
             else None
         ),
     }
-    if args.json:
-        _emit_json(out, args.json)
-    else:
-        tail = (
-            f", theorem {out['theorem']:.12g}" if out["theorem"] is not None else ""
-        )
-        print(f"gamma={args.gamma} d={args.dim}: classical {out['classical']:.12g}{tail}")
+    tail = f", theorem {out['theorem']:.12g}" if out["theorem"] is not None else ""
+    _write(
+        args,
+        f"gamma={args.gamma} d={args.dim}: classical {out['classical']:.12g}{tail}",
+        json=lambda: out,
+    )
     return 0
 
 
@@ -139,37 +145,25 @@ def cmd_ratio(args):
     rows = ratio_rows(args.dmin, args.dmax, args.excess)
     worst = min(rows, key=lambda r: r[1])
     ok = worst[1] > 1.0
-    if args.csv:
-        _emit(_csv_text("d,ratio", rows), args.csv)
-    if args.svg:
-        ds = [d for d, _ in rows]
-        rs = [r for _, r in rows]
-        ones = [1.0 for _ in rows]
-        _emit(
-            line_plot(
-                [("constant ratio", ds, rs), ("break-even", ds, ones)],
-                title="product vs direct counting constants",
-                xlabel="dimension",
-                ylabel="ratio",
-            ),
-            args.svg,
-        )
-    if args.json:
-        _emit_json(
-            {
-                "d_min": args.dmin,
-                "d_max": args.dmax,
-                "excess": args.excess,
-                "rows": [[d, r] for d, r in rows],
-                "all_above_one": ok,
-            },
-            args.json,
-        )
-    if not (args.csv or args.svg or args.json):
-        print(
-            f"ratio over d in [{args.dmin},{args.dmax}]: "
-            f"min {worst[1]:.6f} at d={worst[0]}"
-        )
+    _write(
+        args,
+        f"ratio over d in [{args.dmin},{args.dmax}]: min {worst[1]:.6f} at d={worst[0]}",
+        csv=lambda: _csv_text("d,ratio", rows),
+        svg=lambda: _figure(
+            [(d, r, 1.0) for d, r in rows],
+            ("constant ratio", "break-even"),
+            "product vs direct counting constants",
+            "dimension",
+            "ratio",
+        ),
+        json=lambda: {
+            "d_min": args.dmin,
+            "d_max": args.dmax,
+            "excess": args.excess,
+            "rows": [[d, r] for d, r in rows],
+            "all_above_one": ok,
+        },
+    )
     return 0 if ok else 1
 
 
@@ -179,25 +173,23 @@ def cmd_eig(args):
     nus = solve_certified(
         Interval(args.alpha, args.beta), _mode_coupling(args.ell), args.cutoff, n=args.n
     )
-    if args.csv:
-        rows = [(args.ell, k, float(nu)) for k, nu in enumerate(nus, start=1)]
-        _emit(_csv_text("ell,k,nu", rows), args.csv)
-    if args.json:
-        _emit_json(
-            {
-                "ell": args.ell,
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "n": args.n,
-                "cutoff": args.cutoff,
-                "count": nus.size,
-                "nu": [float(v) for v in nus],
-            },
-            args.json,
-        )
-    if not (args.csv or args.json):
-        head = ", ".join(f"{v:.12g}" for v in nus[:5])
-        print(f"ell={args.ell}: {nus.size} eigenvalues <= cutoff; first [{head}]")
+    head = ", ".join(f"{v:.12g}" for v in nus[:5])
+    _write(
+        args,
+        f"ell={args.ell}: {nus.size} eigenvalues <= cutoff; first [{head}]",
+        csv=lambda: _csv_text(
+            "ell,k,nu", [(args.ell, k, float(nu)) for k, nu in enumerate(nus, start=1)]
+        ),
+        json=lambda: {
+            "ell": args.ell,
+            "alpha": args.alpha,
+            "beta": args.beta,
+            "n": args.n,
+            "cutoff": args.cutoff,
+            "count": nus.size,
+            "nu": [float(v) for v in nus],
+        },
+    )
     return 0
 
 
@@ -207,61 +199,49 @@ def _run_sweep(args):
 
 def cmd_sweep(args):
     table = _run_sweep(args)
-    if args.csv:
-        _emit(table.to_csv(), args.csv)
-    if args.json:
-        nus = table.nus()
-        _emit_json(
-            {
-                "cutoff": table.cutoff,
-                "ell_max": table.ell_max,
-                "resolution": table.resolution,
-                "tolerance": table.tolerance,
-                "margin": table.margin,
-                "modes": len(table.modes()),
-                "entries": len(table.entries),
-                "nu_min": float(nus[0]) if nus.size else None,
-                "nu_max": float(nus[-1]) if nus.size else None,
-            },
-            args.json,
-        )
-    if not (args.csv or args.json):
-        print(
-            f"swept {len(table.modes())} modes (ell_max {table.ell_max}), "
-            f"{len(table.entries)} certified eigenvalues <= {table.cutoff * (1 + table.margin):g}"
-        )
+    nus = table.nus()
+    _write(
+        args,
+        f"swept {len(table.modes())} modes (ell_max {table.ell_max}), "
+        f"{len(table.entries)} certified eigenvalues <= {table.cutoff * (1 + table.margin):g}",
+        csv=table.to_csv,
+        json=lambda: {
+            "cutoff": table.cutoff,
+            "ell_max": table.ell_max,
+            "resolution": table.resolution,
+            "tolerance": table.tolerance,
+            "margin": table.margin,
+            "modes": len(table.modes()),
+            "entries": len(table.entries),
+            "nu_min": float(nus[0]) if nus.size else None,
+            "nu_max": float(nus[-1]) if nus.size else None,
+        },
+    )
     return 0
 
 
 def cmd_polya(args):
     table = _run_sweep(args)
-    volume = _strip_volume(args.alpha, args.beta)
+    # the width-pi strip between heights exp(alpha) and exp(beta)
+    volume = math.pi * (math.exp(-args.alpha) - math.exp(-args.beta))
     cf = CountingFunction.from_table(table, volume)
     report = verify_bound(cf, "polya", args.cutoff, grid=args.grid)
     rows = polya_rows(cf, args.cutoff)
-    if args.csv:
-        _emit(_csv_text("lambda,count,bound", rows), args.csv)
-    if args.svg:
-        lam = [r[0] for r in rows]
-        cnt = [float(r[1]) for r in rows]
-        bnd = [r[2] for r in rows]
-        _emit(
-            line_plot(
-                [("counting function", lam, cnt), ("semiclassical line", lam, bnd)],
-                title="eigenvalue staircase vs semiclassical line",
-                xlabel="lambda",
-                ylabel="count",
-            ),
-            args.svg,
-        )
-    if args.json:
-        _emit_json(report.to_json_dict(), args.json)
-    if not (args.csv or args.svg or args.json):
-        state = "VIOLATED" if report.violated else "holds"
-        print(
-            f"semiclassical bound {state} up to {args.cutoff:g}: "
-            f"min margin {report.min_margin:.6f} at lambda {report.argmin_lambda:.6f}"
-        )
+    state = "VIOLATED" if report.violated else "holds"
+    _write(
+        args,
+        f"semiclassical bound {state} up to {args.cutoff:g}: "
+        f"min margin {report.min_margin:.6f} at lambda {report.argmin_lambda:.6f}",
+        csv=lambda: _csv_text("lambda,count,bound", rows),
+        svg=lambda: _figure(
+            rows,
+            ("counting function", "semiclassical line"),
+            "eigenvalue staircase vs semiclassical line",
+            "lambda",
+            "count",
+        ),
+        json=report.to_json_dict,
+    )
     return 1 if report.violated else 0
 
 
@@ -272,14 +252,13 @@ def cmd_ltcheck(args):
     potential_integral(pot, args.gamma)
     table = family_table(domain, args.cutoff, tol=args.tol, n=args.n)
     report = lt_check(pot, args.gamma, table, excess=args.excess)
-    if args.json:
-        _emit_json(report.to_json_dict(), args.json)
-    else:
-        state = "holds" if report.passed else "VIOLATED"
-        print(
-            f"trace inequality {state} at gamma={args.gamma} height={args.cutoff:g}: "
-            f"ratio {report.ratio:.6f}"
-        )
+    state = "holds" if report.passed else "VIOLATED"
+    _write(
+        args,
+        f"trace inequality {state} at gamma={args.gamma} height={args.cutoff:g}: "
+        f"ratio {report.ratio:.6f}",
+        json=report.to_json_dict,
+    )
     return 0 if report.passed else 1
 
 
@@ -290,17 +269,16 @@ def cmd_sobolev(args):
         sobolev_check(trial_profile(name, domain), domain, tol=args.tol)
         for name in names
     ]
-    ok = all(r.passed for r in reports)
-    if args.json:
-        _emit_json([r.to_json_dict() for r in reports], args.json)
-    else:
-        for r in reports:
-            state = "holds" if r.passed else "VIOLATED"
-            print(
-                f"{r.name}: dual inequality {state}, margin {r.margin:.6g} "
-                f"({r.nodes} nodes)"
-            )
-    return 0 if ok else 1
+    _write(
+        args,
+        "\n".join(
+            f"{r.name}: dual inequality {'holds' if r.passed else 'VIOLATED'}, "
+            f"margin {r.margin:.6g} ({r.nodes} nodes)"
+            for r in reports
+        ),
+        json=lambda: [r.to_json_dict() for r in reports],
+    )
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser():
@@ -407,7 +385,7 @@ def main(argv=None):
     try:
         args = _apply_config(parser, args, argv)
         return args.func(args)
-    except (ValueError, IncompleteTableError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, CertificationError, QuadratureError) as exc:

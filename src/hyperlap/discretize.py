@@ -37,6 +37,8 @@ class Interval:
             raise ValueError(
                 f"interval needs alpha < beta, got ({self.alpha}, {self.beta})"
             )
+        if not math.isfinite(self.beta - self.alpha):
+            raise ValueError(f"interval length overflows, got ({self.alpha}, {self.beta})")
 
     @property
     def length(self):
@@ -182,8 +184,8 @@ def assemble_galerkin(interval, n=400):
     """Galerkin family on ``interval`` with the n - 1 functions of degree <= n.
 
     n runs from 4 (the least with interior structure) to _MAX_N.  On
-    intervals shorter than about 1e-154 the stiffness overflows, and
-    ValueError says so.
+    intervals shorter than about 1e-154 the stiffness overflows, on ones
+    longer than about 1e154 it vanishes, and ValueError says so.
 
     M is built in closed form, without quadrature: phi_j phi_k exp(2t) in
     the reference variable is exp(2 beta) phi_j phi_k exp(length (x - 1)),
@@ -205,12 +207,15 @@ def assemble_galerkin(interval, n=400):
         raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
     order = n - 1
     k = np.arange(order, dtype=float)
-    # length^2 underflows to 0 on intervals shorter than about 1e-162
-    square = interval.length ** 2
+    # length^2 underflows to 0 on intervals shorter than about 1e-162, and
+    # overflows to inf (a stiffness of 0) on ones longer than about 1e154
+    square = interval.length * interval.length
     with np.errstate(over="ignore"):
         stiffness = (4.0 / square if square else math.inf) * (4.0 * k + 6.0)
-    if not np.all(np.isfinite(stiffness)):
-        raise ValueError(f"the stiffness overflows on an interval of length {interval.length!r}")
+    if not (np.all(np.isfinite(stiffness)) and stiffness[0] > 0.0):
+        raise ValueError(
+            f"the stiffness overflows or vanishes on an interval of length {interval.length!r}"
+        )
     c = _exp_coefficients(interval.length)
     width = min(c.size + 1, order - 1)
     gram = _exp_gram(c, n, width + 3)
@@ -281,10 +286,10 @@ def assemble_fd(interval, coupling, m=2000):
     if m < 3:
         raise ValueError(f"need m >= 3 interior points, got {m}")
     h = interval.length / (m + 1)
-    # h^2 underflows to 0 for h below about 1e-162
-    square = h ** 2
-    if not (square and math.isfinite(2.0 / square)):
-        raise ValueError(f"the stencil 2 / h^2 overflows at spacing h = {h!r}")
+    # h^2 underflows to 0 for h below about 1e-162 and overflows above about 1e154
+    square = h * h
+    if not (square and 0.0 < 2.0 / square < math.inf):
+        raise ValueError(f"the stencil 2 / h^2 overflows or vanishes at spacing h = {h!r}")
     t = interval.alpha + h * np.arange(1, m + 1)
     diag = 2.0 / square + np.multiply.outer(np.exp(2.0 * t), coupling)
     if not np.all(np.isfinite(diag)):

@@ -369,8 +369,12 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     if not (math.isfinite(width) and width > 0.0):
         raise ValueError(f"strip width must be positive and finite, got {width!r}")
-    if _mode_coupling(_MODE_LIMIT, width) * math.exp(2.0 * interval.alpha) <= cutoff:
-        # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
+    # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
+    try:
+        floor = _mode_coupling(_MODE_LIMIT, width) * math.exp(2.0 * interval.alpha)
+    except OverflowError:  # no mode reaches the cutoff; assemble_galerkin refuses the interval
+        floor = math.inf
+    if floor <= cutoff:
         raise ValueError(f"cutoff {cutoff} may need modes past {_MODE_LIMIT}")
     couplings = ((f"mode {ell}", _mode_coupling(ell, width)) for ell in itertools.count(1))
     modes = _certified_modes(interval, couplings, cutoff, cutoff * (1.0 + _MARGIN), tol, n)

@@ -71,6 +71,35 @@ def fd_eigenvalues(op, lo, hi):
     )
 
 
+def bessel_sign_change(nu, kappa, alpha, beta, dps, rel=1e-10):
+    """Whether the exact Dirichlet determinant changes sign across nu (1 +- rel).
+
+    z = sqrt(kappa) e^t turns -psi'' + kappa exp(2t) psi = nu psi into the
+    modified Bessel equation of order i mu, mu = sqrt(nu), with the real
+    solutions K_{i mu}(z) and Re I_{i mu}(z).  So the true eigenvalues of
+    coupling kappa on (alpha, beta) are the zeros in nu of
+
+        f(nu) = Re[K_{i mu}(a) I_{i mu}(b) - K_{i mu}(b) I_{i mu}(a)],
+
+    a = sqrt(kappa) e^alpha, b = sqrt(kappa) e^beta, evaluated by mpmath at
+    ``dps`` digits.  It shares nothing with the Galerkin or FD code; it is
+    a high-precision check, not interval arithmetic.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        a = mpmath.sqrt(kappa) * mpmath.exp(alpha)
+        b = mpmath.sqrt(kappa) * mpmath.exp(beta)
+
+        def f(x):
+            order = 1j * mpmath.sqrt(x)
+            return mpmath.re(
+                mpmath.besselk(order, a) * mpmath.besseli(order, b)
+                - mpmath.besselk(order, b) * mpmath.besseli(order, a)
+            )
+
+        return f(mpmath.mpf(nu) * (1 - rel)) * f(mpmath.mpf(nu) * (1 + rel)) < 0
+
+
 @pytest.fixture(scope="session")
 def full_table():
     """The certified cutoff-1000 sweep on (-1, 1) plus its build time."""

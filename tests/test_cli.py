@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import hyperlap
-from hyperlap import lt_best_known, lt_classical, sobolev_check, trial_profile
+from hyperlap import TRIAL_NAMES, lt_best_known, lt_classical, sobolev_check, trial_profile
 from hyperlap.cli import main
 
 FAST_SWEEP = ["--cutoff", "30", "--n", "64", "--alpha", "-1", "--beta", "1"]
@@ -89,11 +90,12 @@ def test_coupling_overflow_exits_two():
 
 
 def test_short_intervals_and_extreme_sobolev_domains_exit_two(capsys):
-    """An interval too short for the Galerkin stiffness, and a Sobolev domain
-    where a side overflows, are bad input: exit 2 with a one-line error and
-    no numpy warning.  They once exited 1 (ZeroDivisionError, OverflowError),
-    3 (a failed Ritz solve, an unsettled quadrature) or 0 (values computed
-    from infinities)."""
+    """An interval too short or too long for the Galerkin stiffness, one of
+    infinite length, and a Sobolev domain where a side overflows, are bad
+    input: exit 2 with a one-line error and no numpy warning.  They once
+    exited 1 (ZeroDivisionError, OverflowError, an infinite length sizing
+    an array), 3 (a failed Ritz solve, an unsettled quadrature) or 0
+    (values computed from infinities)."""
     short = ["--alpha", "0", "--cutoff", "10", "--n", "16"]
     for argv in (
         ["sweep", "--beta", "1e-300", *short],
@@ -102,6 +104,8 @@ def test_short_intervals_and_extreme_sobolev_domains_exit_two(capsys):
         ["sweep", "--beta", "1e-153", *short],
         ["sweep", "--beta", "1e-155", *short],
         ["eig", "--beta", "1e-155", *short],
+        ["eig", "--alpha=-1e160", "--beta", "0", "--cutoff", "10", "--n", "16"],
+        ["eig", "--alpha=-1e308", "--beta", "1e308", "--cutoff", "10", "--n", "16"],
         ["sobolev", "--a", "1e-300"],
         ["sobolev", "--a", "1e-200"],
         ["sobolev", "--x-length", "1e300"],
@@ -112,6 +116,21 @@ def test_short_intervals_and_extreme_sobolev_domains_exit_two(capsys):
             assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_high_intervals_exit_two(capsys):
+    """Where exp(2 alpha) overflows no mode reaches the cutoff: every command
+    refuses the interval with one line, as eig always did.  The sweep's
+    pre-check once raised OverflowError there (exit 1, a traceback)."""
+    high = ["--cutoff", "10", "--n", "16"]
+    for argv in (
+        ["sweep", "--alpha", "400", "--beta", "401", *high],
+        ["polya", "--alpha", "400", "--beta", "401", *high],
+        ["eig", "--alpha", "400", "--beta", "401", *high],
+        ["ltcheck", "--gamma", "1", "--a", "1e174", "--b", "1e175", *high],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: exp(2t) overflows on the interval\n", argv
 
 
 def test_out_of_memory_exits_two(monkeypatch, capsys):
@@ -526,6 +545,60 @@ def test_sobolev_tol_must_be_finite_and_positive(tol, capsys):
         sobolev_check(trial_profile("bump"), tol=float(tol))
     assert main(["sobolev", "--profile", "bump", "--tol", tol]) == 2
     assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+# each subcommand: its arguments, its artifact flags in output order, and its summary
+OUTPUT_CASES = {
+    "constants": (
+        ["--gamma", "1", "--dim", "2"], ["json"], r"gamma=1\.0 d=2: classical \S+, theorem \S+\n"
+    ),
+    "ratio": (
+        ["--dmax", "6"], ["csv", "svg", "json"], r"ratio over d in \[2,6\]: min \S+ at d=\d+\n"
+    ),
+    "eig": (
+        ["--ell", "1", "--cutoff", "30", "--n", "64"],
+        ["csv", "json"],
+        r"ell=1: \d+ eigenvalues <= cutoff; first \[.+\]\n",
+    ),
+    "sweep": (
+        FAST_SWEEP,
+        ["csv", "json"],
+        r"swept \d+ modes \(ell_max \d+\), \d+ certified eigenvalues <= \S+\n",
+    ),
+    "polya": (
+        FAST_SWEEP,
+        ["csv", "svg", "json"],
+        r"semiclassical bound holds up to 30: min margin \S+ at lambda \S+\n",
+    ),
+    "ltcheck": (
+        ["--gamma", "1", "--cutoff", "30", "--n", "64"],
+        ["json"],
+        r"trace inequality holds at gamma=1\.0 height=30: ratio \S+\n",
+    ),
+    "sobolev": (
+        [],
+        ["json"],
+        r"(\w+: dual inequality holds, margin \S+ \(\d+ nodes\)\n){%d}" % len(TRIAL_NAMES),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_CASES))
+def test_output_rule(command, tmp_path, capsys):
+    """Every subcommand prints its summary (one line, one per profile for
+    sobolev) only when no artifact is asked for, writes nothing to stdout
+    when its artifacts go to files, and writes the artifacts it sends to
+    '-' in the order csv, svg, json."""
+    args, artifacts, summary = OUTPUT_CASES[command]
+    argv = [command, *args]
+    assert main(argv) == 0
+    assert re.fullmatch(summary, capsys.readouterr().out)
+    paths = {kind: tmp_path / f"out.{kind}" for kind in artifacts}
+    assert main([*argv, *(x for kind in artifacts for x in (f"--{kind}", str(paths[kind])))]) == 0
+    assert capsys.readouterr().out == ""
+    files = "".join(paths[kind].read_bytes().decode() for kind in artifacts)
+    assert main([*argv, *(x for kind in artifacts for x in (f"--{kind}", "-"))]) == 0
+    assert capsys.readouterr().out == files
 
 
 def test_missing_subcommand_is_usage_error():

@@ -75,6 +75,9 @@ def test_potential_validation():
         for beta in (1e-300, 1e-160):
             with pytest.raises(ValueError, match="stencil"):
                 assemble_fd(Interval(0.0, beta), 1.0, m=3)
+        # on long ones h^2 overflows to inf, and 2 / h^2 to 0
+        with pytest.raises(ValueError, match="stencil 2 / h\\^2 overflows or vanishes"):
+            assemble_fd(Interval(-1e160, 0.0), 1.0, m=3)
     assert np.all(np.isfinite(assemble_fd(Interval(0.0, 1e-150), 1.0, m=3).offdiag))
 
 
@@ -332,6 +335,13 @@ def test_galerkin_rejects_bad_input():
         for beta in (1e-300, 1e-155, 1e-153):
             with pytest.raises(ValueError, match="stiffness overflows"):
                 assemble_galerkin(Interval(0.0, beta), 16)
+        # from a length of about 1e154 length^2 overflows and the stiffness
+        # vanishes; an infinite length is refused by Interval itself.  Both
+        # are refused before _exp_coefficients sizes its arrays by the length
+        with pytest.raises(ValueError, match="stiffness overflows or vanishes"):
+            assemble_galerkin(Interval(-1e160, 0.0), 16)
+        with pytest.raises(ValueError, match="interval length overflows"):
+            Interval(-1e308, 1e308)
     assert np.all(np.isfinite(assemble_galerkin(Interval(0.0, 1e-150), 16).stiffness))
 
 

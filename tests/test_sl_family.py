@@ -27,7 +27,7 @@ from hyperlap import eigen, sl_family
 from hyperlap.eigen import lowest_pencil_eigenpairs
 from hyperlap.cli import main
 
-from conftest import band_to_dense, dense_spectrum, fd_eigenvalues
+from conftest import band_to_dense, bessel_sign_change, dense_spectrum, fd_eigenvalues
 
 IV = Interval(-1.0, 1.0)
 COLLOCATION_1000 = pathlib.Path(__file__).parent / "data" / "collocation-1000.csv"
@@ -636,6 +636,39 @@ def test_sweep_width_validation():
     # (pi / width)^2 overflows a double: bad input, not a crash
     with pytest.raises(ValueError, match="overflows"):
         sweep(IV, 10.0, n=16, width=1e-200)
+
+
+def test_high_intervals_are_refused_as_galerkin_refuses_them():
+    """Past alpha = 354.9 the pre-check's exp(2 alpha) overflows a double, so
+    no mode reaches the cutoff: the sweep, a single solve and the strip's
+    family table refuse the interval as assemble_galerkin does.  The
+    pre-check once raised OverflowError there."""
+    high = Interval(400.0, 401.0)
+    domain = ProductDomain(x_length=math.pi, a=1e174, b=1e175)
+    for run in (
+        lambda: assemble_galerkin(high, 16),
+        lambda: sweep(high, 10.0, n=16),
+        lambda: solve_certified(high, 1.0, 10.0, n=16),
+        lambda: family_table(domain, 10.0, n=16),
+    ):
+        with pytest.raises(ValueError, match=r"^exp\(2t\) overflows on the interval$"):
+            run()
+
+
+def test_sampled_table_values_are_bessel_roots(full_table):
+    """About ten evenly spaced rows each of the cutoff-1000 tables on (-1, 1)
+    at n=400 and on (0.5, 6.5) at n=200 are true eigenvalues: the exact
+    Bessel determinant of their mode (see conftest.bessel_sign_change)
+    changes sign across nu (1 +- 1e-10) at 40 digits and again at 80, and
+    not across a value 1e-6 off."""
+    pytest.importorskip("mpmath")
+    for table in (full_table[0], sweep(Interval(0.5, 6.5), 1000.0, n=200)):
+        ends = table.interval.alpha, table.interval.beta
+        for ell, k, nu in table.entries[:: len(table.entries) // 10][:10]:
+            kappa = float(ell) ** 2  # width pi
+            for dps in (40, 80):
+                assert bessel_sign_change(nu, kappa, *ends, dps=dps), (ends, ell, k, nu, dps)
+            assert not bessel_sign_change(nu * (1 + 1e-6), kappa, *ends, dps=40), (ell, k)
 
 
 @pytest.mark.parametrize(
