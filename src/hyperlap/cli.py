@@ -12,7 +12,7 @@ import math
 import sys
 
 from .constants import EXCESS, _check_excess, lt_best_known, lt_classical
-from .counting import CountingFunction, polya_rows, ratio_rows, verify_bound
+from .counting import CountingFunction, check_bound_args, polya_rows, ratio_rows, verify_bound
 from .discretize import Interval
 from .errors import CertificationError, ConvergenceError, QuadratureError
 from .lt_verify import (
@@ -221,6 +221,7 @@ def cmd_sweep(args):
 
 
 def cmd_polya(args):
+    check_bound_args("polya", args.cutoff, args.grid)  # bad input exits 2 before the sweep
     table = _run_sweep(args)
     # the width-pi strip between heights exp(alpha) and exp(beta)
     volume = math.pi * (math.exp(-args.alpha) - math.exp(-args.beta))

@@ -171,14 +171,9 @@ class BoundReport:
         }
 
 
-def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
-    """Check one bound against the counting data on (0, lam_max].
-
-    The evaluation set is a uniform grid joined with every jump of the
-    staircase; counts are taken inclusively at each point, which is the
-    worst case for an upper bound.  A bound or left side that is not finite
-    (both Riesz sides overflow at gamma 110 near 1000) is a ValueError.
-    """
+def check_bound_args(kind, lam_max, grid, gamma=None):
+    """verify_bound's arguments checked, as (lam_max, gamma) floats; ValueError
+    on a bad one, so a caller can refuse them before it builds a table."""
     lam_max = float(lam_max)
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise ValueError(f"lam_max must be positive and finite, got {lam_max!r}")
@@ -192,7 +187,18 @@ def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
         gamma = float(gamma)
     elif gamma is not None:
         raise ValueError(f"bound kind {kind!r} does not take a gamma")
+    return lam_max, gamma
 
+
+def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
+    """Check one bound against the counting data on (0, lam_max].
+
+    The evaluation set is a uniform grid joined with every jump of the
+    staircase; counts are taken inclusively at each point, which is the
+    worst case for an upper bound.  A bound or left side that is not finite
+    (both Riesz sides overflow at gamma 110 near 1000) is a ValueError.
+    """
+    lam_max, gamma = check_bound_args(kind, lam_max, grid, gamma)
     pts = lam_max * np.arange(1, grid + 1) / grid
     lambdas = _distinct(np.sort(np.concatenate((pts, cf.jumps(lam_max)))))
 

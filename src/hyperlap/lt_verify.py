@@ -278,79 +278,55 @@ def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS):
     )
 
 
+_SINE = (lambda u: np.sin(np.pi * u), lambda u: np.pi * np.cos(np.pi * u))
+
+# name -> ((X, X') on u = x / x_length in [0, 1], (T, T') on s in [-1, 1])
+_TRIALS = {
+    "sine": (_SINE, (lambda s: np.cos(0.5 * np.pi * s),
+                     lambda s: -0.5 * np.pi * np.sin(0.5 * np.pi * s))),
+    # on the model interval this is the pair sin(x), cos^2(pi t / 2)
+    "cos2": (_SINE, (lambda s: np.cos(0.5 * np.pi * s) ** 2,
+                     lambda s: -0.5 * np.pi * np.sin(np.pi * s))),
+    "bump": (_SINE, (lambda s: np.exp(-40.0 * s ** 2) * (1.0 - s ** 2),
+                     lambda s: np.exp(-40.0 * s ** 2) * (-80.0 * s * (1.0 - s ** 2) - 2.0 * s))),
+    "skew": ((lambda u: u * (1.0 - u) ** 2, lambda u: (1.0 - u) * (1.0 - 3.0 * u)),
+             (lambda s: (1.0 - s) * (1.0 + s) ** 2, lambda s: (1.0 + s) * (1.0 - 3.0 * s))),
+    "highmode": ((lambda u: np.sin(3.0 * np.pi * u),
+                  lambda u: 3.0 * np.pi * np.cos(3.0 * np.pi * u)),
+                 (lambda s: np.sin(2.0 * np.pi * s),
+                  lambda s: 2.0 * np.pi * np.cos(2.0 * np.pi * s))),
+}
+TRIAL_NAMES = tuple(_TRIALS)
+
+
 def trial_profile(name, domain=None):
     """Named trial functions on the given domain (default: the model strip).
 
     Profiles vanish at both ends of each factor so the product extends by
-    zero to the whole space; each carries its derivatives in closed form.
-    'bump' is the near-degenerate narrow case.
+    zero to the whole space; each carries its derivatives in closed form,
+    those of its _TRIALS factors by the chain rule.  'bump' is the
+    near-degenerate narrow case.
     """
+    if name not in _TRIALS:
+        raise ValueError(f"unknown trial profile {name!r}")
     if domain is None:
         domain = ProductDomain()
+    (x_f, dx_f), (t_f, dt_f) = _TRIALS[name]
     xl = domain.x_length
     interval = domain.interval
     mid = 0.5 * (interval.alpha + interval.beta)
     half = 0.5 * interval.length
 
-    def tau(t):
+    def u(x):
+        return np.asarray(x, dtype=float) / xl
+
+    def s(t):
         return (np.asarray(t, dtype=float) - mid) / half
 
-    def sine(x):
-        return np.sin(np.pi * x / xl)
-
-    def d_sine(x):
-        return (np.pi / xl) * np.cos(np.pi * x / xl)
-
-    if name == "sine":
-        return SobolevTrialFunction(
-            name=name,
-            x_profile=sine,
-            t_profile=lambda t: np.cos(0.5 * np.pi * tau(t)),
-            dx_profile=d_sine,
-            dt_profile=lambda t: -(0.5 * np.pi / half) * np.sin(0.5 * np.pi * tau(t)),
-        )
-    if name == "cos2":
-        # on the model interval this is the pair sin(x), cos^2(pi t / 2)
-        return SobolevTrialFunction(
-            name=name,
-            x_profile=sine,
-            t_profile=lambda t: np.cos(0.5 * np.pi * tau(t)) ** 2,
-            dx_profile=d_sine,
-            dt_profile=lambda t: -(0.5 * np.pi / half) * np.sin(np.pi * tau(t)),
-        )
-    if name == "bump":
-        def t_bump(t):
-            s = tau(t)
-            return np.exp(-40.0 * s ** 2) * (1.0 - s ** 2)
-
-        def dt_bump(t):
-            s = tau(t)
-            return (np.exp(-40.0 * s ** 2) * (-80.0 * s * (1.0 - s ** 2) - 2.0 * s)) / half
-
-        return SobolevTrialFunction(
-            name=name,
-            x_profile=sine,
-            t_profile=t_bump,
-            dx_profile=d_sine,
-            dt_profile=dt_bump,
-        )
-    if name == "skew":
-        return SobolevTrialFunction(
-            name=name,
-            x_profile=lambda x: x * (xl - x) ** 2 / xl ** 3,
-            t_profile=lambda t: (1.0 - tau(t)) * (1.0 + tau(t)) ** 2,
-            dx_profile=lambda x: (xl - x) * (xl - 3.0 * x) / xl ** 3,
-            dt_profile=lambda t: (1.0 + tau(t)) * (1.0 - 3.0 * tau(t)) / half,
-        )
-    if name == "highmode":
-        return SobolevTrialFunction(
-            name=name,
-            x_profile=lambda x: np.sin(3.0 * np.pi * x / xl),
-            t_profile=lambda t: np.sin(2.0 * np.pi * tau(t)),
-            dx_profile=lambda x: (3.0 * np.pi / xl) * np.cos(3.0 * np.pi * x / xl),
-            dt_profile=lambda t: (2.0 * np.pi / half) * np.cos(2.0 * np.pi * tau(t)),
-        )
-    raise ValueError(f"unknown trial profile {name!r}")
-
-
-TRIAL_NAMES = ("sine", "cos2", "bump", "skew", "highmode")
+    return SobolevTrialFunction(
+        name=name,
+        x_profile=lambda x: x_f(u(x)),
+        t_profile=lambda t: t_f(s(t)),
+        dx_profile=lambda x: dx_f(u(x)) / xl,
+        dt_profile=lambda t: dt_f(s(t)) / half,
+    )

@@ -262,7 +262,8 @@ class EigenTable:
     ``entries`` are (ell, k, nu) triples sorted by (ell, k), complete for
     nu <= cutoff and padded up to cutoff * (1 + margin) so that boundary
     queries at the cutoff itself are interior to the data.  ``ell_max`` is
-    the first excluded mode.  The sweep records its ``interval`` and ``width``.
+    the first excluded mode: the entries hold each of the modes 1 .. ell_max - 1
+    and no other.  The sweep records its ``interval`` and ``width``.
     """
 
     # not a field: every table is padded by the same margin
@@ -304,6 +305,13 @@ class EigenTable:
                     raise ValueError(
                         f"branch {i + 1} not increasing between modes {a} and {b}"
                     )
+        # a missing mode would undercount every query with no error; past
+        # len(ells) + 1 some mode is missing already, so the range stops there
+        want = range(1, min(self.ell_max, len(ells) + 2))
+        odd = sorted(set(ells).symmetric_difference(want))
+        if odd:
+            raise ValueError(f"a table with ell_max {self.ell_max} holds modes "
+                             f"1 .. {self.ell_max - 1} exactly; modes {odd} are missing or extra")
 
     def modes(self):
         return sorted({ell for ell, _, _ in self.entries})

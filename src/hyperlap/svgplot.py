@@ -39,36 +39,46 @@ def _nice_step(span, target=6):
 
 def _ticks(lo, hi):
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
+    v = math.ceil(lo / step) * step
     out = []
-    v = first
-    while v <= hi + 1e-9 * step:
+    # bounded: where step is below half the spacing of doubles, v += step stalls
+    for _ in range(int((hi - lo) / step) + 2):
+        if v > hi + 1e-9 * step:
+            break
         out.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return out
 
 
-def _fmt(v):
-    return f"{v:.6g}"
+def _range(values, pad):
+    """The axis range of ``values``, widened by ``pad`` of its span each way."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        # past 2**52 a flat range padded by 1.0 would stay flat
+        hi = lo + max(1.0, abs(lo) * 2.0 ** -51)
+    pad *= hi - lo
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(WIDTH * (hi - lo)):
+        raise ValueError(f"the points span {min(values):g} .. {max(values):g}, too wide to draw")
+    return lo, hi
 
 
 def line_plot(series, title="", xlabel="", ylabel=""):
-    """Render series = [(label, xs, ys), ...] as an SVG document string."""
+    """Render series = [(label, xs, ys), ...] as an SVG document string.
+
+    ValueError on no points, on a point that is not finite, or on a span
+    too wide to scale to the canvas.
+    """
     if not series:
         raise ValueError("need at least one series")
     xs_all = [float(x) for _, xs, _ in series for x in xs]
     ys_all = [float(y) for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("series contain no points")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    if not all(map(math.isfinite, xs_all + ys_all)):
+        raise ValueError("every point must be finite")
+    x_lo, x_hi = _range(xs_all, 0.0)
+    y_lo, y_hi = _range(ys_all, 0.04)
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -84,70 +94,47 @@ def line_plot(series, title="", xlabel="", ylabel=""):
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
+
+    def line(x1, y1, x2, y2, stroke="black", width=1):
+        out.append(
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>'
+        )
+
+    def text(x, y, size, body, anchor="middle", transform=""):
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        transform = f' transform="{transform}"' if transform else ""
+        out.append(
+            f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{escape(body)}</text>'
+        )
+
     if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="18">{escape(title)}</text>'
-        )
+        text(WIDTH / 2, 28, 18, title)
     axis_y = MARGIN_T + inner_h
-    out.append(
-        f'<line x1="{MARGIN_L}" y1="{axis_y}" x2="{MARGIN_L + inner_w}" '
-        f'y2="{axis_y}" stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
-        f'y2="{axis_y}" stroke="black" stroke-width="1"/>'
-    )
+    line(MARGIN_L, axis_y, MARGIN_L + inner_w, axis_y)
+    line(MARGIN_L, MARGIN_T, MARGIN_L, axis_y)
     for tx in _ticks(x_lo, x_hi):
-        x = px(tx)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_fmt(tx)}</text>'
-        )
+        x = f"{px(tx):.2f}"
+        line(x, axis_y, x, axis_y + 5)
+        text(x, axis_y + 20, 12, f"{tx:.6g}")
     for ty in _ticks(y_lo, y_hi):
         y = py(ty)
-        out.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" y2="{y:.2f}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_L - 9}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(ty)}</text>'
-        )
+        line(MARGIN_L - 5, f"{y:.2f}", MARGIN_L, f"{y:.2f}")
+        text(MARGIN_L - 9, f"{y + 4:.2f}", 12, f"{ty:.6g}", anchor="end")
     if xlabel:
-        out.append(
-            f'<text x="{MARGIN_L + inner_w / 2:.1f}" y="{HEIGHT - 14}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="14">'
-            f"{escape(xlabel)}</text>"
-        )
+        text(MARGIN_L + inner_w / 2, HEIGHT - 14, 14, xlabel)
     if ylabel:
         cy = MARGIN_T + inner_h / 2
-        out.append(
-            f'<text x="22" y="{cy:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14" '
-            f'transform="rotate(-90 22 {cy:.1f})">{escape(ylabel)}</text>'
-        )
+        text(22, cy, 14, ylabel, transform=f"rotate(-90 22 {cy})")
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, ys))
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         if label:
             ly = MARGIN_T + 18 + 18 * i
             lx = MARGIN_L + inner_w - 200
-            out.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-            out.append(
-                f'<text x="{lx + 32}" y="{ly}" font-family="sans-serif" '
-                f'font-size="13">{escape(label)}</text>'
-            )
+            line(lx, ly - 4, lx + 26, ly - 4, color, 1.5)
+            text(lx + 32, ly, 13, label, anchor="")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -133,6 +133,19 @@ def test_high_intervals_exit_two(capsys):
         assert capsys.readouterr().err == "error: exp(2t) overflows on the interval\n", argv
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_polya_refuses_a_bad_grid_before_the_sweep(grid, monkeypatch, capsys):
+    """verify_bound's argument rule is checked first: an empty grid once
+    exited 2 only after the whole sweep."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("polya swept before it checked --grid")
+
+    monkeypatch.setattr(hyperlap.cli, "sweep", no_sweep)
+    assert main(["polya", *FAST_SWEEP, "--grid", grid]) == 2
+    assert capsys.readouterr().err == f"error: grid must have at least one point, got {grid}\n"
+
+
 def test_out_of_memory_exits_two(monkeypatch, capsys):
     """An input too large to fit in memory (say a polya grid of 10^12
     points) is bad input, exit 2, not a violated bound."""

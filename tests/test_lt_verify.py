@@ -1,5 +1,6 @@
 """Tests for the trace-inequality and dual-inequality experiments."""
 
+import json
 import math
 
 import numpy as np
@@ -203,11 +204,44 @@ def test_sobolev_cos2_passes():
     assert report.margin >= -1e-9 * abs(report.rhs)
 
 
-def test_sobolev_all_named_trials_defined():
-    assert set(TRIAL_NAMES) == {"sine", "cos2", "bump", "skew", "highmode"}
+def test_sobolev_all_named_trials_defined(tmp_path):
+    assert TRIAL_NAMES == ("sine", "cos2", "bump", "skew", "highmode")
     for name in TRIAL_NAMES:
         trial = trial_profile(name)
         assert trial.name == name
+    # sobolev --profile all reports in this order
+    path = tmp_path / "sobolev.json"
+    assert main(["sobolev", "--profile", "all", "--json", str(path)]) == 0
+    assert tuple(r["name"] for r in json.loads(path.read_text())) == TRIAL_NAMES
+
+
+# (nodes, lhs, rhs) of each trial's report, as the per-trial closed forms gave them
+PINNED_SOBOLEV = {
+    MODEL: {
+        "sine": (32, 11.146597664075765, 0.9422955528064384),
+        "cos2": (32, 6.949826816049456, 0.5390725401825738),
+        "bump": (128, 4.0192558890404575, 0.06178547381212107),
+        "skew": (32, 0.00488486348193211, 0.00031695057608050375),
+        "highmode": (64, 164.81088462713524, 1.2010906745609358),
+    },
+    ProductDomain(x_length=1.0, a=1.0, b=4.0): {
+        "sine": (32, 1.442207511560094, 0.020184050836615654),
+        "cos2": (32, 0.8189723006173941, 0.012985183741587454),
+        "bump": (128, 0.1443147712650693, 0.002378546282039794),
+        "skew": (32, 0.0010315071508454697, 8.692142669989706e-06),
+        "highmode": (64, 15.304287122595646, 0.023781528216470508),
+    },
+}
+
+
+@pytest.mark.parametrize("domain", PINNED_SOBOLEV)
+@pytest.mark.parametrize("name", TRIAL_NAMES)
+def test_sobolev_reports_are_pinned(name, domain):
+    nodes, lhs, rhs = PINNED_SOBOLEV[domain][name]
+    report = sobolev_check(trial_profile(name, domain), domain)
+    assert report.nodes == nodes
+    assert report.lhs == pytest.approx(lhs, rel=1e-15, abs=0.0)
+    assert report.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
 
 
 def test_sobolev_homogeneity():

@@ -752,9 +752,9 @@ def test_table_csv_reads_crlf_and_names_a_bad_row():
         table_rows_from_csv("ell,k,nu\n1,x,2.0\n")
 
 
-def _mini_table(entries, cutoff=10.0):
+def _mini_table(entries, cutoff=10.0, ell_max=3):
     return EigenTable(
-        entries=entries, cutoff=cutoff, ell_max=3, resolution=16, tolerance=1e-8
+        entries=entries, cutoff=cutoff, ell_max=ell_max, resolution=16, tolerance=1e-8
     )
 
 
@@ -776,6 +776,16 @@ def test_table_invariant_violations():
     for nu in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=r"entry \(1,2\) is not finite or past"):
             _mini_table(((1, 1, 3.0), (1, 2, nu)))
+    # a table must hold the modes 1 .. ell_max - 1 and no other: without
+    # mode 2, N(10) read 3 here with no error
+    for entries, ell_max, odd in (
+        (((1, 1, 3.0), (1, 2, 7.0), (3, 1, 5.0)), 4, r"\[2\]"),
+        (((1, 1, 3.0), (2, 1, 7.0)), 2, r"\[2\]"),
+        (((2, 1, 3.0),), 3, r"\[1\]"),
+        ((), 10 ** 12, r"\[1\]"),  # checked without a range of 10^12 modes
+    ):
+        with pytest.raises(ValueError, match=rf"ell_max {ell_max} .* modes {odd} are missing"):
+            _mini_table(entries, ell_max=ell_max)
 
 
 def test_table_valid_synthetic():

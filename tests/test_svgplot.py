@@ -1,5 +1,10 @@
 """Tests for the dependency-free SVG renderer."""
 
+import hashlib
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from xml.sax import saxutils
 
@@ -76,3 +81,62 @@ def test_rejects_empty_input():
         line_plot([])
     with pytest.raises(ValueError):
         line_plot([("s", [], [])])
+
+
+def test_pinned_figure_bytes():
+    """Every axis, tick, label, title and legend element keeps its bytes."""
+    svg = line_plot(
+        [("a<b&c", [0.0, 1.0, 2.5], [0.0, 4.0, 1.0]), ("line", [0.0, 2.5], [1.0, 1.0])],
+        title="x<y",
+        xlabel="p&q",
+        ylabel="r",
+    )
+    assert len(svg) == 3045
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "ae6e6303a74ba399af36d8d017d9ec35d3ec10c9d8c31d490ba3676da313c318"
+    )
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        "[('a', [1e17, 1e17 + 16], [0, 1])]",
+        "[('a', [1e300, 1e300], [0, 1])]",
+        "[('a', [0, 1], [1e300, 1e300])]",
+    ],
+)
+def test_ranges_past_the_spacing_of_doubles_terminate(series):
+    """A tick step below half the spacing of doubles once stalled v += step
+    forever.  Run in a subprocess, so that a regression fails here instead
+    of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(svgplot.__file__)))
+    code = (
+        "import xml.etree.ElementTree as ET\n"
+        "from hyperlap.svgplot import line_plot\n"
+        f"svg = line_plot({series})\n"
+        "ET.fromstring(svg)\n"
+        "assert 'nan' not in svg and 'inf' not in svg\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rejects_points_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="every point must be finite"):
+        line_plot([("s", [0.0, bad], [0.0, 1.0])])
+    with pytest.raises(ValueError, match="every point must be finite"):
+        line_plot([("s", [0.0, 1.0], [bad, 1.0])])
+
+
+def test_rejects_a_span_too_wide_to_scale():
+    """Scaled to the canvas, a span near the largest double overflows to inf
+    coordinates."""
+    for series in ([("s", [0.0, 1e307], [0.0, 1.0])], [("s", [0.0, 1.0], [-1e308, 1e308])]):
+        with pytest.raises(ValueError, match="too wide to draw"):
+            line_plot(series)
