@@ -266,10 +266,7 @@ def cmd_ltcheck(args):
 def cmd_sobolev(args):
     domain = ProductDomain(x_length=args.x_length, a=args.a, b=args.b)
     names = list(TRIAL_NAMES) if args.profile == "all" else [args.profile]
-    reports = [
-        sobolev_check(trial_profile(name, domain), domain, tol=args.tol)
-        for name in names
-    ]
+    reports = [sobolev_check(trial_profile(name), domain, tol=args.tol) for name in names]
     _write(
         args,
         "\n".join(

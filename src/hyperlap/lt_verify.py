@@ -137,14 +137,16 @@ def lt_check(pot, gamma, table, excess=EXCESS):
 
 @dataclass(frozen=True)
 class SobolevTrialFunction:
-    """Product trial u(x, t) = X(x) T(t), both factors vanishing at the ends,
-    with the exact derivatives X' and T'."""
+    """Product trial X(u) T(s) on the reference square, u = x / x_length in
+    [0, 1] and s in [-1, 1] the interval's reference coordinate, both
+    factors vanishing at the ends, with the exact derivatives X'(u) and
+    T'(s).  sobolev_check maps it onto a domain."""
 
     name: str
-    x_profile: Callable
-    t_profile: Callable
-    dx_profile: Callable
-    dt_profile: Callable
+    u_profile: Callable
+    du_profile: Callable
+    s_profile: Callable
+    ds_profile: Callable
 
 
 def _eval_vec(trial, profile, pts):
@@ -199,15 +201,19 @@ def _gauss_legendre(q):
 # extreme domains overflow in the quadrature; the sides are checked at the end
 @np.errstate(over="ignore", invalid="ignore")
 def _sobolev_sides(trial, domain, n_nodes, excess):
+    # the one place a domain enters: x = x_length u, t = mid + half s
     interval = domain.interval
+    half = 0.5 * interval.length
     nodes, weights = _gauss_legendre(n_nodes)
-    xs = 0.5 * domain.x_length * (nodes + 1.0)
+    us = 0.5 * (nodes + 1.0)
     xw = 0.5 * domain.x_length * weights
     ts = interval.from_reference(nodes)
-    tw = 0.5 * interval.length * weights
+    tw = half * weights
 
-    xv, dxv = (_eval_vec(trial, name, xs) for name in ("x_profile", "dx_profile"))
-    tv, dtv = (_eval_vec(trial, name, ts) for name in ("t_profile", "dt_profile"))
+    xv = _eval_vec(trial, "u_profile", us)
+    dxv = _eval_vec(trial, "du_profile", us) / domain.x_length
+    tv = _eval_vec(trial, "s_profile", nodes)
+    dtv = _eval_vec(trial, "ds_profile", nodes) / half
 
     # the tensor rule factorizes exactly for product trials
     em, ep, em2 = np.exp(-ts), np.exp(ts), np.exp(-2.0 * ts)
@@ -299,34 +305,14 @@ _TRIALS = {
 TRIAL_NAMES = tuple(_TRIALS)
 
 
-def trial_profile(name, domain=None):
-    """Named trial functions on the given domain (default: the model strip).
+def trial_profile(name):
+    """The named trial on the reference square (see SobolevTrialFunction).
 
     Profiles vanish at both ends of each factor so the product extends by
-    zero to the whole space; each carries its derivatives in closed form,
-    those of its _TRIALS factors by the chain rule.  'bump' is the
-    near-degenerate narrow case.
+    zero to the whole space, and carry their derivatives in closed form.
+    'bump' is the near-degenerate narrow case.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown trial profile {name!r}")
-    if domain is None:
-        domain = ProductDomain()
-    (x_f, dx_f), (t_f, dt_f) = _TRIALS[name]
-    xl = domain.x_length
-    interval = domain.interval
-    mid = 0.5 * (interval.alpha + interval.beta)
-    half = 0.5 * interval.length
-
-    def u(x):
-        return np.asarray(x, dtype=float) / xl
-
-    def s(t):
-        return (np.asarray(t, dtype=float) - mid) / half
-
-    return SobolevTrialFunction(
-        name=name,
-        x_profile=lambda x: x_f(u(x)),
-        t_profile=lambda t: t_f(s(t)),
-        dx_profile=lambda x: dx_f(u(x)) / xl,
-        dt_profile=lambda t: dt_f(s(t)) / half,
-    )
+    (u_f, du_f), (s_f, ds_f) = _TRIALS[name]
+    return SobolevTrialFunction(name, u_f, du_f, s_f, ds_f)

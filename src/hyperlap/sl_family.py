@@ -18,8 +18,8 @@ between the value at 2n and that Rayleigh-Ritz value.  A retained
 eigenvalue is certified when the bracket is narrower than the tolerance,
 and every mode's count is cross-checked against the finite-difference
 Sturm oracle in one batched pass.  The sweep runs the loop over the modes
-ell = 1, 2, ... until a ground state clears the cutoff: that mode is the
-table's ell_max, so the mode search costs no solve of its own.  A
+ell = 1, 2, ... until a certified ground state clears the cutoff: that
+mode is the table's ell_max, so the mode search costs no solve of its own.  A
 single-mode solve (solve_certified) runs it on one coupling and returns a
 plain ascending float64 array.  No route returns an uncertified value.
 """
@@ -211,13 +211,16 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
     previous mode's Ritz vectors, which are close: a repeated call is
     bitwise equal.  The first mode whose ground state at 2n lies above
     ``cutoff`` ends the loop and is not returned; by interlacing its ground
-    state at n lies above it too.  A stop on the values at n would differ
-    only if nu_1(2n) <= cutoff < nu_1(n), a window below 1e-14 relative
-    wherever the table certifies.  Each mode's values are certified by the
-    bracket between resolutions 2n and n (see _mode_values), and every
-    mode's count by one FD Sturm pass (see _check_oracle).  The loop checks
-    the cutoff, tolerance and resolution it uses before anything is built:
-    the solve at 2n takes 4 <= n <= _MAX_N // 2.
+    state at n lies above it too.  That stop is certified: either the
+    solve-free floor (pi / length)^2 + kappa exp(2 alpha) of the true ground
+    state clears the cutoff, or the ground state's bracket between 2n and n
+    is within ``tol``, as a kept value's must be; otherwise the true ground
+    state may lie below the cutoff, and CertificationError says so.  Each
+    mode's values are certified by the bracket between resolutions 2n and
+    n (see _mode_values), and every mode's count by one FD Sturm pass (see
+    _check_oracle).  The loop checks the cutoff, tolerance and resolution
+    it uses before anything is built: the solve at 2n takes
+    4 <= n <= _MAX_N // 2.
     """
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff!r}")
@@ -235,6 +238,15 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
         factor = _cholesky(family.operator_band(coupling), "a")
         w2, x = lowest_pencil_eigenpairs(factor, root, min(k, n - 3), x)
         if w2[0] > cutoff:
+            floor = (math.pi / interval.length) ** 2 + coupling * math.exp(2.0 * interval.alpha)
+            if floor <= cutoff:
+                theta = _rayleigh_ritz(n, factor, root, x[:, :1])[0]
+                if theta - w2[0] > tol * max(1.0, theta):
+                    raise CertificationError(
+                        f"{name}: the ground state lies in [{w2[0]:.17g}, {theta:.17g}] "
+                        f"(resolutions {2 * n} and {n}), wider than tol {tol}: the "
+                        f"true one may lie below the cutoff {cutoff}; raise n"
+                    )
             break
         values, probe, above = _mode_values(n, factor, root, cutoff, retain, tol, w2, x)
         modes.append(values)
@@ -246,8 +258,8 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
 
 def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified as
-    _certified_modes certifies one mode.  A ground state above the cutoff at
-    2n is above it at n too: the answer is empty, with no FD grid."""
+    _certified_modes certifies one mode.  A certified ground state above the
+    cutoff gives an empty answer, with no FD grid."""
     coupling = _check_coupling(coupling)
     cutoff = float(cutoff)
     name = f"coupling {coupling!r}"

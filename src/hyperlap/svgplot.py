@@ -53,8 +53,9 @@ def _ticks(lo, hi):
 def _range(values, pad):
     """The axis range of ``values``, widened by ``pad`` of its span each way."""
     lo, hi = min(values), max(values)
-    if hi == lo:
-        # past 2**52 a flat range padded by 1.0 would stay flat
+    # a span below the least normal double has no tick step (it underflows),
+    # so it is padded as a flat one; past 2**52 a pad of 1.0 would stay flat
+    if hi - lo < 2.0 ** -1022:
         hi = lo + max(1.0, abs(lo) * 2.0 ** -51)
     pad *= hi - lo
     lo, hi = lo - pad, hi + pad
@@ -66,11 +67,15 @@ def _range(values, pad):
 def line_plot(series, title="", xlabel="", ylabel=""):
     """Render series = [(label, xs, ys), ...] as an SVG document string.
 
-    ValueError on no points, on a point that is not finite, or on a span
-    too wide to scale to the canvas.
+    ValueError on no points, on a series whose xs and ys differ in length,
+    on a point that is not finite, or on a span too wide to scale to the
+    canvas.
     """
     if not series:
         raise ValueError("need at least one series")
+    for label, xs, ys in series:
+        if len(xs) != len(ys):
+            raise ValueError(f"series {label!r} has {len(xs)} xs and {len(ys)} ys")
     xs_all = [float(x) for _, xs, _ in series for x in xs]
     ys_all = [float(y) for _, _, ys in series for y in ys]
     if not xs_all:

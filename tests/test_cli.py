@@ -164,6 +164,24 @@ def test_sweep_straddling_the_cutoff_exits_three(capsys):
     assert "across the cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--alpha", "-1", "--beta", "8", "--cutoff", "3.5", "--n", "4"],
+        ["eig", "--alpha", "-1", "--beta", "8", "--ell", "1", "--cutoff", "3.5", "--n", "4"],
+        ["polya", "--alpha", "-1", "--beta", "8", "--cutoff", "3.5", "--n", "5"],
+    ],
+)
+def test_an_unresolved_ground_state_above_the_cutoff_exits_three(argv, capsys):
+    # the true ground state 3.3705 lies below the cutoff, the one at 2n
+    # above it: these printed an empty table (polya: a bound that "holds")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "the true one may lie below the cutoff 3.5; raise n" in captured.err
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -388,6 +406,14 @@ def test_polya_outputs(tmp_path):
     svg = spath.read_text()
     assert len(_polylines(svg)) == 2
     assert "lambda" in svg
+
+
+@pytest.mark.parametrize("cutoff", ["3e-323", "5e-324"])
+def test_polya_draws_a_subnormal_cutoff(cutoff, tmp_path):
+    # the figure's x span is the cutoff: its tick step once underflowed
+    spath = tmp_path / "tiny.svg"
+    assert main(["polya", "--cutoff", cutoff, "--n", "16", "--svg", str(spath)]) == 0
+    assert len(_polylines(spath.read_text())) == 2
 
 
 def test_polya_scale_manufactures_violation(tmp_path, monkeypatch):

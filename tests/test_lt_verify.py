@@ -1,5 +1,6 @@
 """Tests for the trace-inequality and dual-inequality experiments."""
 
+import inspect
 import json
 import math
 
@@ -238,7 +239,7 @@ PINNED_SOBOLEV = {
 @pytest.mark.parametrize("name", TRIAL_NAMES)
 def test_sobolev_reports_are_pinned(name, domain):
     nodes, lhs, rhs = PINNED_SOBOLEV[domain][name]
-    report = sobolev_check(trial_profile(name, domain), domain)
+    report = sobolev_check(trial_profile(name), domain)
     assert report.nodes == nodes
     assert report.lhs == pytest.approx(lhs, rel=1e-15, abs=0.0)
     assert report.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
@@ -250,10 +251,10 @@ def test_sobolev_homogeneity():
     c = 3.0
     scaled = SobolevTrialFunction(
         name="scaled",
-        x_profile=lambda x: c * base.x_profile(x),
-        t_profile=base.t_profile,
-        dx_profile=lambda x: c * base.dx_profile(x),
-        dt_profile=base.dt_profile,
+        u_profile=lambda u: c * base.u_profile(u),
+        du_profile=lambda u: c * base.du_profile(u),
+        s_profile=base.s_profile,
+        ds_profile=base.ds_profile,
     )
     r0 = sobolev_check(base)
     r1 = sobolev_check(scaled)
@@ -265,10 +266,10 @@ def test_sobolev_homogeneity():
 def test_sobolev_zero_trial():
     zero = SobolevTrialFunction(
         name="zero",
-        x_profile=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        t_profile=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        dx_profile=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dt_profile=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        u_profile=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+        du_profile=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+        s_profile=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        ds_profile=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
     report = sobolev_check(zero)
     assert report.lhs == 0.0
@@ -280,10 +281,10 @@ def test_sobolev_unsettled_quadrature_raises(monkeypatch):
     rng = np.random.default_rng(5)
     noisy = SobolevTrialFunction(
         name="noise",
-        x_profile=lambda x: np.sin(x),
-        t_profile=lambda t: rng.uniform(0.5, 1.5, size=np.asarray(t).shape),
-        dx_profile=lambda x: np.cos(x),
-        dt_profile=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        u_profile=lambda u: np.sin(np.pi * u),
+        du_profile=lambda u: np.pi * np.cos(np.pi * u),
+        s_profile=lambda s: rng.uniform(0.5, 1.5, size=np.asarray(s).shape),
+        ds_profile=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
     monkeypatch.setattr(lt_verify, "_MAX_NODES", 64)
     with pytest.raises(QuadratureError, match="by 64 nodes"):
@@ -315,22 +316,22 @@ def test_gauss_legendre_failed_ql_raises(monkeypatch):
 
 def test_sobolev_custom_domain():
     domain = ProductDomain(x_length=1.0, a=1.0, b=4.0)
-    report = sobolev_check(trial_profile("sine", domain=domain), domain=domain)
+    report = sobolev_check(trial_profile("sine"), domain=domain)
     assert report.passed
     assert report.margin > 0.0
 
 
-@pytest.mark.parametrize("domain", [MODEL, ProductDomain(x_length=1.0, a=1.0, b=4.0)])
 @pytest.mark.parametrize("name", TRIAL_NAMES)
-def test_trial_profile_derivatives_are_exact(name, domain):
-    """Each closed-form derivative matches a central difference at interior
-    points, to 1e-6 of the derivative's largest value there."""
-    trial = trial_profile(name, domain)
-    interval = domain.interval
+def test_trial_profile_derivatives_are_exact(name):
+    """Each closed-form derivative on the reference square matches a central
+    difference in u or s at interior points, to 1e-6 of the derivative's
+    largest value there.  The chain rule onto a domain is covered by
+    test_sobolev_reports_are_pinned."""
+    trial = trial_profile(name)
     inner = np.linspace(0.05, 0.95, 19)
     for f, df, lo, hi in (
-        (trial.x_profile, trial.dx_profile, 0.0, domain.x_length),
-        (trial.t_profile, trial.dt_profile, interval.alpha, interval.beta),
+        (trial.u_profile, trial.du_profile, 0.0, 1.0),
+        (trial.s_profile, trial.ds_profile, -1.0, 1.0),
     ):
         pts = lo + (hi - lo) * inner
         h = 1e-5 * (hi - lo)
@@ -345,25 +346,33 @@ def test_trial_profile_unknown_name():
         trial_profile("gaussian")
 
 
+def test_trial_profile_takes_only_a_name():
+    """A trial carries no domain, so it cannot be built for one domain and
+    checked on another: sobolev_check alone maps it."""
+    assert list(inspect.signature(trial_profile).parameters) == ["name"]
+    with pytest.raises(TypeError):
+        trial_profile("sine", MODEL)
+
+
 def test_trial_profile_boundary_values():
     for name in TRIAL_NAMES:
         trial = trial_profile(name)
-        ends_x = np.array([0.0, math.pi])
-        ends_t = np.array([-1.0, 1.0])
-        assert np.max(np.abs(np.asarray(trial.x_profile(ends_x)))) <= 1e-12
-        assert np.max(np.abs(np.asarray(trial.t_profile(ends_t)))) <= 1e-12
+        ends_u = np.array([0.0, 1.0])
+        ends_s = np.array([-1.0, 1.0])
+        assert np.max(np.abs(np.asarray(trial.u_profile(ends_u)))) <= 1e-12
+        assert np.max(np.abs(np.asarray(trial.s_profile(ends_s)))) <= 1e-12
 
 
 def test_sobolev_rejects_a_profile_of_the_wrong_shape():
     """A profile that does not act on arrays elementwise is refused, by name."""
     scalar = SobolevTrialFunction(
         name="scalar",
-        x_profile=np.sin,
-        t_profile=lambda t: 1.0,
-        dx_profile=np.cos,
-        dt_profile=lambda t: np.zeros_like(t),
+        u_profile=np.sin,
+        du_profile=np.cos,
+        s_profile=lambda s: 1.0,
+        ds_profile=lambda s: np.zeros_like(s),
     )
-    with pytest.raises(ValueError, match="trial 'scalar': t_profile has shape"):
+    with pytest.raises(ValueError, match="trial 'scalar': s_profile has shape"):
         sobolev_check(scalar)
 
 
@@ -378,4 +387,4 @@ def test_sobolev_refuses_sides_that_are_not_finite(domain):
     side.  Now a ValueError names the trial, as lt_check does for its left
     side."""
     with pytest.raises(ValueError, match="trial 'sine': the sides of the dual inequality"):
-        sobolev_check(trial_profile("sine", domain), domain)
+        sobolev_check(trial_profile("sine"), domain)

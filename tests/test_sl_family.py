@@ -688,10 +688,28 @@ def test_sweep_refuses_a_value_straddling_the_cutoff(interval, cutoff, n):
         solve_certified(interval, 1.0, cutoff, n=n)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_an_unresolved_ground_state_cannot_end_the_table(n):
+    """Mode 1 on (-1, 8) has its true ground state 3.3705 below the cutoff
+    3.5, but at n = 4 and 5 its ground state at 2n lies above it: the sweep
+    once stopped there and returned an empty table.  The floor (pi / 9)^2 +
+    exp(-2) is far below the cutoff, and the bracket between n and 2n is
+    wide, so the stop is refused; n = 200 certifies the one value."""
+    interval = Interval(-1.0, 8.0)
+    with pytest.raises(CertificationError, match=r"mode 1: the ground state lies in \["):
+        sweep(interval, 3.5, n=n)
+    with pytest.raises(CertificationError, match="the true one may lie below the cutoff 3.5"):
+        solve_certified(interval, 1.0, 3.5, n=n)
+    table = sweep(interval, 3.5, n=200)
+    assert table.ell_max == 2
+    assert table.nus(through=3.5) == pytest.approx([3.37047271281], rel=1e-11)
+    assert solve_certified(interval, 1.0, 3.5, n=200) == pytest.approx([3.37047271281], rel=1e-11)
+
+
 def test_certified_solve_above_the_ground_state_builds_no_grid(monkeypatch, capsys):
-    """A ground state above the cutoff at 2n is above it at n: the answer is
-    empty, certified by interlacing, and no FD grid is built (mode 10^7 once
-    built 8.9 million points for it)."""
+    """A ground state whose solve-free floor clears the cutoff needs no
+    certification of its own: the answer is empty, and no FD grid is built
+    (mode 10^7 once built 8.9 million points for it)."""
     grids = []
 
     def recorded(interval, coupling, m=2000):

@@ -140,3 +140,22 @@ def test_rejects_a_span_too_wide_to_scale():
     for series in ([("s", [0.0, 1e307], [0.0, 1.0])], [("s", [0.0, 1.0], [-1e308, 1e308])]):
         with pytest.raises(ValueError, match="too wide to draw"):
             line_plot(series)
+
+
+@pytest.mark.parametrize("hi", [5e-324, 3e-323])
+def test_subnormal_spans_draw(hi):
+    """A span whose tick step underflows (span / 6 to 0 at 5e-324, the step
+    10^-324 to 0 at 3e-323) is padded as a flat one, on either axis."""
+    for series in ([("a", [0.0, hi], [0.0, 1.0])], [("a", [0.0, 1.0], [0.0, hi])]):
+        svg = line_plot(series)
+        (poly,) = _tags(svg, "polyline")
+        assert len(poly.attrib["points"].split()) == 2
+        assert "nan" not in svg and "inf" not in svg
+
+
+def test_rejects_unpaired_points():
+    """An x without its y once moved the axis and drew nothing."""
+    with pytest.raises(ValueError, match="series 'a' has 3 xs and 2 ys"):
+        line_plot([("a", [0.0, 1.0, 100.0], [0.0, 1.0])])
+    with pytest.raises(ValueError, match="series 'b' has 1 xs and 2 ys"):
+        line_plot([("a", [0.0], [0.0]), ("b", [0.0], [0.0, 1.0])])
