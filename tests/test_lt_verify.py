@@ -321,17 +321,24 @@ def test_sobolev_custom_domain():
     assert report.margin > 0.0
 
 
+@pytest.mark.parametrize("domain", [MODEL, ProductDomain(x_length=1.0, a=1.0, b=4.0)])
 @pytest.mark.parametrize("name", TRIAL_NAMES)
-def test_trial_profile_derivatives_are_exact(name):
-    """Each closed-form derivative on the reference square matches a central
-    difference in u or s at interior points, to 1e-6 of the derivative's
-    largest value there.  The chain rule onto a domain is covered by
-    test_sobolev_reports_are_pinned."""
+def test_trial_profile_derivatives_are_exact(name, domain):
+    """Each closed-form derivative, carried onto the domain by the map
+    x = x_length u, t = mid + half s that sobolev_check applies, matches a
+    central difference in x or t at interior points, to 1e-6 of the
+    derivative's largest value there."""
     trial = trial_profile(name)
+    interval = domain.interval
+    half = 0.5 * interval.length
+    mid = interval.alpha + half
+    L = domain.x_length
     inner = np.linspace(0.05, 0.95, 19)
     for f, df, lo, hi in (
-        (trial.u_profile, trial.du_profile, 0.0, 1.0),
-        (trial.s_profile, trial.ds_profile, -1.0, 1.0),
+        (lambda x: trial.u_profile(x / L), lambda x: trial.du_profile(x / L) / L, 0.0, L),
+        (lambda t: trial.s_profile((t - mid) / half),
+         lambda t: trial.ds_profile((t - mid) / half) / half,
+         interval.alpha, interval.beta),
     ):
         pts = lo + (hi - lo) * inner
         h = 1e-5 * (hi - lo)
