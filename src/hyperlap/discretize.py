@@ -6,9 +6,9 @@ Shen-Legendre Galerkin family (symmetric banded matrices built once per
 interval, mode by mode only the coupling changes; every certified solve
 uses it) and second-order central finite differences (symmetric
 tridiagonal, used as the cross-checking oracle).
-Every Galerkin matrix is built in closed form, without quadrature: the
-exp(2t) mass from the Legendre expansion of the exponential and the
-Adams-Neumann integral of three Legendre polynomials.
+Every Galerkin matrix is built without quadrature: B and the exp(2t) mass M
+are one combination of Legendre Grams, M's from the exponential's Legendre
+expansion and the Adams-Neumann integral of three Legendre polynomials.
 """
 
 import math
@@ -60,11 +60,10 @@ class GalerkinFamily:
     eigenproblem), mode kappa is the symmetric pencil (K + kappa M) c = nu B c:
 
     - ``stiffness``: the diagonal of K, (4 / length^2) (4k + 6);
-    - ``mass_band``: B, nonzero only on the diagonal and at offset 2
-      (Shen's closed form);
-    - ``weight_band``: the exp(2t) mass matrix M, banded to rounding
-      (closed form, see assemble_galerkin).
+    - ``mass_band``: B, nonzero only on the diagonal and at offset 2;
+    - ``weight_band``: the exp(2t) mass matrix M, banded to rounding.
 
+    B and M are one combination of Legendre Grams (see assemble_galerkin).
     Both bands are LAPACK lower bands, Fortran-ordered: row d holds the
     entries (j + d, j) in its first order - d columns.  The basis is
     hierarchical and every entry is independent of n, so the family at a
@@ -149,7 +148,7 @@ def _exp_coefficients(length):
 def _exp_gram(c, n, offsets):
     """G_jk, the integral of L_j L_k exp(length (x - 1)) over [-1, 1], by offset.
 
-    Entry d (d < offsets) holds G(j, j + d) for j = 0 .. n - d.  With
+    Row d (d < offsets) holds G(j, j + d) for j = 0 .. n - d.  With
     exp(length (x - 1)) = sum of c_m L_m, and ``c`` its coefficients below
     the cut of _exp_coefficients, G_jk is the sum over m of c_m times the
     Adams-Neumann integral
@@ -168,16 +167,33 @@ def _exp_gram(c, n, offsets):
     i = np.arange(1.0, n + top // 2 + 1)
     a = np.concatenate(([1.0], np.cumprod((2.0 * i - 1.0) / (2.0 * i))))
     t = 2.0 / ((2.0 * np.arange(a.size) + 1.0) * a)
-    gram = []
+    gram = np.zeros((offsets, n + 1))
     for d in range(offsets):
-        g = np.zeros(n + 1 - d)
+        g = gram[d, : n + 1 - d]
         high = min(top, 2 * n - d)
         for m in range(high - (high - d) % 2, d - 1, -2):
             # s - k = (m - d) / 2 and s - j = (m + d) / 2 are fixed; j >= s - k
             lo, q = (m - d) // 2, (m + d) // 2
             g[lo:] += (c[m] * a[q] * a[lo]) * a[: n + 1 - d - lo] * t[q + lo : n + 1 - d + q]
-        gram.append(g)
     return gram
+
+
+def _shen_band(gram, width):
+    """The Gram of phi_j = L_j - L_{j+2} as a lower band of offsets 0 .. width.
+
+    ``gram`` holds a symmetric Legendre Gram by offset through width + 2,
+    row d the entries G(j, j + d) for j = 0 .. n - d.  The band has order
+    n - 1 and Fortran order (see GalerkinFamily); entry (k, j), k = j + d,
+    is G(j, k) - G(j, k + 2) - G(j + 2, k) + G(j + 2, k + 2).
+    """
+    order = gram.shape[1] - 2
+    band = np.zeros((width + 1, order), order="F")
+    for d in range(width + 1):
+        size = order - d
+        # G(j + 2, j + d), read from the offset |d - 2|
+        cross = gram[d - 2, 2 : 2 + size] if d >= 2 else gram[2 - d, d : d + size]
+        band[d, :size] = gram[d, :size] - gram[d + 2, :size] - cross + gram[d, 2 : 2 + size]
+    return band
 
 
 def assemble_galerkin(interval, n=400):
@@ -187,54 +203,43 @@ def assemble_galerkin(interval, n=400):
     intervals shorter than about 1e-154 the stiffness overflows, on ones
     longer than about 1e154 it vanishes, and ValueError says so.
 
-    M is built in closed form, without quadrature: phi_j phi_k exp(2t) in
-    the reference variable is exp(2 beta) phi_j phi_k exp(length (x - 1)),
-    so M is exp(2 beta) times the four Legendre Gram entries of _exp_gram
-    that phi_j = L_j - L_{j+2} and phi_k combine.  Degree m of the
-    exponential reaches offsets up to m + 2, so with the degrees below the
-    cut of _exp_coefficients, M keeps offsets through the cut + 1 (20 at
-    length 2, 28 at 6, 280 at 1000): every entry dropped comes from degrees
-    at or past the cut alone, and is below the rounding of the entries
-    kept.  The four entries cancel more as the interval grows, where
-    exp(length (x - 1)) crowds against x = 1: measured against quadrature,
-    the kept entries are within 5 eps max|M| up to length 6, and about 17,
-    70 and 1600 eps max|M| at lengths 20, 100 and 1000.  The width depends
-    on the length only and no entry depends on n, so the family at n is
-    bitwise the leading block of the family at any larger n (see
-    GalerkinFamily).
+    B and M are the combination (_shen_band) of Legendre Grams that
+    phi_j = L_j - L_{j+2} and phi_k make: B of the Legendre mass
+    2 / (2j + 1), and M, without quadrature, of exp(2 beta) times the Grams
+    of _exp_gram, since phi_j phi_k exp(2t) in the reference variable is
+    exp(2 beta) phi_j phi_k exp(length (x - 1)).  Degree m of the exponential
+    reaches offsets up to m + 2, so with the degrees below the cut of
+    _exp_coefficients, M keeps offsets through the cut + 1 (20 at length 2,
+    28 at 6, 280 at 1000): every entry dropped comes from degrees at or past
+    the cut alone, and is below the rounding of the entries kept.  The four
+    Grams cancel more as the interval grows, where exp(length (x - 1))
+    crowds against x = 1: measured against quadrature, the kept entries are
+    within 5 eps max|M| up to length 6, and about 17, 70 and 1600 eps max|M|
+    at lengths 20, 100 and 1000.  The width depends on the length only and no
+    entry depends on n, so the family at n is bitwise the leading block of
+    the family at any larger n (see GalerkinFamily).
     """
     if not 4 <= n <= _MAX_N:
         raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
     order = n - 1
-    k = np.arange(order, dtype=float)
     # length^2 underflows to 0 on intervals shorter than about 1e-162, and
     # overflows to inf (a stiffness of 0) on ones longer than about 1e154
     square = interval.length * interval.length
     with np.errstate(over="ignore"):
-        stiffness = (4.0 / square if square else math.inf) * (4.0 * k + 6.0)
+        stiffness = (4.0 / square if square else math.inf) * (4.0 * np.arange(order) + 6.0)
     if not (np.all(np.isfinite(stiffness)) and stiffness[0] > 0.0):
         raise ValueError(
             f"the stiffness overflows or vanishes on an interval of length {interval.length!r}"
         )
     c = _exp_coefficients(interval.length)
     width = min(c.size + 1, order - 1)
-    gram = _exp_gram(c, n, width + 3)
-    weight_band = np.zeros((width + 1, order), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(2.0 * interval.beta)
-        for d in range(width + 1):
-            size = order - d
-            # G(j + 2, j + d), read from the offset |d - 2|
-            cross = gram[d - 2][2 : 2 + size] if d >= 2 else gram[2 - d][d : d + size]
-            weight_band[d, :size] = scale * (
-                gram[d][:size] - gram[d + 2][:size] - cross + gram[d][2 : 2 + size]
-            )
+        weight_band = np.exp(2.0 * interval.beta) * _shen_band(_exp_gram(c, n, width + 3), width)
     if not np.all(np.isfinite(weight_band)):
         raise ValueError("exp(2t) overflows on the interval")
-    mass_band = np.zeros((3, order), order="F")
-    mass_band[0] = 2.0 / (2.0 * k + 1.0) + 2.0 / (2.0 * k + 5.0)
-    mass_band[2, :-2] = -2.0 / (2.0 * k[:-2] + 5.0)
-    return GalerkinFamily(stiffness=stiffness, mass_band=mass_band, weight_band=weight_band)
+    legendre = np.zeros((5, n + 1))
+    legendre[0] = 2.0 / (2.0 * np.arange(n + 1) + 1.0)
+    return GalerkinFamily(stiffness, _shen_band(legendre, 2), weight_band)
 
 
 @dataclass(frozen=True)

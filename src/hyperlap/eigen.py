@@ -48,8 +48,8 @@ _START_MIX = 1e-5
 _DGKS = 1.0 / math.sqrt(2.0)
 
 
-def _ritz_pairs(alpha, beta, lo, hi):
-    """Eigenvalues lo..hi (1-based, ascending) of the Lanczos tridiagonal, and eigenvectors.
+def _ritz_pairs(alpha, beta, k):
+    """The k greatest eigenvalues of the Lanczos tridiagonal, ascending, and their eigenvectors.
 
     Root-free QL (dsterf) finds the values, to about eps relative on these
     graded matrices, and inverse iteration (dstein) only the vectors
@@ -60,10 +60,10 @@ def _ritz_pairs(alpha, beta, lo, hi):
     if info == 0:
         split = np.zeros(m, dtype=np.int32)
         split[0] = m
-        s, info = dstein(alpha, beta, mu[lo - 1 : hi], np.ones(m, dtype=np.int32), split)
+        s, info = dstein(alpha, beta, mu[m - k :], np.ones(m, dtype=np.int32), split)
     if info != 0:
         raise ConvergenceError(f"tridiagonal Ritz solve failed (info {info})")
-    return mu[lo - 1 : hi], s
+    return mu[m - k :], s
 
 
 def _cholesky(band, name):
@@ -94,7 +94,7 @@ def _upper_band(chol):
 
 
 def _unit(v):
-    return v / math.sqrt(v @ v)
+    return v / math.sqrt(v.dot(v))
 
 
 def lowest_pencil_eigenpairs(factor, root, k, start=None):
@@ -113,10 +113,9 @@ def lowest_pencil_eigenpairs(factor, root, k, start=None):
     Gram-Schmidt, repeated by the DGKS rule) and never exceeds order
     vectors (134 MB at order 4095).  It stops once every wanted Ritz value
     theta has a residual <= 1e-9 theta (see _RESIDUAL_TOL), which keeps it
-    within about 1e-16 relative; the check runs on the one pair least converged,
-    and on all k only once that one passes.  A breakdown (an invariant
-    subspace) goes on from a fresh start vector, and a basis of the full
-    order gives the exact values.
+    within about 1e-16 relative; each check judges all k pairs.  A breakdown
+    (an invariant subspace) goes on from a fresh start vector, and a basis
+    of the full order gives the exact values.
 
     Lanczos starts from the fixed vector sin(1 + i), or, given ``start``,
     from the sum of its columns: b-orthonormal Ritz vectors of a nearby
@@ -160,19 +159,18 @@ def lowest_pencil_eigenpairs(factor, root, k, start=None):
     else:
         basis[0] = _unit(_unit(transpose_root(start.sum(axis=1))) + _START_MIX * fixed)
     restarts = 0
-    watch = 0  # the pair checked: 0 is the k-th greatest
     check = k + _CHECK_LEAD  # the next step that checks
     m = 0
     while True:
         r = apply(basis[m])
-        prev = math.sqrt(r @ r)
+        prev = math.sqrt(r.dot(r))
         alpha[m] = 0.0
         span = basis[: m + 1]
         for _ in range(2):
-            h = span @ r
-            r -= h @ span
+            h = span.dot(r)
+            r -= h.dot(span)
             alpha[m] += h[m]
-            norm = math.sqrt(r @ r)
+            norm = math.sqrt(r.dot(r))
             if norm > _DGKS * prev:
                 break
             prev = norm
@@ -191,31 +189,25 @@ def lowest_pencil_eigenpairs(factor, root, k, start=None):
                     raise ConvergenceError("Lanczos found no vector outside its basis")
                 r = np.sin(1.0 + (restarts + 1) * np.arange(order))
                 for _ in range(2):
-                    r -= (basis[:m] @ r) @ basis[:m]
-                norm = math.sqrt(r @ r)
+                    r -= basis[:m].dot(r).dot(basis[:m])
+                norm = math.sqrt(r.dot(r))
             basis[m] = r / norm
             continue
         beta[m - 1] = norm
         basis[m] = r / norm
         if m < check:
             continue
-        lo = m - k + 1 + watch
-        mu, s = _ritz_pairs(alpha[:m], beta[: m - 1], lo, lo)
-        excess = norm * abs(s[-1, 0]) / (_RESIDUAL_TOL * mu[0])
+        mu, s = _ritz_pairs(alpha[:m], beta[: m - 1], k)
+        excess = np.max(norm * np.abs(s[-1]) / (_RESIDUAL_TOL * mu))
         if excess <= 1.0:
-            mu, s = _ritz_pairs(alpha[:m], beta[: m - 1], m - k + 1, m)
-            excesses = norm * np.abs(s[-1]) / (_RESIDUAL_TOL * mu)
-            if np.all(excesses <= 1.0):
-                break
-            watch = int(np.argmax(excesses))
-            excess = excesses[watch]
-        # a stalled residual takes many steps to fall, and one that falls
-        # loses at most about a decade a step (0.5 to 1.4 in the sweeps'
-        # modes): checking sooner seldom pays
+            break
+        # the worst pair's residual: a stalled one takes many steps to fall,
+        # and one that falls loses at most about a decade a step (0.5 to 1.4
+        # in the sweeps' modes), so checking sooner seldom pays
         check = m + max(1, int(math.log10(excess)))
     if m == order:
-        mu, s = _ritz_pairs(alpha, beta[: order - 1], order - k + 1, order)
-    y = basis[:m].T @ s
+        mu, s = _ritz_pairs(alpha, beta[: order - 1], k)
+    y = basis[:m].T.dot(s)
     x = dtbtrs(root, y, uplo="L", trans="T")[0]
     return 1.0 / mu[::-1], x[:, ::-1]
 

@@ -271,6 +271,22 @@ def test_verify_argument_validation():
         verify_bound(cf, "polya", -1.0)
 
 
+@pytest.mark.parametrize("grid", [2.5, True])
+def test_verify_refuses_a_grid_that_is_not_an_integer(grid):
+    """A fractional grid once overran lam_max into IncompleteTableError, and
+    True ran a one-point grid."""
+    with pytest.raises(ValueError, match="grid must be a whole number of points"):
+        verify_bound(_free_cf(kmax=40), "polya", 40.0, grid=grid)
+
+
+def test_verify_takes_a_numpy_integer_grid():
+    cf = _free_cf(kmax=40)
+    got = verify_bound(cf, "polya", 40.0, grid=np.int64(50))
+    want = verify_bound(cf, "polya", 40.0, grid=50)
+    assert np.array_equal(got.lambda_grid, want.lambda_grid)
+    assert got.min_margin == want.min_margin
+
+
 def test_verify_respects_cutoff():
     cf = CountingFunction(
         sorted_nus=np.array([1.0]), domain_volume=1.0, cutoff=5.0

@@ -109,13 +109,27 @@ def test_gauss_legendre_rule(q):
         assert abs(np.sum(w * np.exp(a * x)) - exact) <= 1e-14 * exact
 
 
+@pytest.mark.parametrize("n", [4, 5, 16, 401])
+def test_mass_band_is_shens_closed_form(n):
+    """B, built as the Shen combination of the Legendre mass, is bitwise
+    Shen's closed form: 2/(2k+1) + 2/(2k+5) on the diagonal, 0 at offset 1
+    and -2/(2k+5) at offset 2."""
+    b = assemble_galerkin(Interval(-1.0, 1.0), n).mass_band
+    k = np.arange(n - 1, dtype=float)
+    expected = np.zeros((3, n - 1))
+    expected[0] = 2.0 / (2.0 * k + 1.0) + 2.0 / (2.0 * k + 5.0)
+    expected[2, :-2] = -2.0 / (2.0 * k[:-2] + 5.0)
+    assert b.flags.f_contiguous
+    assert np.array_equal(b, expected)
+
+
 def test_galerkin_family_structure():
     fam = assemble_galerkin(Interval(-3.0, 2.0), 16)
     assert fam.order == 15
     assert fam.mass_band.shape == (3, 15) and fam.mass_band.flags.f_contiguous
     b = band_to_dense(fam.mass_band)
     assert np.count_nonzero(b) == 15 + 2 * 13
-    # Shen's closed-form B is the Gram matrix of the basis
+    # B is the Gram matrix of the basis
     x, w = _gauss_legendre(20)
     phi = _shen_values(16, x)
     assert np.allclose((phi * w) @ phi.T, b, rtol=0.0, atol=1e-14)

@@ -175,6 +175,34 @@ def test_lowest_pencil_free_spectrum():
     assert np.max(np.abs(got - exact) / exact) <= 1e-13
 
 
+def _random_tridiagonal(m):
+    rng = np.random.default_rng(m)
+    return rng.uniform(-1.0, 1.0, m), rng.uniform(0.1, 1.0, m - 1)
+
+
+def _graded_tridiagonal(m):
+    """Entries falling by half a step, as the Lanczos tridiagonal of a
+    spectral transformation grades them."""
+    scale = 0.5 ** np.arange(m)
+    return scale * (1.0 + 0.1 * np.sin(np.arange(m))), 0.3 * scale[1:]
+
+
+@pytest.mark.parametrize("tridiagonal", [_random_tridiagonal, _graded_tridiagonal])
+@pytest.mark.parametrize("m", [12, 30])
+@pytest.mark.parametrize("k", [1, 3, "m"])
+def test_ritz_pairs_match_a_dense_solve(tridiagonal, m, k):
+    """The k greatest eigenpairs of the tridiagonal, ascending, as a dense
+    symmetric solve gives them."""
+    k = m if k == "m" else k
+    alpha, beta = tridiagonal(m)
+    mu, s = eigen._ritz_pairs(alpha.copy(), beta.copy(), k)
+    dense_mu, dense_s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    assert mu.shape == (k,) and s.shape == (m, k)
+    assert np.max(np.abs(mu - dense_mu[m - k :])) <= 1e-14 * np.max(np.abs(dense_mu))
+    signs = np.sign(np.sum(s * dense_s[:, m - k :], axis=0))
+    assert np.max(np.abs(s - signs * dense_s[:, m - k :])) <= 1e-10
+
+
 def test_lowest_pencil_failures(monkeypatch):
     a, b = _fd_band(20)
     with pytest.raises(ValueError):
