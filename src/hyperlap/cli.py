@@ -202,7 +202,7 @@ def cmd_sweep(args):
     nus = table.nus()
     _write(
         args,
-        f"swept {len(table.modes())} modes (ell_max {table.ell_max}), "
+        f"swept {table.ell_max - 1} modes (ell_max {table.ell_max}), "
         f"{len(table.entries)} certified eigenvalues <= {table.cutoff * (1 + table.margin):g}",
         csv=table.to_csv,
         json=lambda: {
@@ -211,7 +211,7 @@ def cmd_sweep(args):
             "resolution": table.resolution,
             "tolerance": table.tolerance,
             "margin": table.margin,
-            "modes": len(table.modes()),
+            "modes": table.ell_max - 1,
             "entries": len(table.entries),
             "nu_min": float(nus[0]) if nus.size else None,
             "nu_max": float(nus[-1]) if nus.size else None,

@@ -8,13 +8,20 @@ coefficients used by the counting and kinetic-energy inequalities.
 import math
 import sys
 
+import numpy as np
+
 # Best known excess over the semiclassical value for the one-dimensional
 # gamma = 1 bound (operator-valued lifting keeps it dimension-free).
 EXCESS = 1.456
 
 
+def _whole(value):
+    """An int or a numpy integer, never a bool: the one rule for counts and indices."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_dim(dim, minimum=1):
-    if not isinstance(dim, (int,)) or isinstance(dim, bool):
+    if not _whole(dim):
         raise ValueError(f"dimension must be an integer, got {dim!r}")
     if dim < minimum:
         raise ValueError(f"dimension must be >= {minimum}, got {dim}")

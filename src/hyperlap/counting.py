@@ -12,6 +12,7 @@ import numpy as np
 
 from .constants import (
     EXCESS,
+    _whole,
     constant_ratio,
     counting_constant,
     lt_classical,
@@ -177,7 +178,7 @@ def check_bound_args(kind, lam_max, grid, gamma=None):
     lam_max = float(lam_max)
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise ValueError(f"lam_max must be positive and finite, got {lam_max!r}")
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)):
+    if not _whole(grid):
         raise ValueError(f"grid must be a whole number of points, got {grid!r}")
     if grid < 1:
         raise ValueError(f"grid must have at least one point, got {grid}")

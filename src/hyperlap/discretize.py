@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import _whole
+
 # largest Galerkin resolution n.  The certified solves solve at 2n, so they
 # take n <= _MAX_N // 2; a mode that asks for nearly all of its values makes
 # Lanczos keep up to one vector per order, a dense basis of order 4095
@@ -219,6 +221,8 @@ def assemble_galerkin(interval, n=400):
     entry depends on n, so the family at n is bitwise the leading block of
     the family at any larger n (see GalerkinFamily).
     """
+    if not _whole(n):
+        raise ValueError(f"n must be a whole number, got {n!r}")
     if not 4 <= n <= _MAX_N:
         raise ValueError(f"need 4 <= n <= {_MAX_N}, got {n}")
     order = n - 1
@@ -288,6 +292,8 @@ def assemble_fd(interval, coupling, m=2000):
     coupling = np.asarray(coupling, dtype=float)
     for kappa in coupling.flat:
         _check_coupling(kappa)
+    if not _whole(m):
+        raise ValueError(f"m must be a whole number of points, got {m!r}")
     if m < 3:
         raise ValueError(f"need m >= 3 interior points, got {m}")
     h = interval.length / (m + 1)

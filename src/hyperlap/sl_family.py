@@ -32,6 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._lapack import dsygv
+from .constants import _whole
 from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
 from .eigen import _cholesky, _sturm_counts, lowest_pencil_eigenpairs
 from .errors import CertificationError, IncompleteTableError
@@ -228,6 +229,8 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
         raise ValueError(
             f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
         )
+    if not _whole(n):
+        raise ValueError(f"n must be a whole number, got {n!r}")
     if not 4 <= n <= _MAX_N // 2:
         raise ValueError(f"need 4 <= n <= {_MAX_N // 2}, got {n}: certification solves at 2n")
     family = assemble_galerkin(interval, 2 * n)
@@ -271,11 +274,17 @@ def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
 class EigenTable:
     """Certified eigenvalue table of the sweep.
 
-    ``entries`` are (ell, k, nu) triples sorted by (ell, k), complete for
-    nu <= cutoff and padded up to cutoff * (1 + margin) so that boundary
-    queries at the cutoff itself are interior to the data.  ``ell_max`` is
-    the first excluded mode: the entries hold each of the modes 1 .. ell_max - 1
-    and no other.  The sweep records its ``interval`` and ``width``.
+    ``entries`` are (ell, k, nu) triples, complete for nu <= cutoff and
+    padded up to cutoff * (1 + margin) so that boundary queries at the
+    cutoff itself are interior to the data.  ``ell_max`` is the first
+    excluded mode.  One pass over the entries checks the invariant: the
+    rows run mode by mode with k = 1, 2, ...; ell, k and ell_max are whole
+    numbers (an int or a numpy integer, never a bool); each nu is finite,
+    at most cutoff * (1 + margin), rises in k and lies above the previous
+    mode's value at the same k; the modes are exactly 1 .. ell_max - 1, so
+    modes() reads them off ell_max.  Every table it accepts reads back from
+    its own to_csv through table_rows_from_csv to the same entries.  The
+    sweep records its ``interval`` and ``width``.
     """
 
     # not a field: every table is padded by the same margin
@@ -292,31 +301,29 @@ class EigenTable:
     def __post_init__(self):
         if math.isnan(self.cutoff):
             raise ValueError("cutoff must not be NaN")
+        if not _whole(self.ell_max):
+            raise ValueError(f"ell_max must be a whole number, got {self.ell_max!r}")
         limit = self.cutoff * (1.0 + self.margin)
-        by_mode = {}
-        last = None
-        for ell, k, nu in self.entries:
-            if last is not None and (ell, k) <= last:
+        # the modes so far, and the values of the current mode and of the one
+        # before; each row is checked against the next for the order
+        ells, below, here = [], [], []
+        for (ell, k, nu), after in itertools.zip_longest(self.entries, self.entries[1:]):
+            if not (_whole(ell) and _whole(k)):
+                raise ValueError(f"entry ({ell!r},{k!r}) needs whole-number indices")
+            if after is not None and (after[0], after[1]) <= (ell, k):
                 raise ValueError("entries must be sorted by (ell, k)")
-            last = (ell, k)
             if not (math.isfinite(nu) and nu <= limit):
                 raise ValueError(f"entry ({ell},{k}) is not finite or past retention limit: {nu}")
-            by_mode.setdefault(ell, []).append((k, nu))
-        for ell, rows in by_mode.items():
-            ks = [k for k, _ in rows]
-            if ks != list(range(1, len(ks) + 1)):
+            if not ells or ell != ells[-1]:
+                ells.append(ell)
+                below, here = here, []
+            if k != len(here) + 1:
                 raise ValueError(f"mode {ell} has non-consecutive branch indices")
-            nus = [nu for _, nu in rows]
-            if any(b <= a for a, b in zip(nus, nus[1:])):
+            if here and nu <= here[-1]:
                 raise ValueError(f"mode {ell} eigenvalues not strictly increasing")
-        ells = sorted(by_mode)
-        for a, b in zip(ells, ells[1:]):
-            shared = min(len(by_mode[a]), len(by_mode[b]))
-            for i in range(shared):
-                if by_mode[b][i][1] <= by_mode[a][i][1]:
-                    raise ValueError(
-                        f"branch {i + 1} not increasing between modes {a} and {b}"
-                    )
+            if k <= len(below) and nu <= below[k - 1]:
+                raise ValueError(f"branch {k} not increasing between modes {ells[-2]} and {ell}")
+            here.append(nu)
         # a missing mode would undercount every query with no error; past
         # len(ells) + 1 some mode is missing already, so the range stops there
         want = range(1, min(self.ell_max, len(ells) + 2))
@@ -326,7 +333,7 @@ class EigenTable:
                              f"1 .. {self.ell_max - 1} exactly; modes {odd} are missing or extra")
 
     def modes(self):
-        return sorted({ell for ell, _, _ in self.entries})
+        return list(range(1, self.ell_max))
 
     def mode_values(self, ell):
         return np.array([nu for e, _, nu in self.entries if e == ell])

@@ -151,6 +151,15 @@ def test_dimension_validation(fn):
         fn(0)
 
 
+def test_dimension_takes_a_numpy_integer_and_refuses_a_bool_or_float():
+    """The dimension follows the same whole-number rule as a bound's grid."""
+    assert lt_classical(0.5, np.int64(2)) == lt_classical(0.5, 2)
+    assert kinetic_constant(np.int32(3)) == kinetic_constant(3)
+    for dim in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            lt_classical(0.5, dim)
+
+
 def test_classical_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lt_classical(-0.1, 2)

@@ -334,6 +334,20 @@ def test_cheb_free_laplacian_spectrum():
     assert np.max(np.abs(w - exact) / exact) <= 1e-10
 
 
+def test_assembly_refuses_a_count_that_is_not_a_whole_number():
+    """A float n or m once failed inside numpy with a TypeError."""
+    iv = Interval(-1.0, 1.0)
+    for n in (8.0, 8.5, True):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            assemble_galerkin(iv, n)
+    for m in (3.5, 4.0, True):
+        with pytest.raises(ValueError, match="m must be a whole number of points"):
+            assemble_fd(iv, 1.0, m=m)
+    want = assemble_galerkin(iv, 8).mass_band
+    assert np.array_equal(assemble_galerkin(iv, np.int64(8)).mass_band, want)
+    assert np.array_equal(assemble_fd(iv, 1.0, m=np.int64(5)).diag, assemble_fd(iv, 1.0, m=5).diag)
+
+
 def test_galerkin_rejects_bad_input():
     with pytest.raises(ValueError):
         assemble_galerkin(Interval(-1.0, 1.0), 3)

@@ -182,6 +182,23 @@ def test_certified_paths_refuse_n_past_half_the_limit(monkeypatch):
             sweep(IV, 10.0, n=n)
 
 
+def test_certified_paths_refuse_an_n_that_is_not_a_whole_number(monkeypatch):
+    """A float n once passed the range check and failed in assembly with a
+    TypeError; now every certified entry point refuses it before anything
+    is built, and a numpy integer is a whole number."""
+    monkeypatch.setattr(sl_family, "assemble_galerkin", None)
+    domain = ProductDomain()
+    for n in (64.0, 64.5, True):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            sweep(IV, 50.0, n=n)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            solve_certified(IV, 1.0, 50.0, n=n)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            family_table(domain, 50.0, n=n)
+    monkeypatch.undo()
+    assert sweep(IV, 50.0, n=np.int64(64)).entries == sweep(IV, 50.0, n=64).entries
+
+
 # The sweep's own mode scan is the only search for ell_max; the three tests
 # below keep the checks that once pinned a separate search.
 
@@ -744,12 +761,13 @@ def test_table_query_semantics():
 
 
 def test_table_csv_round_trip():
-    table = sweep(IV, 40.0, n=64)
-    text = table.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "ell,k,nu"
-    assert len(lines) == len(table.entries) + 1
-    assert table_rows_from_csv(text) == list(table.entries)
+    for cutoff in (40.0, 50.0):
+        table = sweep(IV, cutoff, n=64)
+        text = table.to_csv()
+        lines = text.strip().split("\n")
+        assert lines[0] == "ell,k,nu"
+        assert len(lines) == len(table.entries) + 1
+        assert table_rows_from_csv(text) == list(table.entries)
 
 
 def test_table_csv_rejects_bad_header():
@@ -777,15 +795,15 @@ def _mini_table(entries, cutoff=10.0, ell_max=3):
 
 
 def test_table_invariant_violations():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entries must be sorted"):
         _mini_table(((1, 2, 3.0), (1, 1, 2.0)))  # unsorted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-consecutive branch indices"):
         _mini_table(((1, 2, 3.0),))  # branch indices must start at 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not strictly increasing"):
         _mini_table(((1, 1, 3.0), (1, 2, 2.5)))  # not increasing in k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="branch 1 not increasing between modes 1 and 2"):
         _mini_table(((1, 1, 3.0), (2, 1, 2.0)))  # not increasing in ell
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="past retention limit"):
         _mini_table(((1, 1, 99.0),))  # beyond the retention window
     # a NaN cutoff would compare past every query and switch off the guard
     with pytest.raises(ValueError, match="cutoff must not be NaN"):
@@ -806,11 +824,28 @@ def test_table_invariant_violations():
             _mini_table(entries, ell_max=ell_max)
 
 
+def test_table_refuses_indices_that_are_not_whole_numbers():
+    """to_csv wrote these tables as rows table_rows_from_csv refuses, and a
+    float ell_max failed in range() with a TypeError."""
+    for entries in (((1, 1.0, 3.0),), ((True, 1, 3.0),), ((1.0, 1, 3.0),), ((1, False, 3.0),)):
+        with pytest.raises(ValueError, match="needs whole-number indices"):
+            _mini_table(entries, ell_max=2)
+    for ell_max in (2.0, True):
+        with pytest.raises(ValueError, match="ell_max must be a whole number"):
+            _mini_table(((1, 1, 3.0),), ell_max=ell_max)
+    table = _mini_table(((np.int64(1), np.int64(1), 3.0),), ell_max=np.int64(2))
+    assert table.modes() == [1]
+
+
 def test_table_valid_synthetic():
     table = _mini_table(((1, 1, 3.0), (1, 2, 7.0), (2, 1, 5.0)))
     assert table.modes() == [1, 2]
     assert np.allclose(table.nus(), [3.0, 5.0, 7.0])
     assert np.allclose(table.mode_values(1), [3.0, 7.0])
+    # every accepted table reads back from its own CSV
+    for table in (table, _mini_table(((1, 1, 3),), ell_max=2), _mini_table((), ell_max=1),
+                  _mini_table(((np.int64(1), np.int64(1), 3.0),), ell_max=2)):
+        assert table_rows_from_csv(table.to_csv()) == list(table.entries)
 
 
 # ROADMAP item 14, an open defect: on intervals longer than about 10 the
