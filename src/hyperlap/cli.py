@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .constants import EXCESS, _check_excess, lt_best_known, lt_classical
+from .constants import EXCESS, _real, lt_best_known, lt_classical
 from .counting import CountingFunction, check_bound_args, polya_rows, ratio_rows, verify_bound
 from .discretize import Interval
 from .errors import CertificationError, ConvergenceError, QuadratureError
@@ -123,7 +123,7 @@ def _solver_args(sub, tol=True):
 
 
 def cmd_constants(args):
-    _check_excess(args.excess)
+    _real("excess", args.excess, positive=True)
     out = {
         "classical": lt_classical(args.gamma, args.dim),
         "theorem": (

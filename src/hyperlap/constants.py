@@ -2,7 +2,10 @@
 
 Everything here is arithmetic on top of the standard library's Gamma: the
 semiclassical constants, their best known multiples, and the derived
-coefficients used by the counting and kinetic-energy inequalities.
+coefficients used by the counting and kinetic-energy inequalities.  It
+also states the package's two argument rules, which every module follows:
+_whole for counts, indices and dimensions, and _real for scalar real
+arguments (gamma, excess, cutoffs, tolerances, lengths).
 """
 
 import math
@@ -28,9 +31,26 @@ def _check_dim(dim, minimum=1):
     return dim
 
 
-def _check_excess(excess):
-    if not (math.isfinite(excess) and excess > 0.0):
-        raise ValueError(f"excess must be positive and finite, got {excess!r}")
+def _real(name, value, low=None, positive=False):
+    """``value`` as a float, the one rule for scalar real arguments.
+
+    An int, a float or a numpy integer or floating scalar, never a bool, a
+    str, a complex or a 0-d array; finite, and above 0 if ``positive``, at
+    least ``low`` if given.  Anything else is a ValueError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the largest double
+        x = math.inf if value > 0 else -math.inf
+    if positive and not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    if low is not None and not low <= x < math.inf:
+        raise ValueError(f"{name} must be finite and >= {low:g}, got {x!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def lt_classical(gamma, dim):
@@ -39,9 +59,7 @@ def lt_classical(gamma, dim):
     ValueError where no normal double holds it or its parts: Gamma overflows
     near gamma + d/2 = 170, and at gamma = 1 the value underflows from d = 225.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    gamma = _real("gamma", gamma, low=0.0)
     _check_dim(dim)
     try:
         value = math.gamma(gamma + 1.0) / (
@@ -62,12 +80,8 @@ def lt_best_known(gamma, dim, excess=EXCESS):
     this form is available and a ValueError is raised, as it is for an
     ``excess`` that is not positive and finite.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.5:
-        raise ValueError(
-            f"best known constants require gamma >= 1/2, got {gamma!r}"
-        )
-    _check_excess(excess)
+    gamma = _real("gamma", gamma, low=0.5)
+    excess = _real("excess", excess, positive=True)
     if gamma >= 1.5:
         factor = 1.0
     elif gamma >= 1.0:

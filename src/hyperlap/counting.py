@@ -12,6 +12,8 @@ import numpy as np
 
 from .constants import (
     EXCESS,
+    _check_dim,
+    _real,
     _whole,
     constant_ratio,
     counting_constant,
@@ -55,8 +57,8 @@ class CountingFunction:
         object.__setattr__(self, "sorted_nus", vals)
         if math.isnan(self.cutoff):
             raise ValueError("cutoff must not be NaN")
-        if not (np.isfinite(self.domain_volume) and self.domain_volume > 0.0):
-            raise ValueError(f"volume must be positive, got {self.domain_volume!r}")
+        _real("volume", self.domain_volume, positive=True)
+        _check_dim(self.dim)
 
     @classmethod
     def from_table(cls, table, volume, dim=2):
@@ -96,9 +98,7 @@ class CountingFunction:
         would cancel catastrophically at large lam.
         """
         lam = self._check_range(lam)
-        gamma = float(gamma)
-        if not math.isfinite(gamma) or gamma < 0.0:
-            raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+        gamma = _real("gamma", gamma, low=0.0)
         if gamma == 0.0:
             return 1.0 * self.count(lam)
         flat = lam.ravel()
@@ -138,9 +138,7 @@ def product_counting_rhs(lam, dim, volume):
 
 def product_riesz_rhs(lam, gamma, dim, volume):
     """Riesz-mean bound 2 L^cl_{g,d} lam^(g + d/2) vol, valid for gamma >= 1/2."""
-    gamma = float(gamma)
-    if gamma < 0.5:
-        raise ValueError(f"riesz bound needs gamma >= 1/2, got {gamma!r}")
+    gamma = _real("gamma", gamma, low=0.5)
     coef = 2.0 * lt_classical(gamma, dim)
     return _semiclassical(coef, lam, gamma + dim / 2.0, volume)
 
@@ -175,9 +173,7 @@ class BoundReport:
 def check_bound_args(kind, lam_max, grid, gamma=None):
     """verify_bound's arguments checked, as (lam_max, gamma) floats; ValueError
     on a bad one, so a caller can refuse them before it builds a table."""
-    lam_max = float(lam_max)
-    if not (math.isfinite(lam_max) and lam_max > 0.0):
-        raise ValueError(f"lam_max must be positive and finite, got {lam_max!r}")
+    lam_max = _real("lam_max", lam_max, positive=True)
     if not _whole(grid):
         raise ValueError(f"grid must be a whole number of points, got {grid!r}")
     if grid < 1:
@@ -187,7 +183,7 @@ def check_bound_args(kind, lam_max, grid, gamma=None):
     if kind == "riesz":
         if gamma is None:
             raise ValueError("riesz bound needs an explicit gamma")
-        gamma = float(gamma)
+        gamma = _real("gamma", gamma, low=0.5)
     elif gamma is not None:
         raise ValueError(f"bound kind {kind!r} does not take a gamma")
     return lam_max, gamma
@@ -232,7 +228,7 @@ def verify_bound(cf, kind, lam_max, grid=1000, gamma=None):
 
 def ratio_rows(d_min=2, d_max=20, excess=EXCESS):
     """(d, product/direct constant ratio) rows for the dimension figure."""
-    if d_min < 2 or d_max < d_min:
+    if _check_dim(d_min, 2) > _check_dim(d_max, 2):
         raise ValueError(f"need 2 <= d_min <= d_max, got ({d_min}, {d_max})")
     return [(d, constant_ratio(d, excess)) for d in range(d_min, d_max + 1)]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _whole
+from .constants import _real, _whole
 
 # largest Galerkin resolution n.  The certified solves solve at 2n, so they
 # take n <= _MAX_N // 2; a mode that asks for nearly all of its values makes
@@ -33,8 +33,8 @@ class Interval:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValueError("interval endpoints must be finite")
+        _real("alpha", self.alpha)
+        _real("beta", self.beta)
         if not self.alpha < self.beta:
             raise ValueError(
                 f"interval needs alpha < beta, got ({self.alpha}, {self.beta})"
@@ -273,13 +273,6 @@ class TridiagOperator:
         return self.diag.shape[0]
 
 
-def _check_coupling(coupling):
-    coupling = float(coupling)
-    if not (math.isfinite(coupling) and coupling >= 0.0):
-        raise ValueError(f"coupling must be finite and >= 0, got {coupling!r}")
-    return coupling
-
-
 def assemble_fd(interval, coupling, m=2000):
     """Central-difference discretization with m interior points, spacing h.
 
@@ -289,9 +282,9 @@ def assemble_fd(interval, coupling, m=2000):
     Second-order accurate; meant for Richardson extrapolation and Sturm
     counting, not for production eigenvalues.
     """
+    for kappa in np.ravel(coupling):
+        _real("coupling", kappa, low=0.0)
     coupling = np.asarray(coupling, dtype=float)
-    for kappa in coupling.flat:
-        _check_coupling(kappa)
     if not _whole(m):
         raise ValueError(f"m must be a whole number of points, got {m!r}")
     if m < 3:

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs, dstein, dsterf, dtbtrs
+from .constants import _whole
 from .errors import ConvergenceError
 
 # Lanczos stops once every wanted Ritz pair (theta, x) of the transformed
@@ -129,8 +130,8 @@ def lowest_pencil_eigenpairs(factor, root, k, start=None):
     rounding.
     """
     order = factor.shape[1]
-    if not 1 <= k < order:
-        raise ValueError(f"need 1 <= k < order {order}, got {k}")
+    if not (_whole(k) and 1 <= k < order):
+        raise ValueError(f"need a whole number 1 <= k < order {order}, got {k!r}")
     chol = _upper_band(factor)
     diag = root[0]
     offsets = [(d, root[d, :-d]) for d in range(1, root.shape[0]) if np.any(root[d])]

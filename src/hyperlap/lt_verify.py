@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ._lapack import dsterf
-from .constants import EXCESS, kinetic_constant, lt_best_known
+from .constants import EXCESS, _real, kinetic_constant, lt_best_known
 from .counting import CountingFunction
 from .discretize import Interval
 from .errors import QuadratureError
@@ -30,10 +30,9 @@ class ProductDomain:
     b: float = math.e
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_length) and self.x_length > 0.0):
-            raise ValueError(f"x_length must be positive, got {self.x_length!r}")
-        if not (0.0 < self.a < self.b and np.isfinite(self.b)):
-            raise ValueError(f"need 0 < a < b finite, got ({self.a!r}, {self.b!r})")
+        _real("x_length", self.x_length, positive=True)
+        if not _real("a", self.a, positive=True) < _real("b", self.b, positive=True):
+            raise ValueError(f"need a < b, got ({self.a!r}, {self.b!r})")
 
     @property
     def interval(self):
@@ -54,16 +53,13 @@ class BoxPotential:
     height: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.height) and self.height > 0.0):
-            raise ValueError(f"height must be positive, got {self.height!r}")
+        _real("height", self.height, positive=True)
 
 
 def potential_integral(pot, gamma):
     """integral of V^(gamma + 1) over hyperbolic area, for the box shape on H^2:
     ValueError where no normal double holds it, as for lt_classical."""
-    gamma = float(gamma)
-    if gamma < 0.5:
-        raise ValueError(f"trace inequality needs gamma >= 1/2, got {gamma!r}")
+    gamma = _real("gamma", gamma, low=0.5)
     try:
         value = pot.height ** (gamma + 1.0) * hyperbolic_volume(pot.domain)
     except OverflowError:
@@ -113,7 +109,7 @@ def lt_check(pot, gamma, table, excess=EXCESS):
     V = height * 1_domain on H^2: the check tests a consequence of the
     paper's Lieb-Thirring inequality, not the inequality itself.
     """
-    gamma = float(gamma)
+    gamma = _real("gamma", gamma, low=0.5)
     domain, height = pot.domain, pot.height
     constant = lt_best_known(gamma, 2, excess)
     if (table.interval not in (None, domain.interval)
@@ -253,8 +249,7 @@ def sobolev_check(trial, domain=None, tol=1e-10, excess=EXCESS):
     too extreme for doubles).  A margin down to -1e-9 |rhs| still passes:
     that much relative negativity is quadrature rounding, not a violation.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    tol = _real("tol", tol, positive=True)
     if domain is None:
         domain = ProductDomain()
     n_nodes = 16

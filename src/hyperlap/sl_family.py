@@ -32,8 +32,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._lapack import dsygv
-from .constants import _whole
-from .discretize import _MAX_N, Interval, _check_coupling, assemble_fd, assemble_galerkin
+from .constants import _real, _whole
+from .discretize import _MAX_N, Interval, assemble_fd, assemble_galerkin
 from .eigen import _cholesky, _sturm_counts, lowest_pencil_eigenpairs
 from .errors import CertificationError, IncompleteTableError
 
@@ -44,6 +44,8 @@ _MARGIN = 0.05
 _MODE_LIMIT = 1 << 22
 # the FD error estimate h^2 nu^2 / 12 may take this share of the gap to the probe
 _FD_SHARE = 0.125
+# the least tolerance the bracket between resolutions n and 2n can certify
+_TOL_FLOOR = 1e-13
 
 
 def _grams(factor, root, y):
@@ -223,12 +225,8 @@ def _certified_modes(interval, couplings, cutoff, retain, tol, n):
     it uses before anything is built: the solve at 2n takes
     4 <= n <= _MAX_N // 2.
     """
-    if not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    if not (math.isfinite(tol) and tol >= 1e-13):
-        raise ValueError(
-            f"tol must be finite and at least the certifiable floor 1e-13, got {tol!r}"
-        )
+    _real("cutoff", cutoff)
+    tol = _real("tol", tol, low=_TOL_FLOOR)
     if not _whole(n):
         raise ValueError(f"n must be a whole number, got {n!r}")
     if not 4 <= n <= _MAX_N // 2:
@@ -263,8 +261,8 @@ def solve_certified(interval, coupling, cutoff, tol=1e-10, n=400):
     """Eigenvalues <= cutoff of the mode with ``coupling`` kappa, certified as
     _certified_modes certifies one mode.  A certified ground state above the
     cutoff gives an empty answer, with no FD grid."""
-    coupling = _check_coupling(coupling)
-    cutoff = float(cutoff)
+    coupling = _real("coupling", coupling, low=0.0)
+    cutoff = _real("cutoff", cutoff)
     name = f"coupling {coupling!r}"
     modes = _certified_modes(interval, [(name, coupling)], cutoff, cutoff, tol, n)
     return modes[0] if modes else np.empty(0)
@@ -278,8 +276,9 @@ class EigenTable:
     padded up to cutoff * (1 + margin) so that boundary queries at the
     cutoff itself are interior to the data.  ``ell_max`` is the first
     excluded mode.  One pass over the entries checks the invariant: the
-    rows run mode by mode with k = 1, 2, ...; ell, k and ell_max are whole
-    numbers (an int or a numpy integer, never a bool); each nu is finite,
+    rows run mode by mode with k = 1, 2, ...; ell, k, ell_max and resolution
+    are whole numbers (an int or a numpy integer, never a bool), and the
+    tolerance a real number at least _TOL_FLOOR; each nu is finite,
     at most cutoff * (1 + margin), rises in k and lies above the previous
     mode's value at the same k; the modes are exactly 1 .. ell_max - 1, so
     modes() reads them off ell_max.  Every table it accepts reads back from
@@ -303,6 +302,9 @@ class EigenTable:
             raise ValueError("cutoff must not be NaN")
         if not _whole(self.ell_max):
             raise ValueError(f"ell_max must be a whole number, got {self.ell_max!r}")
+        if not _whole(self.resolution):
+            raise ValueError(f"resolution must be a whole number, got {self.resolution!r}")
+        _real("tolerance", self.tolerance, low=_TOL_FLOOR)
         limit = self.cutoff * (1.0 + self.margin)
         # the modes so far, and the values of the current mode and of the one
         # before; each row is checked against the next for the order
@@ -346,9 +348,7 @@ class EigenTable:
         vals = np.sort(np.array([nu for _, _, nu in self.entries]))
         if through is None:
             return vals
-        through = float(through)
-        if not math.isfinite(through):
-            raise ValueError(f"through must be finite, got {through!r}")
+        through = _real("through", through)
         if through > self.cutoff:
             raise IncompleteTableError(
                 f"table complete only through {self.cutoff}, asked for {through}"
@@ -391,11 +391,8 @@ def sweep(interval, cutoff, tol=1e-10, n=400, width=math.pi):
     discards must lie above the cutoff at 2n too, or the sweep raises
     CertificationError (see _mode_values).
     """
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    if not (math.isfinite(width) and width > 0.0):
-        raise ValueError(f"strip width must be positive and finite, got {width!r}")
+    cutoff = _real("cutoff", cutoff, positive=True)
+    _real("strip width", width, positive=True)
     # nu_1(kappa) >= kappa exp(2 alpha) is all that is known without a solve
     try:
         floor = _mode_coupling(_MODE_LIMIT, width) * math.exp(2.0 * interval.alpha)

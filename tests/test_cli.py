@@ -580,10 +580,10 @@ def test_sobolev_json_all_profiles(tmp_path):
 def test_sobolev_tol_must_be_finite_and_positive(tol, capsys):
     # inf would accept the first 32-node margin, and nan, 0 and -1 would
     # double the nodes to _MAX_NODES before failing as unsettled
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
         sobolev_check(trial_profile("bump"), tol=float(tol))
     assert main(["sobolev", "--profile", "bump", "--tol", tol]) == 2
-    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert "tol must be positive and finite" in capsys.readouterr().err
 
 
 # each subcommand: its arguments, its artifact flags in output order, and its summary

@@ -345,6 +345,20 @@ def test_ratio_rows():
         ratio_rows(d_min=5, d_max=4)
 
 
+def test_dimensions_follow_the_whole_number_rule():
+    """A float d_max once failed in range() with a TypeError, and a float or
+    bool dimension of a counting function at its first bound check."""
+    for d_min, d_max in ((2, 3.5), (2.0, 3), (True, 3)):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            ratio_rows(d_min, d_max)
+    assert ratio_rows(np.int64(2), np.int64(3)) == ratio_rows(2, 3)
+    for dim in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            CountingFunction([1.0], 1.0, dim=dim)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        CountingFunction([1.0], 1.0, dim=0)
+
+
 def test_polya_rows_structure():
     cf = _free_cf(kmax=4)
     rows = polya_rows(cf, 30.0)

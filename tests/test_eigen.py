@@ -203,6 +203,15 @@ def test_ritz_pairs_match_a_dense_solve(tridiagonal, m, k):
     assert np.max(np.abs(s - signs * dense_s[:, m - k :])) <= 1e-10
 
 
+def test_lowest_pencil_takes_a_whole_number_of_pairs():
+    """A float k once failed in slicing with a TypeError."""
+    a, b = _fd_band(20)
+    for k in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="need a whole number 1 <= k < order 20"):
+            pencil_eigenpairs(a, b, k)
+    assert np.array_equal(pencil_eigenpairs(a, b, np.int64(2))[0], pencil_eigenpairs(a, b, 2)[0])
+
+
 def test_lowest_pencil_failures(monkeypatch):
     a, b = _fd_band(20)
     with pytest.raises(ValueError):

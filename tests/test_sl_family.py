@@ -837,6 +837,18 @@ def test_table_refuses_indices_that_are_not_whole_numbers():
     assert table.modes() == [1]
 
 
+def test_table_refuses_metadata_the_sweep_cannot_have_written():
+    """A resolution that is no whole number, or a tolerance below the floor
+    that _certified_modes certifies to, was once accepted as it stood."""
+    for resolution in (400.5, 16.0, True, "x"):
+        with pytest.raises(ValueError, match="resolution must be a whole number"):
+            EigenTable((), 1.0, 1, resolution, 1e-10)
+    for tolerance in ("x", True, math.nan, math.inf, 1e-14):
+        with pytest.raises(ValueError, match="tolerance must be"):
+            EigenTable((), 1.0, 1, 16, tolerance)
+    assert EigenTable((), 1.0, 1, np.int64(400), 1e-13).resolution == 400
+
+
 def test_table_valid_synthetic():
     table = _mini_table(((1, 1, 3.0), (1, 2, 7.0), (2, 1, 5.0)))
     assert table.modes() == [1, 2]
